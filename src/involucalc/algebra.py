@@ -22,7 +22,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 
 class AlgebraError(Exception):
@@ -715,66 +714,32 @@ def _as_gauss_matrix(rows):
     return [[GaussRat.of(x) for x in row] for row in rows]
 
 
-def exact_rank(rows) -> int:
-    """Rank over the complex rationals by exact Gaussian elimination."""
-    m = _as_gauss_matrix(rows)
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    col = 0
-    while rank < len(m) and col < ncols:
-        pivot = None
-        for r in range(rank, len(m)):
-            if not m[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
+def gauss_jordan(m) -> list:
+    """Reduce the list-of-rows matrix ``m`` in place to reduced row echelon
+    form over a field (entries need ``is_zero`` and the field operations);
+    returns the pivot columns in order."""
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        rank = len(pivots)
+        if rank == len(m):
+            break
+        pr = next((r for r in range(rank, len(m)) if not m[r][col].is_zero()), None)
+        if pr is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
+        m[rank], m[pr] = m[pr], m[rank]
         pv = m[rank][col]
         m[rank] = [x / pv for x in m[rank]]
         for r in range(len(m)):
             if r != rank and not m[r][col].is_zero():
                 f = m[r][col]
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        col += 1
-    return rank
+        pivots.append(col)
+    return pivots
 
 
-def minor_rank(rows) -> int:
-    """Rank by brute-force enumeration of square minors (test oracle)."""
-    m = _as_gauss_matrix(rows)
-    if not m or not m[0]:
-        return 0
-    nr, nc = len(m), len(m[0])
-    for size in range(min(nr, nc), 0, -1):
-        for ri in combinations(range(nr), size):
-            for ci in combinations(range(nc), size):
-                sub = [[m[r][c] for c in ci] for r in ri]
-                if not _det_gauss(sub).is_zero():
-                    return size
-    return 0
-
-
-def _det_gauss(m):
-    """Determinant of a square GaussRat matrix by expansion (small sizes)."""
-    n = len(m)
-    if n == 0:
-        return ONE
-    if n == 1:
-        return m[0][0]
-    total = ZERO
-    sign = ONE
-    for j in range(n):
-        a = m[0][j]
-        if not a.is_zero():
-            sub = [[row[c] for c in range(n) if c != j] for row in m[1:]]
-            total = total + sign * a * _det_gauss(sub)
-        sign = -sign
-    return total
+def exact_rank(rows) -> int:
+    """Rank over the complex rationals by exact Gaussian elimination."""
+    return len(gauss_jordan(_as_gauss_matrix(rows)))
 
 
 class HermitianMatrix:
@@ -860,84 +825,49 @@ def hermitian_inertia(h: HermitianMatrix):
     return (n_pos, n_neg, n_zero)
 
 
-def det_exact(rows) -> GaussRat:
-    """Exact determinant of a square GaussRat matrix."""
-    return _det_gauss(_as_gauss_matrix(rows))
-
-
-def poly_det(m):
-    """Exact determinant of a square Poly matrix by cofactor expansion."""
+def det(m):
+    """Determinant of a nonempty square matrix over a commutative ring
+    (``GaussRat``, ``Poly`` or ``RatFun`` entries) by cofactor expansion
+    along the first row."""
     n = len(m)
     if n == 0:
-        raise ValueError("empty matrix has no variables for poly_det")
+        raise ValueError("empty matrix has no determinant ring")
     if n == 1:
         return m[0][0]
-    total = Poly.zero(m[0][0].vars)
-    sign = 1
+    total = None
     for j in range(n):
         a = m[0][j]
-        if not a.is_zero():
-            sub = [[row[c] for c in range(n) if c != j] for row in m[1:]]
-            term = a * poly_det(sub)
-            total = total + (term if sign > 0 else -term)
-        sign = -sign
-    return total
+        if a.is_zero():
+            continue
+        term = a * det([[row[c] for c in range(n) if c != j] for row in m[1:]])
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    return m[0][0] if total is None else total  # zero first row: m[0][0] is the ring's 0
 
 
-def poly_adjugate(m):
-    """Classical adjoint of a square Poly matrix: adj(M) M = det(M) I."""
+# Locus and bundle checks call RatFun minors by this name, so a traced run can
+# count them apart from the Poly and GaussRat determinants.
+ratfun_det = det
+
+
+def adjugate(m):
+    """Classical adjoint of a nonempty square matrix: adj(M) M = det(M) I."""
     n = len(m)
-    vars = m[0][0].vars
     if n == 1:
-        return [[Poly.one(vars)]]
+        return [[m[0][0] * 0 + 1]]
     adj = [[None] * n for _ in range(n)]
     for r in range(n):
         for c in range(n):
-            sub = [
-                [m[i][j] for j in range(n) if j != c] for i in range(n) if i != r
-            ]
-            cof = poly_det(sub)
-            if (r + c) % 2:
-                cof = -cof
-            adj[c][r] = cof
+            sub = [[m[i][j] for j in range(n) if j != c] for i in range(n) if i != r]
+            cof = det(sub)
+            adj[c][r] = -cof if (r + c) % 2 else cof
     return adj
-
-
-def ratfun_det(m):
-    """Exact determinant of a square RatFun matrix."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    vars = m[0][0].vars
-    total = RatFun(Poly.zero(vars))
-    sign = 1
-    for j in range(n):
-        a = m[0][j]
-        if not a.is_zero():
-            sub = [[row[c] for c in range(n) if c != j] for row in m[1:]]
-            term = a * ratfun_det(sub)
-            total = total + (term if sign > 0 else -term)
-        sign = -sign
-    return total
 
 
 def ratfun_matrix_inverse(m):
     """Inverse of a square RatFun matrix via the adjugate; det must be != 0."""
-    n = len(m)
-    vars = m[0][0].vars
     d = ratfun_det(m)
     if d.is_zero():
         raise ZeroDenominator("matrix is singular over the rational functions")
-    if n == 1:
-        return [[RatFun.of(1, vars) / m[0][0]]]
-    inv = [[None] * n for _ in range(n)]
-    for r in range(n):
-        for c in range(n):
-            sub = [
-                [m[i][j] for j in range(n) if j != c] for i in range(n) if i != r
-            ]
-            cof = ratfun_det(sub)
-            if (r + c) % 2:
-                cof = -cof
-            inv[c][r] = cof / d
-    return inv
+    return [[a / d for a in row] for row in adjugate(m)]

@@ -25,6 +25,7 @@ from .algebra import (
     Poly,
     RatFun,
     exact_rank,
+    gauss_jordan,
     ratfun_det,
     ratfun_matrix_inverse,
 )
@@ -121,29 +122,9 @@ def expand_in_span(fields, target):
     rows = [
         [f.coeff(c) for f in fields] + [target.coeff(c)] for c in coords
     ]
-    # Gaussian elimination over the RatFun field
-    pivots = []
-    rank = 0
-    for col in range(n):
-        pr = None
-        for r in range(rank, len(rows)):
-            if not rows[r][col].is_zero():
-                pr = r
-                break
-        if pr is None:
-            continue
-        rows[rank], rows[pr] = rows[pr], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(rows)):
-        if not rows[r][n].is_zero():
-            raise BundleError("vector field is not in the span of the frame")
+    pivots = gauss_jordan(rows)
+    if pivots and pivots[-1] == n:
+        raise BundleError("vector field is not in the span of the frame")
     coeffs = [_zero(vars) for _ in range(n)]
     for r, col in enumerate(pivots):
         coeffs[col] = rows[r][n]

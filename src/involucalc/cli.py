@@ -13,7 +13,7 @@ inside expressions):
                  "b = poly, ..." and "u0 = poly, ..." over (x1..xN, t)
     [fbi]        optional; "data = gaussian|heaviside|boundary", "delta = 1/40",
                  "sigma = 3/20", "kappa = 1", "halfwidth = 1/2", "grid = 256",
-                 "dirs = 8", "radii = 1.2:120:7"
+                 "dirs = 8", "radii = 6/5:120:7"
 
     Polynomials use variables x1.., y1.., s1.., t1.., the imaginary unit i,
     rational literals p/q, operators + - * / ^ (with ^ a nonnegative integer
@@ -418,6 +418,8 @@ def _parse_fraction(toks):
         if toks[i + 1].text != "/" or i + 2 >= len(toks) or toks[i + 2].kind != "NUMBER":
             raise ParseError("expected p/q", toks[i + 1].line, toks[i + 1].col)
         den = int(toks[i + 2].text)
+        if den == 0:
+            raise ParseError("zero denominator", toks[i + 2].line, toks[i + 2].col)
         if i + 3 < len(toks):
             raise ParseError("trailing tokens after rational", toks[i + 3].line, toks[i + 3].col)
     return Fraction(-num if neg else num, den)
@@ -623,6 +625,13 @@ class Report:
         return "\n".join(self.machine) + "\n"
 
 
+def _option_fraction(text: str, what: str) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as e:
+        raise ModuleError("cli", ValueError(f"bad {what} {text.strip()!r}: {e}"))
+
+
 def _parse_covector(spec: str, vars):
     xi = {}
     for part in spec.split(","):
@@ -638,7 +647,7 @@ def _parse_covector(spec: str, vars):
         name = name.strip()
         if name not in vars:
             raise ModuleError("cli", ValueError(f"unknown coordinate {name!r} in covector"))
-        xi[name] = Fraction(val.strip())
+        xi[name] = _option_fraction(val, "covector value")
     return xi
 
 
@@ -646,7 +655,7 @@ def _parse_radii(spec: str):
     try:
         lo, hi, count = spec.split(":")
         lo, hi, count = float(Fraction(lo)), float(Fraction(hi)), int(count)
-    except ValueError as e:
+    except (ValueError, ZeroDivisionError) as e:
         raise ModuleError("cli", ValueError(f"bad radii spec {spec!r}: {e}"))
     if count < 4 or lo <= 0 or hi <= lo:
         raise ModuleError("cli", ValueError("radii spec needs 0 < lo < hi and count >= 4"))
@@ -1004,8 +1013,8 @@ def cmd_approx(args) -> int:
     try:
         field = NormalFormField(block.nx, b)
         series = series_coefficients(field, u0, order)
-        for res in series.recursion_residuals():
-            assert all(p.is_zero() for p in res)
+        if not all(p.is_zero() for res in series.recursion_residuals() for p in res):
+            raise ModuleError("approx", ValueError("series recursion residuals do not vanish"))
         plan = select_cutoff_plan(series, box_halfwidth=box, grid=grid)
         ev = assemble_evaluator(series, plan)
     except ModuleError:
@@ -1058,7 +1067,7 @@ def cmd_wavefront(args) -> int:
 
     sf = _load(args.file)
     block = sf.fbi if sf.fbi is not None else FbiBlock()
-    kappa = Fraction(args.kappa) if args.kappa else block.kappa
+    kappa = _option_fraction(args.kappa, "kappa") if args.kappa else block.kappa
     dirs = args.dirs if args.dirs is not None else block.dirs
     radii = _parse_radii(args.radii if args.radii else block.radii)
     lines = ["involucalc-report v1"]

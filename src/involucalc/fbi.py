@@ -32,6 +32,7 @@ import numpy as np
 
 from .algebra import GaussRat, Poly, RatFun
 from .approx import NormalFormField, chi_float
+from .config import DEFAULTS
 from .structure import StructureDef, build_frame, levi_form
 
 
@@ -208,8 +209,8 @@ def direction_scan(
     basepoint,
     n_dirs: int,
     radii,
-    smooth_threshold: float = 4.0,
-    singular_threshold: float = -1.5,
+    smooth_threshold: float = DEFAULTS.smooth_slope,
+    singular_threshold: float = DEFAULTS.singular_slope,
 ) -> FbiScan:
     """Scan |F| over a circle of directions and a radius grid; classify each
     direction by the fitted log-log slope."""

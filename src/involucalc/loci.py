@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import Poly, poly_det, ratfun_det
+from .algebra import Poly, det, ratfun_det
 from .hull import SpanChain, apply_word
 from .structure import StructureDef, build_frame, characteristic_form, jacobians
 
@@ -82,7 +82,7 @@ def exceptional_locus_check(sdef: StructureDef) -> LocusVerdict:
     cols = tuple(range(mu))
     for rows in combinations(range(d), mu):
         sub = [[jac.phi_t[r][c] for c in cols] for r in rows]
-        minor = poly_det(sub)
+        minor = det(sub)
         if minor.is_zero():
             continue
         try:
@@ -123,13 +123,13 @@ def degeneracy_locus_check(sdef: StructureDef, chain: SpanChain) -> LocusVerdict
         return LocusVerdict(False, None, "not enough hull generators for a full minor")
     for picked in combinations(range(len(rows)), size):
         mat = [list(rows[i][1]) for i in picked]
-        det = ratfun_det(mat)
-        if det.is_zero():
+        minor = ratfun_det(mat)
+        if minor.is_zero():
             continue
-        if det.den.constant_term().is_zero():
+        if minor.den.constant_term().is_zero():
             continue
         try:
-            factor = monomial_unit_factor(det.num)
+            factor = monomial_unit_factor(minor.num)
         except NotMonomialTimesUnit:
             continue
         return LocusVerdict(
@@ -137,7 +137,7 @@ def degeneracy_locus_check(sdef: StructureDef, chain: SpanChain) -> LocusVerdict
             LocusWitness(
                 tuple(rows[i][0] for i in picked),
                 tuple(range(1, size + 1)),
-                det.num,
+                minor.num,
                 factor,
             ),
         )

@@ -29,10 +29,10 @@ from .algebra import (
     HALF,
     Poly,
     RatFun,
+    adjugate,
+    det,
     exact_rank,
     hermitian_inertia,
-    poly_adjugate,
-    poly_det,
 )
 
 
@@ -163,15 +163,15 @@ def _jacobians_cached(sdef: StructureDef) -> PhiJacobians:
         for k in range(d)
     )
     if d:
-        det = poly_det([list(r) for r in w_s])
-        adj = poly_adjugate([list(r) for r in w_s])
+        w_det = det([list(r) for r in w_s])
+        adj = adjugate([list(r) for r in w_s])
         inv = tuple(
-            tuple(RatFun(adj[k][m], det) for m in range(d)) for k in range(d)
+            tuple(RatFun(adj[k][m], w_det) for m in range(d)) for k in range(d)
         )
     else:
-        det = Poly.one(vars)
+        w_det = Poly.one(vars)
         inv = tuple()
-    return PhiJacobians(phi_z, phi_zbar, phi_s, phi_t, w_s, det, inv)
+    return PhiJacobians(phi_z, phi_zbar, phi_s, phi_t, w_s, w_det, inv)
 
 
 class VectorFieldSym:
@@ -403,7 +403,7 @@ def generic_rank_phi_t(sdef: StructureDef):
         for rows in combinations(range(d), size):
             for cols in combinations(range(mu), size):
                 sub = [[jac.phi_t[r][c] for c in cols] for r in rows]
-                if not poly_det(sub).is_zero():
+                if not det(sub).is_zero():
                     return size, rows, cols
     return 0, (), ()
 
@@ -438,10 +438,10 @@ def kernel_vectors(sdef: StructureDef, user=None) -> list:
     for rows in combinations(range(d), big):
         for cols in combinations(range(sdef.mu), big):
             sub = [[jac.phi_t[r][c] for c in cols] for r in rows]
-            delta = poly_det(sub)
+            delta = det(sub)
             if delta.is_zero():
                 continue
-            adj = poly_adjugate(sub)
+            adj = adjugate(sub)
             for ell in range(d):
                 if ell in rows:
                     continue

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +13,13 @@ from involucalc.algebra import (
     Poly,
     RatFun,
     DenominatorVanishesAtBase,
-    det_exact,
+    adjugate,
+    det,
     exact_rank,
     hermitian_inertia,
-    minor_rank,
     ratfun_jet,
 )
-from conftest import gauss_rationals, polys, unit_ratfuns, rand_gauss
+from conftest import gauss_rationals, polys, unit_ratfuns, rand_gauss, rand_poly
 
 import random
 
@@ -175,8 +176,7 @@ def test_inertia_offdiagonal_pair():
     i = GaussRat(0, 1)
     h = [[GaussRat(0), i], [-i, GaussRat(0)]]
     trace = GaussRat(0)
-    det = det_exact(h)
-    assert trace == GaussRat(0) and det == GaussRat(-1)
+    assert trace == GaussRat(0) and det(h) == GaussRat(-1)
     assert hermitian_inertia(h) == (1, 1, 0)
 
 
@@ -202,10 +202,10 @@ def test_inertia_congruence_invariant(seed):
         for k in range(r):
             if j != k and rng.random() < 0.6:
                 p[j][k] = rand_gauss(rng)
-    if det_exact(p).is_zero():
+    if det(p).is_zero():
         for j in range(r):
             p[j][j] = p[j][j] + GaussRat(7)
-    if det_exact(p).is_zero():
+    if det(p).is_zero():
         return
     php = [
         [
@@ -220,7 +220,75 @@ def test_inertia_congruence_invariant(seed):
     assert hermitian_inertia(php) == hermitian_inertia(h)
 
 
+# -- determinant and adjugate ---------------------------------------------------------
+
+VARS = ("u", "v")
+
+
+def rand_unit_ratfun(rng):
+    den = rand_poly(rng, VARS, n_terms=2)
+    return RatFun(rand_poly(rng, VARS, n_terms=2), den + 1 if den.constant_term().is_zero() else den)
+
+
+def matmul(a, b):
+    n = len(a)
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(1, n)), a[i][0] * b[0][j]) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def assert_adjugate_identity(m, zero, one):
+    d = det(m)
+    n = len(m)
+    expected = [[d if i == j else zero for j in range(n)] for i in range(n)]
+    assert matmul(adjugate(m), m) == expected
+    assert matmul(m, adjugate(m)) == expected
+    assert adjugate([[m[0][0]]]) == [[one]]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_adjugate_times_matrix_is_det_poly(seed):
+    rng = random.Random(seed)
+    m = [[rand_poly(rng, VARS) for _ in range(3)] for _ in range(3)]
+    assert_adjugate_identity(m, Poly.zero(VARS), Poly.one(VARS))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_adjugate_times_matrix_is_det_ratfun(seed):
+    rng = random.Random(100 + seed)
+    m = [[rand_unit_ratfun(rng) for _ in range(3)] for _ in range(3)]
+    assert_adjugate_identity(m, RatFun(Poly.zero(VARS)), RatFun(Poly.one(VARS)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_det_commutes_with_evaluation(seed):
+    rng = random.Random(200 + seed)
+    n = rng.randint(2, 4)
+    m = [[rand_poly(rng, VARS) for _ in range(n)] for _ in range(n)]
+    point = [rand_gauss(rng), rand_gauss(rng)]
+    values = [[p.evaluate(point) for p in row] for row in m]
+    assert det(m).evaluate(point) == det(values)
+
+
+def test_det_zero_first_row_keeps_ring():
+    z = Poly.zero(VARS)
+    m = [[z, z], [Poly.var(VARS, "u"), Poly.one(VARS)]]
+    assert det(m) == z and isinstance(det(m), Poly)
+
+
 # -- exact rank ----------------------------------------------------------------------
+
+
+def minor_rank(m):
+    """Rank by brute-force enumeration of square minors (oracle for exact_rank)."""
+    nr, nc = len(m), len(m[0]) if m else 0
+    for size in range(min(nr, nc), 0, -1):
+        for ri in combinations(range(nr), size):
+            for ci in combinations(range(nc), size):
+                if not det([[m[r][c] for c in ci] for r in ri]).is_zero():
+                    return size
+    return 0
 
 
 def test_rank_zero_matrix():

@@ -55,6 +55,9 @@ def test_parse_crossing_file():
     assert sf.kernel is not None and len(sf.kernel) == 1
     assert len(sf.candidates) == 1
     assert sf.candidates[0]["s1"] == Poly.var(vars, "s1") * 3
+    # the [fbi] block as the README and the module docstring show it
+    sf = parse_structure(CROSSING_FILE + "[fbi]\ndata = boundary\ndelta = 1/40\nkappa = 1\nradii = 6/5:120:7\n")
+    assert (sf.fbi.data, sf.fbi.delta, sf.fbi.radii) == ("boundary", Fraction(1, 40), "6/5:120:7")
 
 
 def test_parse_error_double_caret():
@@ -70,6 +73,13 @@ def test_parse_error_reports_position():
         parse_structure(bad)
     assert exc.value.line == 4
     assert exc.value.col == 8
+
+
+def test_parse_error_zero_denominator_position():
+    bad = "[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^2\n[fbi]\ndelta = 1/0\n"
+    with pytest.raises(ParseError) as exc:
+        parse_structure(bad)
+    assert (exc.value.line, exc.value.col) == (6, 11)
 
 
 def test_dimension_mismatch():
@@ -187,12 +197,37 @@ def test_cli_analyze_machine_and_csv(tmp_path, capsys):
     assert "hull.nondeg_order = 2" in out
 
 
-def test_cli_exit_code_on_parse_error(tmp_path, capsys):
+MINIMAL_FILE = "[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^2\n"
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ("[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^^2\n", ["analyze"]),
+        (MINIMAL_FILE + "[fbi]\ndelta = 1/0\n", ["analyze"]),
+        (MINIMAL_FILE + "[fbi]\nkappa = -3/0\n", ["wavefront"]),
+        (MINIMAL_FILE, ["analyze", "--covector", "s1=abc"]),
+        (MINIMAL_FILE, ["analyze", "--covector", "s1=1/0"]),
+        (MINIMAL_FILE, ["wavefront", "--kappa", "1/0"]),
+        (MINIMAL_FILE, ["wavefront", "--radii", "1/0:120:7"]),
+    ],
+    ids=[
+        "double-caret",
+        "fbi-delta-zero-denominator",
+        "fbi-kappa-zero-denominator",
+        "covector-not-a-number",
+        "covector-zero-denominator",
+        "kappa-zero-denominator",
+        "radii-zero-denominator",
+    ],
+)
+def test_cli_exit_code_on_parse_error(tmp_path, capsys, text, argv):
     f = tmp_path / "bad.struct"
-    f.write_text("[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^^2\n")
-    code, out, err = run_cli(["analyze", str(f)], capsys)
+    f.write_text(text)
+    code, out, err = run_cli([argv[0], str(f), *argv[1:]], capsys)
     assert code == 1
-    assert "[cli]" in err
+    assert err.startswith("[cli] ")
+    assert "Traceback" not in err
 
 
 def test_cli_autosys(tmp_path, capsys):
@@ -214,6 +249,18 @@ def test_cli_approx(tmp_path, capsys):
     assert code == 0
     assert "R_0" in out
     assert "plateau radius" in out
+
+
+def test_cli_approx_rejects_nonzero_residuals(tmp_path, capsys, monkeypatch):
+    # the residual check must hold without assert statements (python -O)
+    from involucalc.approx import ApproxSeries
+
+    monkeypatch.setattr(ApproxSeries, "recursion_residuals", lambda self: [(self.coeffs[0][0] + 1,)])
+    f = tmp_path / "approx.struct"
+    f.write_text("[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^2/2\n[approx]\nnx = 1\norder = 3\nu0 = x1\n")
+    code, out, err = run_cli(["approx", str(f)], capsys)
+    assert code == 1
+    assert err.startswith("[approx] ") and "residuals" in err
 
 
 def test_cli_wavefront(tmp_path, capsys):
