@@ -1,5 +1,5 @@
 """Exact arithmetic kernel: Gaussian-rational scalars, sparse multivariate
-polynomials, rational functions, truncated jets at the origin, and exact
+polynomials, rational functions, Taylor expansions at the origin, and exact
 Hermitian linear algebra.
 
 Conventions used throughout the package:
@@ -16,7 +16,9 @@ Conventions used throughout the package:
   cross multiplication.  Normalization removes common monomial content and
   scales the trailing (lowest-order) coefficient of the denominator to 1; no
   multivariate GCD is attempted.
-* Jets are Taylor expansions at the origin truncated at a fixed total degree.
+* A jet (Taylor expansion at the origin truncated at total degree k) is a
+  plain ``Poly`` of degree <= k; the caller keeps k and multiplies jets with
+  ``mul_truncated``.
 """
 
 from __future__ import annotations
@@ -544,167 +546,48 @@ class RatFun:
         return f"({self.num!r}) / ({self.den!r})"
 
 
-class Jet:
-    """Taylor expansion at the origin truncated at total degree ``order``."""
-
-    __slots__ = ("order", "vars", "terms")
-
-    def __init__(self, order, vars, terms=None, _clean=True):
-        if order < 0:
-            raise ValueError("jet order must be nonnegative")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "vars", tuple(vars))
-        if terms is None:
-            terms = {}
-        if _clean:
-            cleaned = {}
-            for e, c in terms.items():
-                c = GaussRat.of(c)
-                if sum(e) <= order and not c.is_zero():
-                    cleaned[tuple(e)] = c
-            terms = cleaned
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Jet is immutable")
-
-    @classmethod
-    def from_poly(cls, p: Poly, order: int) -> "Jet":
-        return cls(order, p.vars, p.terms)
-
-    @classmethod
-    def constant(cls, vars, c, order):
-        return cls.from_poly(Poly.const(vars, c), order)
-
-    def is_zero(self):
-        return not self.terms
-
-    def constant_term(self) -> GaussRat:
-        return self.terms.get((0,) * len(self.vars), ZERO)
-
-    def _common_order(self, other):
-        if self.vars != other.vars:
-            raise ValueError("jet variable mismatch")
-        return min(self.order, other.order)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            other = Jet.constant(self.vars, other, self.order)
-        k = self._common_order(other)
-        res = {e: c for e, c in self.terms.items() if sum(e) <= k}
-        for e, c in other.terms.items():
-            if sum(e) > k:
+def mul_truncated(p: Poly, q: Poly, order: int) -> Poly:
+    """p * q without the terms of total degree above ``order``; pairs whose
+    degrees already sum past ``order`` are never multiplied."""
+    p._check(q)
+    res = {}
+    for e1, c1 in p.terms.items():
+        d1 = sum(e1)
+        if d1 > order:
+            continue
+        for e2, c2 in q.terms.items():
+            if d1 + sum(e2) > order:
                 continue
-            s = res.get(e, ZERO) + c
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = res.get(e, ZERO) + c1 * c2
             if s.is_zero():
                 res.pop(e, None)
             else:
                 res[e] = s
-        return Jet(k, self.vars, res, _clean=False)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(
-            self.order, self.vars, {e: -c for e, c in self.terms.items()}, _clean=False
-        )
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            other = Jet.constant(self.vars, other, self.order)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            c = GaussRat.of(other)
-            if c.is_zero():
-                return Jet(self.order, self.vars, {}, _clean=False)
-            return Jet(
-                self.order,
-                self.vars,
-                {e: k * c for e, k in self.terms.items()},
-                _clean=False,
-            )
-        k = self._common_order(other)
-        res = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            if d1 > k:
-                continue
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > k:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = res.get(e, ZERO) + c1 * c2
-                if s.is_zero():
-                    res.pop(e, None)
-                else:
-                    res[e] = s
-        return Jet(k, self.vars, res, _clean=False)
-
-    __rmul__ = __mul__
-
-    def diff(self, name) -> "Jet":
-        """Derivative; trustworthy only one order lower, so the order drops."""
-        idx = self.vars.index(name)
-        res = {}
-        for e, c in self.terms.items():
-            k = e[idx]
-            if k == 0:
-                continue
-            ne = list(e)
-            ne[idx] = k - 1
-            res[tuple(ne)] = c * k
-        return Jet(max(self.order - 1, 0), self.vars, res, _clean=True)
-
-    def truncate(self, order) -> "Jet":
-        return Jet(order, self.vars, self.terms, _clean=True)
-
-    def inverse(self) -> "Jet":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        c0 = self.constant_term()
-        if c0.is_zero():
-            raise DenominatorVanishesAtBase("jet has zero constant term")
-        # write self = c0*(1 - u) and sum the geometric series in u
-        u = Jet(
-            self.order,
-            self.vars,
-            {e: -(c / c0) for e, c in self.terms.items() if sum(e) > 0},
-            _clean=False,
-        )
-        acc = Jet.constant(self.vars, ONE, self.order)
-        term = Jet.constant(self.vars, ONE, self.order)
-        for _ in range(self.order):
-            term = term * u
-            if term.is_zero():
-                break
-            acc = acc + term
-        return acc * (ONE / c0)
-
-    def __eq__(self, other):
-        if not isinstance(other, Jet):
-            return NotImplemented
-        return (
-            self.order == other.order
-            and self.vars == other.vars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.order, self.vars, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return f"Jet[{self.order}]({Poly(self.vars, self.terms, _clean=False)!r})"
+    return Poly(p.vars, res, _clean=False)
 
 
-def ratfun_jet(f: RatFun, order: int) -> Jet:
-    """Degree-``order`` Taylor expansion of f at the origin.
+def ratfun_jet(f: RatFun, order: int) -> Poly:
+    """Taylor polynomial of f at the origin up to total degree ``order``.
 
     Raises DenominatorVanishesAtBase if the denominator vanishes at 0."""
-    dj = Jet.from_poly(f.den, order)
-    if dj.constant_term().is_zero():
+    c0 = f.den.constant_term()
+    if c0.is_zero():
         raise DenominatorVanishesAtBase("denominator vanishes at the base point")
-    return Jet.from_poly(f.num, order) * dj.inverse()
+    scale = ONE / c0
+    # den = c0 (1 - u) with u(0) = 0, so 1/den = scale * sum_k u^k
+    u = Poly(
+        f.vars,
+        {e: -(c * scale) for e, c in f.den.terms.items() if 0 < sum(e) <= order},
+        _clean=False,
+    )
+    inv = term = Poly.one(f.vars)
+    for _ in range(order):
+        term = mul_truncated(term, u, order)
+        if term.is_zero():
+            break
+        inv = inv + term
+    return mul_truncated(f.num, inv * scale, order)
 
 
 # -- exact linear algebra ---------------------------------------------------

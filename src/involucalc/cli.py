@@ -425,6 +425,13 @@ def _parse_fraction(toks):
     return Fraction(-num if neg else num, den)
 
 
+def _parse_int(toks, minimum):
+    """A single integer literal no smaller than ``minimum``."""
+    if len(toks) != 1 or toks[0].kind != "NUMBER" or int(toks[0].text) < minimum:
+        raise ParseError(f"expected an integer >= {minimum}", toks[0].line, toks[0].col)
+    return int(toks[0].text)
+
+
 def _parse_bundle(lines, vars):
     block = BundleBlock()
     for toks in lines:
@@ -434,16 +441,16 @@ def _parse_bundle(lines, vars):
         if head.kind != "NAME":
             raise ParseError("expected a bundle directive", head.line, head.col)
         if head.text == "rank":
-            block.rank = int(_parse_fraction(toks[2:]))
+            block.rank = _parse_int(_parse_assignment(toks)[1], 1)
         elif head.text == "D":
             if len(toks) < 6 or toks[4].text != "=":
                 raise ParseError("expected 'D j a b = poly'", head.line, head.col)
-            j, a, b = (int(toks[k].text) for k in (1, 2, 3))
+            j, a, b = (_parse_int(toks[k : k + 1], 1) for k in (1, 2, 3))
             block.d_entries[(j, a, b)] = parse_poly_tokens(toks[5:], vars)
         elif head.text == "lambda":
             if len(toks) < 5 or toks[3].text != "=":
                 raise ParseError("expected 'lambda a b = poly'", head.line, head.col)
-            a, b = int(toks[1].text), int(toks[2].text)
+            a, b = _parse_int(toks[1:2], 1), _parse_int(toks[2:3], 1)
             block.lam_entries[(a, b)] = parse_poly_tokens(toks[4:], vars)
         elif head.text == "section":
             groups = _split_on_commas(toks[2:])
@@ -460,14 +467,12 @@ def _parse_approx(lines):
         if not toks:
             continue
         name, rhs = _parse_assignment(toks)
-        if name == "nx":
-            block.nx = int(_parse_fraction(rhs))
+        if name in ("nx", "grid"):
+            setattr(block, name, _parse_int(rhs, 1))
         elif name == "order":
-            block.order = int(_parse_fraction(rhs))
+            block.order = _parse_int(rhs, 0)
         elif name == "box":
             block.box = _parse_fraction(rhs)
-        elif name == "grid":
-            block.grid = int(_parse_fraction(rhs))
         elif name in ("b", "u0"):
             pending.append((name, rhs))
         else:
@@ -495,7 +500,7 @@ def _parse_fbi(lines):
         elif name in ("delta", "sigma", "kappa", "halfwidth"):
             setattr(block, name, _parse_fraction(rhs))
         elif name in ("grid", "dirs"):
-            setattr(block, name, int(_parse_fraction(rhs)))
+            setattr(block, name, _parse_int(rhs, 1))
         elif name == "radii":
             parts = [t.text for t in rhs]
             block.radii = "".join(parts)
@@ -827,24 +832,39 @@ def run_report(sf: StructureFile, options=None) -> Report:
     if sf.approx is not None:
         _approx_report(sf.approx, emit, csv_dir, csv_paths)
     if sf.fbi is not None:
-        _fbi_report(sf.fbi, options, emit, csv_dir, csv_paths)
+        _fbi_report(sf.fbi, emit, csv_dir, csv_paths)
 
     return Report(human, machine, csv_paths)
 
 
-def _approx_report(block, emit, csv_dir, csv_paths):
-    import numpy as np
-
-    vars = field_vars(block.nx)
-    b = block.b if block.b else tuple(Poly.zero(vars) for _ in range(block.nx))
-    u0 = block.u0 if block.u0 else (Poly.var(vars, "x1"),)
+def _approx_solution(block, order, box, grid):
+    """Cutoff plan and evaluator of the [approx] block's series at ``order``,
+    after checking that the series recursion residuals vanish."""
     try:
-        field = NormalFormField(block.nx, b)
-        series = series_coefficients(field, u0, block.order)
-        plan = select_cutoff_plan(series, box_halfwidth=float(block.box), grid=block.grid)
+        vars = field_vars(block.nx)
+        b = block.b or tuple(Poly.zero(vars) for _ in range(block.nx))
+        u0 = block.u0 or (Poly.var(vars, "x1"),)
+        series = series_coefficients(NormalFormField(block.nx, b), u0, order)
+        if not all(p.is_zero() for res in series.recursion_residuals() for p in res):
+            raise ValueError("series recursion residuals do not vanish")
+        plan = select_cutoff_plan(series, box_halfwidth=box, grid=grid)
         ev = assemble_evaluator(series, plan)
     except Exception as e:
         raise ModuleError("approx", e)
+    return plan, ev
+
+
+def _approx_csv(plan, ev, path):
+    """Samples of the solution on a 9-point grid over the box at s = plateau / 2."""
+    import numpy as np
+
+    axes = [np.linspace(lo, hi, 9) for lo, hi in plan.box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    ev.write_csv(path, mesh, np.full(mesh[0].shape, plan.plateau / 2))
+
+
+def _approx_report(block, emit, csv_dir, csv_paths):
+    plan, ev = _approx_solution(block, block.order, float(block.box), block.grid)
     emit(
         f"approximate solution: order {block.order}, plateau radius {plan.plateau:.6g}",
         "approx.plateau",
@@ -860,15 +880,14 @@ def _approx_report(block, emit, csv_dir, csv_paths):
         f"{sup:.17g}",
     )
     if csv_dir is not None:
-        axes = [np.linspace(lo, hi, 9) for lo, hi in plan.box]
-        mesh = np.meshgrid(*axes, indexing="ij")
         path = Path(csv_dir) / "approx_samples.csv"
-        ev.write_csv(path, mesh, np.full(mesh[0].shape, s))
+        _approx_csv(plan, ev, path)
         csv_paths.append(str(path))
         emit(f"  csv: {path}", "approx.csv", path)
 
 
-def _fbi_report(block, options, emit, csv_dir, csv_paths):
+def _fbi_scan(block, kappa, dirs, radii):
+    """Direction scan of the [fbi] block's sampled data."""
     from .fbi import direction_scan, sample_data
 
     try:
@@ -879,13 +898,13 @@ def _fbi_report(block, options, emit, csv_dir, csv_paths):
             window_support=0.95,
             window_plateau=0.95 * 0.75,
         )
-        scan = direction_scan(
-            data, float(block.kappa), (0.0, 0.0), block.dirs, _parse_radii(block.radii)
-        )
-    except ModuleError:
-        raise
+        return direction_scan(data, float(kappa), (0.0, 0.0), dirs, radii)
     except Exception as e:
         raise ModuleError("fbi", e)
+
+
+def _fbi_report(block, emit, csv_dir, csv_paths):
+    scan = _fbi_scan(block, block.kappa, block.dirs, _parse_radii(block.radii))
     emit(
         f"direction scan: data = {block.data}, kappa = {block.kappa}, "
         f"dirs = {block.dirs}",
@@ -1004,23 +1023,10 @@ def cmd_approx(args) -> int:
     block = sf.approx
     if block is None:
         raise ModuleError("approx", ValueError("the file has no [approx] section"))
-    vars = field_vars(block.nx)
-    b = block.b if block.b else tuple(Poly.zero(vars) for _ in range(block.nx))
-    u0 = block.u0 if block.u0 else (Poly.var(vars, "x1"),)
     order = args.order if args.order is not None else block.order
     box = args.box if args.box is not None else float(block.box)
     grid = args.grid if args.grid is not None else block.grid
-    try:
-        field = NormalFormField(block.nx, b)
-        series = series_coefficients(field, u0, order)
-        if not all(p.is_zero() for res in series.recursion_residuals() for p in res):
-            raise ModuleError("approx", ValueError("series recursion residuals do not vanish"))
-        plan = select_cutoff_plan(series, box_halfwidth=box, grid=grid)
-        ev = assemble_evaluator(series, plan)
-    except ModuleError:
-        raise
-    except Exception as e:
-        raise ModuleError("approx", e)
+    plan, ev = _approx_solution(block, order, box, grid)
     lines = ["involucalc-report v1", f"# approx order {order}, box {box}, grid {grid}"]
     for k, (c, r) in enumerate(zip(plan.constants, plan.radii)):
         lines.append(f"R_{k} = {r}   (sampled constant {c:.6g})")
@@ -1033,12 +1039,9 @@ def cmd_approx(args) -> int:
     if args.csv:
         outdir = Path(args.csv)
         outdir.mkdir(parents=True, exist_ok=True)
-        import numpy as np
-
-        axes = [np.linspace(lo, hi, 9) for lo, hi in plan.box]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        ev.write_csv(outdir / "approx_samples.csv", mesh, np.full(mesh[0].shape, plan.plateau / 2))
-        sys.stdout.write(f"csv: {outdir / 'approx_samples.csv'}\n")
+        path = outdir / "approx_samples.csv"
+        _approx_csv(plan, ev, path)
+        sys.stdout.write(f"csv: {path}\n")
     return 0
 
 
@@ -1058,10 +1061,8 @@ def cmd_wavefront(args) -> int:
     from .fbi import (
         NoNegativeDirection,
         RectificationUnavailable,
-        direction_scan,
         kappa_smallness_check,
         levi_to_normal_form,
-        sample_data,
         sign_condition,
     )
 
@@ -1088,19 +1089,7 @@ def cmd_wavefront(args) -> int:
                 )
         except (NoNegativeDirection, RectificationUnavailable) as e:
             lines.append(f"normal form: unavailable ({e})")
-    try:
-        data = sample_data(
-            _fbi_data_fn(block),
-            halfwidth=float(block.halfwidth),
-            n=block.grid,
-            window_support=0.95,
-            window_plateau=0.95 * 0.75,
-        )
-        scan = direction_scan(data, float(kappa), (0.0, 0.0), dirs, radii)
-    except ModuleError:
-        raise
-    except Exception as e:
-        raise ModuleError("fbi", e)
+    scan = _fbi_scan(block, kappa, dirs, radii)
     lines.append(f"scan: data = {block.data}, kappa = {kappa}, dirs = {dirs}")
     for i, (xi_d, tau_d) in enumerate(scan.directions):
         lines.append(
@@ -1124,34 +1113,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help, kmax=False, covector=False, csv=False, machine=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("file", help="structure definition file")
-        p.add_argument("--kmax", type=int, default=DEFAULTS.k_max)
-        p.add_argument("--covector", action="append", help="e.g. 's1=1,t1=-2'")
-        p.add_argument("--csv", help="directory for CSV/report artifacts")
-        p.add_argument("--machine", action="store_true", help="machine-readable output")
+        if kmax:
+            p.add_argument("--kmax", type=int, default=DEFAULTS.k_max)
+        if covector:
+            p.add_argument("--covector", action="append", help="e.g. 's1=1,t1=-2'")
+        if csv:
+            p.add_argument("--csv", help="directory for CSV/report artifacts")
+        if machine:
+            p.add_argument("--machine", action="store_true", help="machine-readable output")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("analyze", help="full symbolic analysis report")
-    common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("autosys", help="emit the automorphism system and candidate verdicts")
-    common(p)
-    p.set_defaults(func=cmd_autosys)
-
-    p = sub.add_parser("approx", help="build an approximate solution and its certificate")
-    common(p)
+    command(
+        "analyze", cmd_analyze, "full symbolic analysis report",
+        kmax=True, covector=True, csv=True, machine=True,
+    )
+    command(
+        "autosys", cmd_autosys, "emit the automorphism system and candidate verdicts",
+        kmax=True, machine=True,
+    )
+    p = command("approx", cmd_approx, "build an approximate solution and its certificate", csv=True)
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--box", type=float, default=None)
     p.add_argument("--grid", type=int, default=None)
-    p.set_defaults(func=cmd_approx)
-
-    p = sub.add_parser("wavefront", help="direction scan of sampled data")
-    common(p)
+    p = command("wavefront", cmd_wavefront, "direction scan of sampled data", covector=True, csv=True)
     p.add_argument("--kappa", default=None)
     p.add_argument("--dirs", type=int, default=None)
     p.add_argument("--radii", default=None, help="lo:hi:count, log spaced")
-    p.set_defaults(func=cmd_wavefront)
     return ap
 
 

@@ -16,7 +16,7 @@ class Defaults:
     singular_slope: float = -1.5  # slope >= this classifies Singular
     approx_order: int = 8  # truncation order of approximate solutions
     n_dirs: int = 8
-    radii_spec: str = "1.2:120:7"  # min:max:count, log spaced
+    radii_spec: str = "6/5:120:7"  # min:max:count, log spaced
 
     def header_lines(self):
         return [

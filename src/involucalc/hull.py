@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Jet, RatFun, ZERO, exact_rank, ratfun_jet
+from .algebra import Poly, RatFun, ZERO, exact_rank, mul_truncated, ratfun_jet
 from .structure import (
     CotangentSection,
     StructureDef,
@@ -26,6 +26,10 @@ from .structure import (
 )
 
 DEFAULT_KMAX = 8
+
+
+class HullError(Exception):
+    """A chain invariant failed."""
 
 
 def lie_derivative(
@@ -117,15 +121,14 @@ def _jet_vec_key(jets) -> dict:
     return out
 
 
-def _apply_field_jets(field_coeff_jets: dict, jets) -> tuple:
+def _apply_field_jets(field_coeff_jets: dict, jets, order) -> tuple:
+    """The field applied to jets of order ``order + 1``, exact to order ``order``."""
     out = []
     for j in jets:
-        acc = None
+        acc = Poly.zero(j.vars)
         for name, cj in field_coeff_jets.items():
-            term = cj * j.diff(name)
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = Jet(max(j.order - 1, 0), j.vars, {}, _clean=False)
+            term = mul_truncated(cj, j.diff(name), order)
+            acc = term if acc.is_zero() else acc + term
         out.append(acc)
     return tuple(out)
 
@@ -156,7 +159,8 @@ class SpanChain:
 def _run_chain(sdef: StructureDef, start_vectors, target, k_max):
     """Shared chain driver: start_vectors is a list of tuples of RatFun (or
     Poly) components; iterates all frame words up to length k_max with jet
-    deduplication."""
+    deduplication.  Start jets have order k_max and each derivative costs one
+    order, so the level-k jets have order k_max - k."""
     frame = build_frame(sdef)
     frame_jets = []
     for L in frame:
@@ -183,7 +187,7 @@ def _run_chain(sdef: StructureDef, start_vectors, target, k_max):
         new_frontier = []
         for word, si, jets in frontier:
             for fi, fj in enumerate(frame_jets):
-                njets = _apply_field_jets(fj, jets)
+                njets = _apply_field_jets(fj, jets, k_max - k)
                 if tracker.add(_jet_vec_key(njets)):
                     nword = (fi,) + word
                     values = tuple(j.constant_term() for j in njets)
@@ -231,7 +235,7 @@ def kernel_chain(sdef: StructureDef, kernel, k_max=DEFAULT_KMAX, hull=None) -> S
     if hull is not None and hull.nondeg_order is not None:
         k = hull.nondeg_order
         if chain.dims[min(k, len(chain.dims) - 1)] != sdef.d:
-            raise AssertionError(
+            raise HullError(
                 "hull chain reached full span but the kernel chain did not"
             )
     return chain

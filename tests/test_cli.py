@@ -122,6 +122,15 @@ def test_roundtrip_identity():
     assert serialize_structure(sf2) == text
 
 
+def test_roundtrip_fbi_default_radii():
+    # an [fbi] block without a radii line serializes the default spec, which
+    # must itself parse
+    sf = parse_structure("[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^2\n[fbi]\ndata = gaussian\n")
+    sf2 = parse_structure(serialize_structure(sf))
+    assert sf2 == sf
+    assert sf2.fbi.radii == sf.fbi.radii
+
+
 # -- reports -----------------------------------------------------------------------
 
 
@@ -210,6 +219,15 @@ MINIMAL_FILE = "[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^2\n"
         (MINIMAL_FILE, ["analyze", "--covector", "s1=1/0"]),
         (MINIMAL_FILE, ["wavefront", "--kappa", "1/0"]),
         (MINIMAL_FILE, ["wavefront", "--radii", "1/0:120:7"]),
+        (MINIMAL_FILE + "[bundle]\nD x 1 1 = t1\n", ["analyze"]),
+        (MINIMAL_FILE + "[bundle]\nlambda a 1 = 1\n", ["analyze"]),
+        (MINIMAL_FILE + "[bundle]\nD 0 1 1 = t1\n", ["analyze"]),
+        (MINIMAL_FILE + "[bundle]\nrank = 1/2\n", ["analyze"]),
+        (MINIMAL_FILE + "[approx]\nnx = 1/2\n", ["approx"]),
+        (MINIMAL_FILE + "[approx]\norder = -1\n", ["approx"]),
+        (MINIMAL_FILE + "[approx]\ngrid = 0\n", ["analyze"]),
+        (MINIMAL_FILE + "[fbi]\ndirs = 3/2\n", ["wavefront"]),
+        (MINIMAL_FILE + "[fbi]\ngrid = x1\n", ["wavefront"]),
     ],
     ids=[
         "double-caret",
@@ -219,6 +237,15 @@ MINIMAL_FILE = "[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^2\n"
         "covector-zero-denominator",
         "kappa-zero-denominator",
         "radii-zero-denominator",
+        "bundle-d-index-not-integer",
+        "bundle-lambda-index-not-integer",
+        "bundle-d-index-zero",
+        "bundle-rank-fraction",
+        "approx-nx-fraction",
+        "approx-order-negative",
+        "approx-grid-zero",
+        "fbi-dirs-fraction",
+        "fbi-grid-name",
     ],
 )
 def test_cli_exit_code_on_parse_error(tmp_path, capsys, text, argv):
@@ -228,6 +255,28 @@ def test_cli_exit_code_on_parse_error(tmp_path, capsys, text, argv):
     assert code == 1
     assert err.startswith("[cli] ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("autosys", ["--covector", "s1=1"]),
+        ("autosys", ["--csv", "out"]),
+        ("approx", ["--kmax", "3"]),
+        ("approx", ["--covector", "s1=1"]),
+        ("approx", ["--machine"]),
+        ("wavefront", ["--kmax", "3"]),
+        ("wavefront", ["--machine"]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_cli_rejects_options_the_command_ignores(tmp_path, capsys, command, option):
+    f = tmp_path / "minimal.struct"
+    f.write_text(MINIMAL_FILE)
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(f), *option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_autosys(tmp_path, capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from involucalc.algebra import GaussRat, Poly, RatFun, exact_rank
+from involucalc.algebra import GaussRat, Poly, RatFun, exact_rank, ratfun_jet
 from involucalc.catalog import (
     complex_structure,
     crossing_powers,
@@ -13,6 +13,9 @@ from involucalc.catalog import (
     three_quadrics,
 )
 from involucalc.hull import (
+    HullError,
+    SpanChain,
+    _apply_field_jets,
     apply_word,
     hull_chain,
     kernel_chain,
@@ -240,7 +243,33 @@ def test_kernel_chain_monomial_kronecker_witness():
     assert chain.dims[max(sum(h) for h in hats)] == 3
     hull = hull_chain(sdef, [kv])
     assert hull.nondegenerate
-    kernel_chain(sdef, [kv], hull=hull)  # necessary-condition assertion
+    kernel_chain(sdef, [kv], hull=hull)  # raises HullError if the necessary condition fails
+
+
+def test_kernel_chain_mismatch_raises_hull_error():
+    # b = (-t, t^2) vanishes at 0, so the kernel chain cannot reach C^2 at
+    # level 0, where this hull claims full span
+    sdef = crossing_powers(1, 2)
+    target = sdef.nu + sdef.d
+    hull = SpanChain(target, 8, [target] * 9, [], nondeg_order=0, stabilized_at=None)
+    with pytest.raises(HullError):
+        kernel_chain(sdef, kernel_vectors(sdef), hull=hull)
+
+
+def test_apply_field_jets_loses_one_order():
+    # a field applied to an order-k jet gives the order-(k-1) jet of L f
+    rng = random.Random(23)
+    sdef = disk_weighted_powers(1, 2)
+    vars = sdef.vars
+    k = 4
+    for L in build_frame(sdef):
+        frame_jets = {name: ratfun_jet(c, k) for name, c in L.coeffs.items()}
+        for _ in range(3):
+            num = rand_poly(rng, vars, max_degree=3, n_terms=4)
+            den = Poly.one(vars) + Poly.var(vars, "t1") * rand_poly(rng, vars, max_degree=1)
+            f = RatFun(num, den)
+            got = _apply_field_jets(frame_jets, (ratfun_jet(f, k),), k - 1)
+            assert got == (ratfun_jet(L.apply(f), k - 1),)
 
 
 def test_hull_chain_undetermined_when_kmax_too_small():
