@@ -24,6 +24,7 @@ polynomial i D c_n s^n."""
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -264,12 +265,19 @@ def chi_derivatives(u: float, order: int):
     return [v * (sign**q) for q, v in enumerate(vals)]
 
 
-def chi_derivative_sup(order: int, samples: int = 257) -> float:
-    """Sampled supremum of |chi^(order)| (attained in the transition zone)."""
-    if order == 0:
-        return 1.0
+@functools.lru_cache(maxsize=None)
+def chi_derivative_sups(order: int, samples: int = 257) -> tuple:
+    """Sampled suprema of |chi^(q)| for q = 0..order (attained in the
+    transition zone), from one Taylor expansion per sample point.  The
+    recurrences are truncation-stable, so entry q does not depend on order."""
     us = np.linspace(0.5, 1.0, samples)[1:-1]
-    return max(abs(chi_derivatives(float(u), order)[order]) for u in us)
+    rows = [chi_derivatives(float(u), order) for u in us]
+    return (1.0,) + tuple(max(abs(r[q]) for r in rows) for q in range(1, order + 1))
+
+
+def chi_derivative_sup(order: int, samples: int = 257) -> float:
+    """Sampled supremum of |chi^(order)|."""
+    return chi_derivative_sups(order, samples)[order]
 
 
 # -- numeric evaluation of the exact polynomials --------------------------------
@@ -280,15 +288,18 @@ def poly_complex_fn(p: Poly):
     terms = [(e, complex(c)) for e, c in p.terms.items()]
 
     def f(*arrays):
+        shape = np.broadcast(*arrays).shape if arrays else ()
+        powers = [{} for _ in arrays]  # arr**k, computed once per call
         total = None
         for e, c in terms:
-            term = np.full(np.broadcast(*arrays).shape if arrays else (), c)
-            for arr, k in zip(arrays, e):
+            term = np.full(shape, c)
+            for arr, k, cache in zip(arrays, e, powers):
                 if k:
-                    term = term * arr**k
+                    if k not in cache:
+                        cache[k] = arr**k
+                    term = term * cache[k]
             total = term if total is None else total + term
         if total is None:
-            shape = np.broadcast(*arrays).shape if arrays else ()
             return np.zeros(shape, dtype=complex)
         return total
 
@@ -321,7 +332,7 @@ def select_cutoff_plan(
     box = tuple((-float(box_halfwidth), float(box_halfwidth)) for _ in vars)
     axes = [np.linspace(lo, hi, grid) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij") if axes else []
-    chi_sups = [chi_derivative_sup(q) for q in range(n + 1)]
+    chi_sups = chi_derivative_sups(n)
     constants = []
     radii = []
     prev = Fraction(1)
@@ -330,20 +341,24 @@ def select_cutoff_plan(
         fact = 1.0
         for m in range(1, k + 1):
             fact *= m
+        # weight of the m-th transverse derivative; the same for every alpha
+        weights = []
+        for m in range(k + 1):
+            acc = 0.0
+            for q in range(m + 1):
+                dfac = 1.0
+                for i in range(1, k - m + q + 1):
+                    dfac *= i
+                acc += math.comb(m, q) * chi_sups[q] / dfac
+            weights.append(acc)
         best = 0.0
-        for alpha_l in _derivative_multiindices(len(vars), k):
-            dtotal = sum(alpha_l)
-            m_max = k - dtotal
-            comps = []
-            for p in series.coeffs[k]:
-                q = p
-                for vi, times in enumerate(alpha_l):
-                    for _ in range(times):
-                        q = q.diff(vars[vi])
-                comps.append(q)
+        for alpha_l, comps in _multiindex_derivatives(series.coeffs[k], vars, k):
+            m_max = k - sum(alpha_l)
             sup_poly = 0.0
             try:
                 for q in comps:
+                    if q.is_zero():  # its samples are all 0, below any sup
+                        continue
                     vals = poly_complex_fn(q)(*mesh)
                     sup_poly = max(
                         sup_poly,
@@ -355,13 +370,7 @@ def select_cutoff_plan(
             if not math.isfinite(sup_poly):
                 raise PlanInfeasible("sampled derivative norm is not finite")
             for m in range(m_max + 1):
-                acc = 0.0
-                for q in range(m + 1):
-                    dfac = 1.0
-                    for i in range(1, k - m + q + 1):
-                        dfac *= i
-                    acc += math.comb(m, q) * chi_sups[q] / dfac
-                best = max(best, acc * sup_poly)
+                best = max(best, weights[m] * sup_poly)
         c_k = 2.0 * best
         constants.append(c_k)
         if c_k == 0.0:
@@ -388,6 +397,24 @@ def _derivative_multiindices(n_vars, k):
     return out
 
 
+def _multiindex_derivatives(polys, vars, k):
+    """(alpha, derivatives of polys by alpha) for every multi-index of
+    _derivative_multiindices(len(vars), k), in that order.  Each entry is one
+    diff of the entry for alpha with its last nonzero index lowered, so the
+    variables are differentiated in order, vars[0] first."""
+    table = {}
+    for alpha in _derivative_multiindices(len(vars), k):
+        nz = [vi for vi, times in enumerate(alpha) if times]
+        if not nz:
+            comps = tuple(polys)
+        else:
+            vi = nz[-1]
+            parent = alpha[:vi] + (alpha[vi] - 1,) + alpha[vi + 1 :]
+            comps = tuple(q.diff(vars[vi]) for q in table[parent])
+        table[alpha] = comps
+        yield alpha, comps
+
+
 def _compositions(total, parts):
     if parts == 1:
         return [(total,)]
@@ -410,11 +437,7 @@ class AssembledSolution:
         self._coeff_fns = [
             [poly_complex_fn(p) for p in series.coeffs[k]] for k in range(n + 1)
         ]
-        idc = [
-            tuple(p * GaussRat(0, 1) for p in self.field.apply(series.coeffs[k]))
-            for k in range(n + 1)
-        ]
-        self._idc_fns = [[poly_complex_fn(p) for p in idc[k]] for k in range(n + 1)]
+        self._tail_fns = [poly_complex_fn(p) for p in series.transverse_tail()]
         self._radii = [float(r) for r in plan.radii]
 
     def u(self, coords, s):
@@ -458,7 +481,7 @@ class AssembledSolution:
                         out[c] = out[c] + self._coeff_fns[k + 1][c](*coords) * diff
         tailmask = chi_float(self._radii[n] * s) * s**n
         for c in range(self.rank):
-            out[c] = out[c] + self._idc_fns[n][c](*coords) * tailmask
+            out[c] = out[c] + self._tail_fns[c](*coords) * tailmask
         return out
 
     def sup_d1u(self, s, grid=17):

@@ -179,19 +179,3 @@ def check_candidate(
         if not res.is_zero():
             return CandidateVerdict(False, ((eq.integral, eq.field_index), res))
     return CandidateVerdict(True)
-
-
-def candidate_residuals_direct(sdef: StructureDef, X: RealVectorFieldSym):
-    """Oracle: residuals computed as L(dF(X)) without the emitted system,
-    one RatFun per (integral, field)."""
-    frame = build_frame(sdef)
-    out = []
-    for label, F in zip(sdef.integral_labels(), sdef.first_integrals()):
-        dFX = Poly.zero(sdef.vars)
-        for c in sdef.vars:
-            fc = F.diff(c)
-            if not fc.is_zero():
-                dFX = dFX + fc * X.coeff(c)
-        for i, L in enumerate(frame, start=1):
-            out.append(((label, i), L.apply(dFX)))
-    return out

@@ -23,6 +23,7 @@ inside expressions):
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -432,6 +433,14 @@ def _parse_int(toks, minimum):
     return int(toks[0].text)
 
 
+def _parse_positive(toks):
+    """A rational literal greater than zero."""
+    value = _parse_fraction(toks)
+    if value <= 0:
+        raise ParseError("expected a positive number", toks[0].line, toks[0].col)
+    return value
+
+
 def _parse_bundle(lines, vars):
     block = BundleBlock()
     for toks in lines:
@@ -472,7 +481,7 @@ def _parse_approx(lines):
         elif name == "order":
             block.order = _parse_int(rhs, 0)
         elif name == "box":
-            block.box = _parse_fraction(rhs)
+            block.box = _parse_positive(rhs)
         elif name in ("b", "u0"):
             pending.append((name, rhs))
         else:
@@ -497,8 +506,10 @@ def _parse_fbi(lines):
             if rhs[0].kind != "NAME" or rhs[0].text not in ("gaussian", "heaviside", "boundary"):
                 raise ParseError("data must be gaussian, heaviside, or boundary", rhs[0].line, rhs[0].col)
             block.data = rhs[0].text
-        elif name in ("delta", "sigma", "kappa", "halfwidth"):
+        elif name in ("delta", "sigma", "kappa"):
             setattr(block, name, _parse_fraction(rhs))
+        elif name == "halfwidth":
+            block.halfwidth = _parse_positive(rhs)
         elif name in ("grid", "dirs"):
             setattr(block, name, _parse_int(rhs, 1))
         elif name == "radii":
@@ -635,6 +646,16 @@ def _option_fraction(text: str, what: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as e:
         raise ModuleError("cli", ValueError(f"bad {what} {text.strip()!r}: {e}"))
+
+
+def _option_int(value, default, minimum, flag):
+    """An integer option, or ``default`` when it is absent; held to the
+    minimum the file grammar enforces for the same setting."""
+    if value is None:
+        return default
+    if value < minimum:
+        raise ModuleError("cli", ValueError(f"{flag} must be >= {minimum}, got {value}"))
+    return value
 
 
 def _parse_covector(spec: str, vars):
@@ -993,7 +1014,7 @@ def _load(path) -> StructureFile:
 def cmd_analyze(args) -> int:
     sf = _load(args.file)
     options = {
-        "k_max": args.kmax,
+        "k_max": _option_int(args.kmax, DEFAULTS.k_max, 0, "--kmax"),
         "covectors": args.covector or [],
         "autosys": False,
     }
@@ -1012,7 +1033,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_autosys(args) -> int:
     sf = _load(args.file)
-    options = {"k_max": args.kmax, "covectors": [], "autosys": True}
+    options = {
+        "k_max": _option_int(args.kmax, DEFAULTS.k_max, 0, "--kmax"),
+        "covectors": [],
+        "autosys": True,
+    }
     report = run_report(sf, options)
     sys.stdout.write(report.machine_text() if args.machine else report.human_text())
     return 0
@@ -1023,9 +1048,11 @@ def cmd_approx(args) -> int:
     block = sf.approx
     if block is None:
         raise ModuleError("approx", ValueError("the file has no [approx] section"))
-    order = args.order if args.order is not None else block.order
+    order = _option_int(args.order, block.order, 0, "--order")
+    if args.box is not None and not (args.box > 0 and math.isfinite(args.box)):
+        raise ModuleError("cli", ValueError(f"--box must be a positive number, got {args.box}"))
     box = args.box if args.box is not None else float(block.box)
-    grid = args.grid if args.grid is not None else block.grid
+    grid = _option_int(args.grid, block.grid, 1, "--grid")
     plan, ev = _approx_solution(block, order, box, grid)
     lines = ["involucalc-report v1", f"# approx order {order}, box {box}, grid {grid}"]
     for k, (c, r) in enumerate(zip(plan.constants, plan.radii)):
@@ -1069,7 +1096,7 @@ def cmd_wavefront(args) -> int:
     sf = _load(args.file)
     block = sf.fbi if sf.fbi is not None else FbiBlock()
     kappa = _option_fraction(args.kappa, "kappa") if args.kappa else block.kappa
-    dirs = args.dirs if args.dirs is not None else block.dirs
+    dirs = _option_int(args.dirs, block.dirs, 1, "--dirs")
     radii = _parse_radii(args.radii if args.radii else block.radii)
     lines = ["involucalc-report v1"]
     if args.covector:

@@ -7,6 +7,16 @@ covector (xi, tau) is the quadrature of
     w(x', t') u(x', t') exp( i (xi, tau) . (p - (x', t'))
                              - kappa |(xi, tau)| |p - (x', t')|^2 ).
 
+With rho = |(xi, tau)| the kernel factors into one factor per axis,
+
+    exp(i xi dx - kappa rho dx^2) * exp(i tau dt - kappa rho dt^2),
+
+dx = p_x - x', dt = p_t - t', so the double quadrature is kx^T (w u) kt with
+one weighted row kx, kt per covector and axis.  A scan evaluates the
+covectors of its directions x radii grid together, in batches of up to 64:
+w u is formed once, contracted with a batch's kt rows in one matrix product,
+and then with its kx rows.  No n x n kernel is built per covector.
+
 Magnitudes are scanned along rays (xi, tau) = lambda * direction over a radius
 grid spanning at least two decades, and the fitted log-log slope classifies
 each direction: steep decay means microlocally smooth at (p, direction), flat
@@ -135,25 +145,38 @@ def simpson_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def fbi_transform(data: SampledData, kappa, basepoint, covector) -> np.ndarray:
-    """Transform value per component at one basepoint and covector."""
+# covectors per batch: bounds the (batch, n) kernel rows a large scan holds
+_BATCH = 64
+
+
+def fbi_transforms(data: SampledData, kappa, basepoint, covectors) -> np.ndarray:
+    """Transform values at one basepoint for a batch of covectors, shape
+    (len(covectors), rank), by the separable quadrature kx^T (w u) kt."""
     kappa = float(kappa)
     if kappa <= 0:
         raise FbiError("kappa must be positive")
-    xi, tau = float(covector[0]), float(covector[1])
-    rho = math.hypot(xi, tau)
-    if rho == 0:
+    cov = np.asarray(covectors, dtype=float).reshape(-1, 2)
+    xi, tau = cov[:, :1], cov[:, 1:]
+    rho = np.hypot(xi, tau)
+    if np.any(rho == 0):
         raise FbiError("covector must be nonzero")
-    bx, bt = float(basepoint[0]), float(basepoint[1])
-    X, T = np.meshgrid(data.xs, data.ts, indexing="ij")
-    dx = bx - X
-    dt = bt - T
-    kernel = np.exp(1j * (xi * dx + tau * dt) - kappa * rho * (dx**2 + dt**2))
+    dx = float(basepoint[0]) - data.xs
+    dt = float(basepoint[1]) - data.ts
     wx = simpson_weights(len(data.xs), data.xs[1] - data.xs[0])
     wt = simpson_weights(len(data.ts), data.ts[1] - data.ts[0])
-    weights = np.outer(wx, wt)
-    integrand = data.window[None, :, :] * data.values * kernel[None, :, :]
-    return np.tensordot(integrand, weights, axes=([1, 2], [0, 1]))
+    g = data.window[None, :, :] * data.values
+    out = np.empty((len(cov), data.rank), dtype=complex)
+    for lo in range(0, len(cov), _BATCH):
+        hi = lo + _BATCH
+        kx = wx * np.exp(1j * xi[lo:hi] * dx - kappa * rho[lo:hi] * dx**2)
+        kt = wt * np.exp(1j * tau[lo:hi] * dt - kappa * rho[lo:hi] * dt**2)
+        out[lo:hi] = np.einsum("ma,cam->mc", kx, g @ kt.T)
+    return out
+
+
+def fbi_transform(data: SampledData, kappa, basepoint, covector) -> np.ndarray:
+    """Transform value per component at one basepoint and covector."""
+    return fbi_transforms(data, kappa, basepoint, [covector])[0]
 
 
 SMOOTH = "Smooth"
@@ -219,23 +242,22 @@ def direction_scan(
         raise FbiError("slope fits need at least 4 radii")
     if max(radii) / min(radii) < 99.0:
         raise FbiError("radius grid must span at least two decades")
+    if n_dirs < 1:
+        raise FbiError("a scan needs at least one direction")
     directions = [
         (math.cos(2 * math.pi * i / n_dirs), math.sin(2 * math.pi * i / n_dirs))
         for i in range(n_dirs)
     ]
-    magnitudes = []
+    covectors = [(lam * xi, lam * tau) for xi, tau in directions for lam in radii]
+    values = fbi_transforms(data, kappa, basepoint, covectors)
+    mags = np.abs(values).max(axis=1).reshape(n_dirs, len(radii))
+    if not np.all(np.isfinite(mags)):
+        raise FbiError("non-finite transform magnitude in the scan")
+    magnitudes = mags.tolist()
     slopes = []
     labels = []
-    for xi, tau in directions:
-        mags = []
-        for lam in radii:
-            vals = fbi_transform(data, kappa, basepoint, (lam * xi, lam * tau))
-            mag = float(np.max(np.abs(vals)))
-            if not math.isfinite(mag):
-                raise FbiError("non-finite transform magnitude in the scan")
-            mags.append(mag)
-        slope = fit_loglog_slope(radii, mags)
-        magnitudes.append(mags)
+    for row in magnitudes:
+        slope = fit_loglog_slope(radii, row)
         slopes.append(slope)
         if slope <= -smooth_threshold:
             labels.append(SMOOTH)
@@ -321,10 +343,13 @@ def kappa_smallness_check(
     svals = np.linspace(-s_max, s_max, grid)
     for j in range(1, field.n_x + 1):
         series = series_coefficients(field, (Poly.var(vars, f"x{j}"),), order + 1)
+        coeff_vals = [
+            poly_complex_fn(series.coeffs[k + 1][0])(*mesh) for k in range(order + 1)
+        ]
         for s in svals:
             acc = np.zeros(mesh[0].shape, dtype=complex)
-            for k in range(order + 1):
-                acc = acc + poly_complex_fn(series.coeffs[k + 1][0])(*mesh) * s**k
+            for k, vals in enumerate(coeff_vals):
+                acc = acc + vals * s**k
             sup_im = max(sup_im, float(np.max(np.abs(acc.imag))))
     lhs = 1.5 * float(kappa) * (1.0 + sup_im)
     return SmallnessReport(lhs < rho / 16.0, lhs, rho, sup_im)

@@ -44,14 +44,6 @@ def lie_derivative(
     )
 
 
-def lie_derivative_defining_formula(
-    sdef: StructureDef, L: VectorFieldSym, omega: CotangentSection, X: VectorFieldSym
-) -> RatFun:
-    """(D_L omega)(X) computed from L(omega(X)) - omega([L, X]); test oracle
-    for the componentwise rule."""
-    return L.apply(omega.apply_to_field(X)) - omega.apply_to_field(L.bracket(X))
-
-
 def apply_word(
     sdef: StructureDef, omega: CotangentSection, word, frame=None
 ) -> CotangentSection:

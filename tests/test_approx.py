@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,13 +8,18 @@ import pytest
 from involucalc.algebra import GaussRat, Poly
 from involucalc.approx import (
     ApproxError,
+    CutoffPlan,
     NormalFormField,
     assemble_evaluator,
+    _derivative_multiindices,
+    _multiindex_derivatives,
     chi_derivative_sup,
+    chi_derivative_sups,
     chi_derivatives,
     chi_float,
     chi_prime_float,
     field_vars,
+    poly_complex_fn,
     select_cutoff_plan,
     series_coefficients,
     shift_jet_check,
@@ -154,7 +160,113 @@ def test_chi_derivative_sup_grows():
     assert s4 > s1
 
 
+def test_chi_derivative_sups_match_per_order_loop():
+    # oracle: one Taylor expansion per sample point and per order
+    us = np.linspace(0.5, 1.0, 257)[1:-1]
+    loop = [1.0] + [
+        max(abs(chi_derivatives(float(u), q)[q]) for u in us) for q in range(1, 9)
+    ]
+    assert chi_derivative_sups(8) == tuple(loop)
+    assert [chi_derivative_sup(q) for q in range(9)] == loop
+
+
+def test_poly_complex_fn_matches_term_by_term_evaluation():
+    # oracle: every power recomputed per term, in the same order
+    rng = random.Random(11)
+    vars = field_vars(2)
+    mesh = np.meshgrid(*[np.linspace(-1.0, 1.0, 7) for _ in vars], indexing="ij")
+    for _ in range(20):
+        p = rand_poly(rng, vars, max_degree=5, n_terms=8)
+        if p.is_zero():
+            continue
+        total = None
+        for e, c in p.terms.items():
+            term = np.full(mesh[0].shape, complex(c))
+            for arr, k in zip(mesh, e):
+                if k:
+                    term = term * arr**k
+            total = term if total is None else total + term
+        assert np.array_equal(poly_complex_fn(p)(*mesh), total)
+
+
+def test_multiindex_derivatives_match_direct_differentiation():
+    # oracle: each multi-index differentiated from the polynomial itself,
+    # vars[0] first; term order is compared too, since it fixes the order
+    # in which the sampled values are summed
+    rng = random.Random(5)
+    vars = field_vars(2)
+    polys = tuple(rand_poly(rng, vars, max_degree=6, n_terms=10) for _ in range(2))
+    got = list(_multiindex_derivatives(polys, vars, 4))
+    assert [alpha for alpha, _ in got] == _derivative_multiindices(len(vars), 4)
+    for alpha, comps in got:
+        for p, q in zip(polys, comps):
+            for vi, times in enumerate(alpha):
+                for _ in range(times):
+                    p = p.diff(vars[vi])
+            assert q == p
+            assert list(q.terms) == list(p.terms)
+
+
 # -- plan selection ----------------------------------------------------------------------
+
+
+def reference_plan(series, box_halfwidth, grid):
+    """Oracle: the cutoff plan computed in place, every derivative taken from
+    c_k itself and every weight and polynomial evaluated per multi-index."""
+    vars = series.field.vars
+    n = series.order
+    box = tuple((-float(box_halfwidth), float(box_halfwidth)) for _ in vars)
+    mesh = np.meshgrid(*[np.linspace(lo, hi, grid) for lo, hi in box], indexing="ij")
+    us = np.linspace(0.5, 1.0, 257)[1:-1]
+    chi_sups = [1.0] + [
+        max(abs(chi_derivatives(float(u), q)[q]) for u in us) for q in range(1, n + 1)
+    ]
+    constants, radii, prev = [], [], Fraction(1)
+    for k in range(n + 1):
+        fact = 1.0
+        for m in range(1, k + 1):
+            fact *= m
+        best = 0.0
+        for alpha in _derivative_multiindices(len(vars), k):
+            sup_poly = 0.0
+            for p in series.coeffs[k]:
+                for vi, times in enumerate(alpha):
+                    for _ in range(times):
+                        p = p.diff(vars[vi])
+                vals = poly_complex_fn(p)(*mesh)
+                sup_poly = max(sup_poly, float(np.max(np.abs(vals))))
+            sup_poly *= fact
+            for m in range(k - sum(alpha) + 1):
+                acc = 0.0
+                for q in range(m + 1):
+                    dfac = 1.0
+                    for i in range(1, k - m + q + 1):
+                        dfac *= i
+                    acc += math.comb(m, q) * chi_sups[q] / dfac
+                best = max(best, acc * sup_poly)
+        c_k = 2.0 * best
+        constants.append(c_k)
+        r = prev
+        if c_k:
+            need = (2.0**k) * c_k
+            r = Fraction(2) ** max(math.ceil(math.log2(need)), 0)
+            if r < need:
+                r = r * 2
+        r = max(r, prev)
+        radii.append(r)
+        prev = r
+    return CutoffPlan(tuple(radii), box, grid, tuple(constants))
+
+
+@pytest.mark.parametrize("nx", [1, 2])
+@pytest.mark.parametrize("box", [1.0, 0.5])
+def test_plan_matches_reference(nx, box):
+    vars = field_vars(nx)
+    t = Poly.var(vars, "t")
+    field = NormalFormField(nx, tuple(-t for _ in range(nx)))
+    u0 = Poly.var(vars, "x1") ** 5 * Fraction(3, 7) + Poly.var(vars, f"x{nx}") * 2
+    series = series_coefficients(field, (u0,), 8)
+    assert select_cutoff_plan(series, box, 9) == reference_plan(series, box, 9)
 
 
 def test_plan_satisfies_selection_inequality():

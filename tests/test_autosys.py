@@ -6,7 +6,6 @@ from involucalc.algebra import GaussRat, Poly, RatFun
 from involucalc.autosys import (
     AutosysError,
     RealVectorFieldSym,
-    candidate_residuals_direct,
     check_candidate,
     equation_residual,
     generate_system,
@@ -19,8 +18,24 @@ from involucalc.catalog import (
     standard_mizohata,
     three_quadrics,
 )
-from involucalc.structure import StructureDef, structure_vars
+from involucalc.structure import StructureDef, build_frame, structure_vars
 from conftest import rand_poly
+
+
+def candidate_residuals_direct(sdef, X):
+    """Oracle: residuals computed as L(dF(X)) without the emitted system,
+    one RatFun per (integral, field)."""
+    frame = build_frame(sdef)
+    out = []
+    for label, F in zip(sdef.integral_labels(), sdef.first_integrals()):
+        dFX = Poly.zero(sdef.vars)
+        for c in sdef.vars:
+            fc = F.diff(c)
+            if not fc.is_zero():
+                dFX = dFX + fc * X.coeff(c)
+        for i, L in enumerate(frame, start=1):
+            out.append(((label, i), L.apply(dFX)))
+    return out
 
 
 def real_field(sdef, **coeffs):

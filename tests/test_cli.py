@@ -82,6 +82,18 @@ def test_parse_error_zero_denominator_position():
     assert (exc.value.line, exc.value.col) == (6, 11)
 
 
+@pytest.mark.parametrize(
+    "block, col",
+    [("[approx]\nbox = -1\n", 7), ("[approx]\nbox = 0\n", 7), ("[fbi]\nhalfwidth = 0\n", 13)],
+)
+def test_parse_error_nonpositive_width_position(block, col):
+    bad = "[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^2\n" + block
+    with pytest.raises(ParseError) as exc:
+        parse_structure(bad)
+    assert (exc.value.line, exc.value.col) == (6, col)
+    assert "positive" in str(exc.value)
+
+
 def test_dimension_mismatch():
     bad = "[dims]\nnu = 0 d = 2 mu = 1\n[phi]\nt1^2\nt1^3\nt1^4\n"
     with pytest.raises(DimensionMismatch):
@@ -207,6 +219,7 @@ def test_cli_analyze_machine_and_csv(tmp_path, capsys):
 
 
 MINIMAL_FILE = "[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^2\n"
+APPROX_FILE = MINIMAL_FILE + "[approx]\norder = 2\ngrid = 5\n"
 
 
 @pytest.mark.parametrize(
@@ -228,6 +241,19 @@ MINIMAL_FILE = "[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^2\n"
         (MINIMAL_FILE + "[approx]\ngrid = 0\n", ["analyze"]),
         (MINIMAL_FILE + "[fbi]\ndirs = 3/2\n", ["wavefront"]),
         (MINIMAL_FILE + "[fbi]\ngrid = x1\n", ["wavefront"]),
+        (MINIMAL_FILE + "[approx]\nbox = -1\n", ["approx"]),
+        (MINIMAL_FILE + "[approx]\nbox = 0\n", ["analyze"]),
+        (MINIMAL_FILE + "[fbi]\nhalfwidth = 0\n", ["wavefront"]),
+        (MINIMAL_FILE + "[fbi]\nhalfwidth = -1/2\n", ["analyze"]),
+        (MINIMAL_FILE, ["analyze", "--kmax", "-1"]),
+        (MINIMAL_FILE, ["autosys", "--kmax", "-1"]),
+        (MINIMAL_FILE, ["wavefront", "--dirs", "0"]),
+        (MINIMAL_FILE, ["wavefront", "--dirs", "-2"]),
+        (APPROX_FILE, ["approx", "--box", "-1"]),
+        (APPROX_FILE, ["approx", "--box", "0"]),
+        (APPROX_FILE, ["approx", "--box", "nan"]),
+        (APPROX_FILE, ["approx", "--grid", "0"]),
+        (APPROX_FILE, ["approx", "--order", "-1"]),
     ],
     ids=[
         "double-caret",
@@ -246,6 +272,19 @@ MINIMAL_FILE = "[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^2\n"
         "approx-grid-zero",
         "fbi-dirs-fraction",
         "fbi-grid-name",
+        "approx-box-negative",
+        "approx-box-zero",
+        "fbi-halfwidth-zero",
+        "fbi-halfwidth-negative",
+        "option-kmax-negative",
+        "option-autosys-kmax-negative",
+        "option-dirs-zero",
+        "option-dirs-negative",
+        "option-box-negative",
+        "option-box-zero",
+        "option-box-nan",
+        "option-grid-zero",
+        "option-order-negative",
     ],
 )
 def test_cli_exit_code_on_parse_error(tmp_path, capsys, text, argv):

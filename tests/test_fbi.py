@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,12 @@ from involucalc.catalog import (
     flat_structure,
     standard_mizohata,
 )
+from involucalc.cli import _parse_radii
+from involucalc.config import DEFAULTS
 from involucalc.fbi import (
+    INCONCLUSIVE,
+    SINGULAR,
+    SMOOTH,
     DegenerateGrid,
     FbiError,
     NoNegativeDirection,
@@ -18,6 +24,8 @@ from involucalc.fbi import (
     SampledData,
     direction_scan,
     fbi_transform,
+    fbi_transforms,
+    fit_loglog_slope,
     kappa_smallness_check,
     levi_to_normal_form,
     sample_data,
@@ -131,6 +139,78 @@ def test_transform_rejects_zero_covector_and_kappa():
         fbi_transform(data, KAPPA, (0, 0), (0.0, 0.0))
     with pytest.raises(FbiError):
         fbi_transform(data, 0.0, (0, 0), (1.0, 0.0))
+
+
+def meshgrid_transform(data, kappa, basepoint, covector):
+    """Oracle: the unfactored quadrature, one n x n kernel per covector."""
+    xi, tau = float(covector[0]), float(covector[1])
+    rho = math.hypot(xi, tau)
+    X, T = np.meshgrid(data.xs, data.ts, indexing="ij")
+    dx = basepoint[0] - X
+    dt = basepoint[1] - T
+    kernel = np.exp(1j * (xi * dx + tau * dt) - kappa * rho * (dx**2 + dt**2))
+    wx = simpson_weights(len(data.xs), data.xs[1] - data.xs[0])
+    wt = simpson_weights(len(data.ts), data.ts[1] - data.ts[0])
+    integrand = data.window[None, :, :] * data.values * kernel[None, :, :]
+    return np.tensordot(integrand, np.outer(wx, wt), axes=([1, 2], [0, 1]))
+
+
+def oracle_label(slope):
+    if slope <= -DEFAULTS.smooth_slope:
+        return SMOOTH
+    if slope >= DEFAULTS.singular_slope:
+        return SINGULAR
+    return INCONCLUSIVE
+
+
+@pytest.mark.parametrize(
+    "make",
+    [bump_data, heaviside_data, lambda: cauchy_data(1 / 40)],
+    ids=["gaussian", "heaviside", "boundary"],
+)
+def test_scan_matches_meshgrid_oracle(make):
+    data = make()
+    radii = _parse_radii("6/5:120:7")
+    scan = direction_scan(data, KAPPA, (0, 0), 8, radii)
+    old = np.array(
+        [
+            [meshgrid_transform(data, KAPPA, (0, 0), (lam * xi, lam * tau)) for lam in radii]
+            for xi, tau in scan.directions
+        ]
+    )
+    covectors = [(lam * xi, lam * tau) for xi, tau in scan.directions for lam in radii]
+    new = fbi_transforms(data, KAPPA, (0, 0), covectors).reshape(old.shape)
+    scale = np.max(np.abs(old))
+    assert np.max(np.abs(new - old)) <= 1e-12 * scale
+    old_mags = np.abs(old).max(axis=2)
+    assert np.max(np.abs(np.array(scan.magnitudes) - old_mags)) <= 1e-12 * scale
+    assert scan.labels == [oracle_label(fit_loglog_slope(radii, m)) for m in old_mags]
+
+
+def test_batched_transforms_match_single_covectors():
+    # more covectors than one batch holds, so the batch boundary is crossed
+    data = cauchy_data(0.1, n=64)
+    rng = np.random.default_rng(3)
+    covectors = rng.uniform(-40.0, 40.0, size=(150, 2))
+    batch = fbi_transforms(data, KAPPA, (0.05, -0.1), covectors)
+    single = np.array(
+        [meshgrid_transform(data, KAPPA, (0.05, -0.1), c) for c in covectors]
+    )
+    assert batch.shape == (150, 1)
+    assert np.max(np.abs(batch - single)) <= 1e-12 * np.max(np.abs(single))
+
+
+def test_batched_transforms_reject_any_zero_covector():
+    data = bump_data(n=64)
+    with pytest.raises(FbiError):
+        fbi_transforms(data, KAPPA, (0, 0), [(1.0, 2.0), (0.0, 0.0), (3.0, 0.0)])
+
+
+def test_scan_rejects_no_directions():
+    data = bump_data(n=64)
+    for n_dirs in (0, -2):
+        with pytest.raises(FbiError):
+            direction_scan(data, KAPPA, (0, 0), n_dirs, RADII)
 
 
 # -- direction scans ------------------------------------------------------------------
