@@ -12,10 +12,12 @@ Conventions used throughout the package:
   multi-index bookkeeping unambiguous across modules.
 * All variables denote real coordinates.  Complex conjugation therefore acts
   on coefficients only.
-* Rational functions are pairs num/den with den != 0.  Equality is decided by
-  cross multiplication.  Normalization removes common monomial content and
-  scales the trailing (lowest-order) coefficient of the denominator to 1; no
-  multivariate GCD is attempted.
+* Rational functions are num / (f_1^p_1 ... f_m^p_m) with the denominator
+  kept factored over registered polynomials (det W_s and the like; see
+  ``RatFun``).  Equality is decided by cross multiplication.  Coordinates in
+  the denominator cancel against the numerator's monomial content and every
+  factor has trailing (lowest-order) coefficient 1; no multivariate GCD is
+  attempted.
 * A jet (Taylor expansion at the origin truncated at total degree k) is a
   plain ``Poly`` of degree <= k; the caller keeps k and multiplies jets with
   ``mul_truncated``.
@@ -23,6 +25,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -418,37 +421,136 @@ class Poly:
         return " + ".join(parts)
 
 
+class _FactorTable:
+    """The polynomials that occur as denominator factors, each stored once
+    under a small ordinal so that denominators combine by ordinal rather than
+    by polynomial equality.  A factor is either a single coordinate or a
+    polynomial without monomial content whose trailing coefficient is 1.
+    Powers, partial derivatives and conjugates are cached per factor."""
+
+    def __init__(self):
+        self.polys = []  # ordinal -> factor
+        self.ordinals = {}  # factor -> ordinal
+        self.coord = []  # ordinal -> position of a single-coordinate factor, else None
+        self.powers = []  # ordinal -> [f^0, f^1, ...] computed so far
+        self.diffs = {}  # (ordinal, name) -> df/dname
+        self.conj = {}  # ordinal -> ordinal of the conjugate factor
+
+    def ordinal(self, f: Poly) -> int:
+        i = self.ordinals.get(f)
+        if i is None:
+            i = self.ordinals[f] = len(self.polys)
+            self.polys.append(f)
+            self.coord.append(next(iter(f.terms)).index(1) if len(f.terms) == 1 else None)
+            self.powers.append([Poly.one(f.vars), f])
+        return i
+
+    def power(self, i, k) -> Poly:
+        pw = self.powers[i]
+        while len(pw) <= k:
+            pw.append(pw[-1] * pw[1])
+        return pw[k]
+
+    def diff(self, i, name) -> Poly:
+        d = self.diffs.get((i, name))
+        if d is None:
+            d = self.diffs[(i, name)] = self.polys[i].diff(name)
+        return d
+
+    def conjugate(self, i) -> int:
+        j = self.conj.get(i)
+        if j is None:
+            j = self.conj[i] = self.ordinal(self.polys[i].conjugate())
+        return j
+
+
+_FACTORS = _FactorTable()
+
+
+def _split_denominator(den: Poly):
+    """(c, powers) with den = c * prod f_i^p_i over registered factors f_i;
+    ``powers`` is a sorted tuple of (ordinal, p)."""
+    vars = den.vars
+    mono = den.min_exponents()
+    if any(mono):
+        den = den.shift_divide(mono)
+    _, c = den.trailing_term()
+    powers = {}
+    if not den.is_constant():
+        powers[_FACTORS.ordinal(den * (ONE / c) if c != ONE else den)] = 1
+    for j, k in enumerate(mono):
+        if k:
+            powers[_FACTORS.ordinal(Poly.var(vars, vars[j]))] = k
+    return c, tuple(sorted(powers.items()))
+
+
+def _merge_powers(a, b, op):
+    """Per-factor ``op`` (max for a sum, add for a product) of two powers tuples."""
+    if not b or (a == b and op is max):
+        return a
+    if not a:
+        return b
+    out = dict(a)
+    for i, p in b:
+        out[i] = op(out.get(i, 0), p)
+    return tuple(sorted(out.items()))
+
+
+def _lift(num: Poly, have, want) -> Poly:
+    """num * prod f_i^(want_i - have_i): the numerator over the larger denominator."""
+    if have == want:
+        return num
+    have = dict(have)
+    for i, p in want:
+        k = p - have.get(i, 0)
+        if k:
+            num = num * _FACTORS.power(i, k)
+    return num
+
+
 class RatFun:
-    """Quotient of two polynomials over the same variables, den != 0.
+    """Rational function num / (f_1^p_1 ... f_m^p_m) over the same variables.
 
-    Only monomial content is cancelled; full normal forms would need
-    multivariate GCDs, which the desk-scale computations here do not."""
+    The denominator is kept factored over registered factors (see
+    ``_FactorTable``): a structure's coefficients live in the localisation
+    Q(i)[coords][1/det W_s], so det W_s, its conjugate and any other divisor
+    (a bundle's det T, say) each become one factor with a power.  Sums lift
+    both sides to the per-factor maximum power, products add powers, and
+    ``diff`` raises the power of each factor that depends on the variable by
+    one.  Coordinate factors cancel against the numerator's monomial content;
+    other factors are never cancelled, since that would need multivariate
+    GCDs.  ``den`` is the expanded product, and equality is decided by cross
+    multiplication over the common denominator."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "powers", "_den")
 
     def __init__(self, num: Poly, den: Poly | None = None):
-        if den is None:
-            den = Poly.one(num.vars)
-        if den.is_zero():
-            raise ZeroDenominator("rational function with zero denominator")
-        if num.vars != den.vars:
-            raise ValueError("numerator/denominator variable mismatch")
-        if num.is_zero():
-            den = Poly.one(num.vars)
-        else:
-            lo_n = num.min_exponents()
-            lo_d = den.min_exponents()
-            common = tuple(min(a, b) for a, b in zip(lo_n, lo_d))
-            if any(common):
-                num = num.shift_divide(common)
-                den = den.shift_divide(common)
-        _, c = den.trailing_term()
-        if c != ONE:
-            inv = ONE / c
-            num = num * inv
-            den = den * inv
+        powers = ()
+        if den is not None:
+            if den.is_zero():
+                raise ZeroDenominator("rational function with zero denominator")
+            if num.vars != den.vars:
+                raise ValueError("numerator/denominator variable mismatch")
+            if not num.is_zero():
+                c, powers = _split_denominator(den)
+                if c != ONE:
+                    num = num * (ONE / c)
+        self._settle(num, powers)
+
+    def _settle(self, num, powers):
+        if not num.terms:
+            powers = ()
+        elif powers:
+            num, powers = _cancel_coordinates(num, powers)
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "powers", powers)
+        object.__setattr__(self, "_den", None)
+
+    @classmethod
+    def _make(cls, num: Poly, powers) -> "RatFun":
+        self = object.__new__(cls)
+        self._settle(num, powers)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFun is immutable")
@@ -458,35 +560,61 @@ class RatFun:
         if isinstance(x, RatFun):
             return x
         if isinstance(x, Poly):
-            return cls(x)
+            return cls._make(x, ())
         if vars is None:
             raise TypeError("cannot coerce scalar to RatFun without variables")
-        return cls(Poly.const(vars, x))
+        return cls._make(Poly.const(vars, x), ())
 
     @property
     def vars(self):
         return self.num.vars
 
+    @property
+    def den(self) -> Poly:
+        """The expanded denominator; its trailing coefficient is 1."""
+        if self._den is None:
+            d = Poly.one(self.vars)
+            for i, p in self.powers:
+                d = d * _FACTORS.power(i, p)
+            object.__setattr__(self, "_den", d)
+        return self._den
+
+    def power_of(self, unit: Poly):
+        """(num, p) with self == num / unit^p, when the denominator is a
+        power of the registered factor ``unit``."""
+        if not self.powers:
+            return self.num, 0
+        if len(self.powers) > 1 or _FACTORS.polys[self.powers[0][0]] != unit:
+            raise AlgebraError("denominator is not a power of the given factor")
+        return self.num, self.powers[0][1]
+
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.terms
 
     def is_polynomial(self) -> bool:
-        return self.den.is_constant()
+        return not self.powers
 
     def as_poly(self) -> Poly:
-        if not self.den.is_constant():
+        if self.powers:
             raise ValueError("denominator is not constant")
-        c = self.den.constant_term()
-        return self.num * (ONE / c)
+        return self.num
 
     def __add__(self, other):
         other = RatFun.of(other, self.vars)
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
+        if not other.num.terms:
+            return self
+        if not self.num.terms:
+            return other
+        want = _merge_powers(self.powers, other.powers, max)
+        return RatFun._make(
+            _lift(self.num, self.powers, want) + _lift(other.num, other.powers, want),
+            want,
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun(-self.num, self.den)
+        return RatFun._make(-self.num, self.powers)
 
     def __sub__(self, other):
         return self + (-RatFun.of(other, self.vars))
@@ -495,8 +623,12 @@ class RatFun:
         return RatFun.of(other, self.vars) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, GaussRat)):
+            return RatFun._make(self.num * other, self.powers)
         other = RatFun.of(other, self.vars)
-        return RatFun(self.num * other.num, self.den * other.den)
+        return RatFun._make(
+            self.num * other.num, _merge_powers(self.powers, other.powers, operator.add)
+        )
 
     __rmul__ = __mul__
 
@@ -504,7 +636,11 @@ class RatFun:
         other = RatFun.of(other, self.vars)
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
+        c, powers = _split_denominator(other.num)
+        num = self.num * (ONE / c)
+        if other.powers:
+            num = num * other.den
+        return RatFun._make(num, _merge_powers(self.powers, powers, operator.add))
 
     def __rtruediv__(self, other):
         return RatFun.of(other, self.vars) / self
@@ -514,19 +650,37 @@ class RatFun:
             other = RatFun.of(other, self.vars)
         if not isinstance(other, RatFun):
             return NotImplemented
-        return (self.num * other.den) == (other.num * self.den)
+        want = _merge_powers(self.powers, other.powers, max)
+        return _lift(self.num, self.powers, want) == _lift(other.num, other.powers, want)
 
     def __hash__(self):
         raise TypeError("RatFun is unhashable (equality is cross-multiplicative)")
 
     def diff(self, name) -> "RatFun":
-        return RatFun(
-            self.num.diff(name) * self.den - self.num * self.den.diff(name),
-            self.den * self.den,
+        # (n / prod f^p)' = (n' prod_S f - n sum_S p f' prod_{S-f} f) / prod f^(p + [f in S]),
+        # S the factors that depend on ``name``
+        num = self.num.diff(name)
+        moving = [(i, p, _FACTORS.diff(i, name)) for i, p in self.powers]
+        moving = [m for m in moving if m[2].terms]
+        if not moving:
+            return RatFun._make(num, self.powers)
+        polys = _FACTORS.polys
+        for i, _, _ in moving:
+            num = num * polys[i]
+        for i, p, df in moving:
+            term = self.num * (df * p)
+            for j, _, _ in moving:
+                if j != i:
+                    term = term * polys[j]
+            num = num - term
+        bump = {i for i, _, _ in moving}
+        return RatFun._make(
+            num, tuple((i, p + 1 if i in bump else p) for i, p in self.powers)
         )
 
     def conjugate(self) -> "RatFun":
-        return RatFun(self.num.conjugate(), self.den.conjugate())
+        powers = tuple(sorted((_FACTORS.conjugate(i), p) for i, p in self.powers))
+        return RatFun._make(self.num.conjugate(), powers)
 
     def evaluate(self, point) -> GaussRat:
         d = self.den.evaluate(point)
@@ -541,9 +695,30 @@ class RatFun:
         return self.num.constant_term() / d
 
     def __repr__(self):
-        if self.den == Poly.one(self.vars):
+        if not self.powers:
             return repr(self.num)
         return f"({self.num!r}) / ({self.den!r})"
+
+
+def _cancel_coordinates(num: Poly, powers):
+    """Cancel single-coordinate factors against the numerator's monomial content."""
+    coord = _FACTORS.coord
+    if all(coord[i] is None for i, _ in powers):
+        return num, powers
+    lo = num.min_exponents()
+    shift = [0] * len(lo)
+    kept = []
+    for i, p in powers:
+        j = coord[i]
+        if j is not None and lo[j]:
+            k = min(p, lo[j])
+            shift[j] = k
+            p -= k
+        if p:
+            kept.append((i, p))
+    if any(shift):
+        num = num.shift_divide(shift)
+    return num, tuple(kept)
 
 
 def mul_truncated(p: Poly, q: Poly, order: int) -> Poly:

@@ -360,10 +360,10 @@ def select_cutoff_plan(
                     if q.is_zero():  # its samples are all 0, below any sup
                         continue
                     vals = poly_complex_fn(q)(*mesh)
-                    sup_poly = max(
-                        sup_poly,
-                        float(np.max(np.abs(vals))) if vals.shape else abs(complex(vals)),
-                    )
+                    x = float(np.max(np.abs(vals))) if vals.shape else abs(complex(vals))
+                    if not math.isfinite(x):  # max() below would drop a NaN
+                        raise PlanInfeasible("sampled derivative is not finite on the box")
+                    sup_poly = max(sup_poly, x)
             except OverflowError as e:
                 raise PlanInfeasible(f"sampled derivative norm overflows: {e}")
             sup_poly *= fact

@@ -4,8 +4,9 @@ A real vector field X is an infinitesimal automorphism exactly when
 L (dF(X)) = 0 for every first integral F and frame field L.  Writing
 X = sum_c u_c d/dc over the real coordinates, each pair (F, L) yields one
 linear first-order PDE in the unknowns u_c.  Coefficients live in
-Q(i)[coords, 1/det W_s]; every denominator is a power of det W_s, so the
-emitted equations are cleared exactly by multiplying with the right power.
+Q(i)[coords, 1/det W_s]; each summed coefficient is read off as
+(numerator, power of det W_s), so the emitted equations are cleared exactly
+by multiplying with the right power.
 
 Candidate fields are checked by substituting their polynomial components into
 the cleared equations; the verdict is Automorphism iff every residual is the
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Poly, RatFun
+from .algebra import Poly
 from .structure import StructureDef, build_frame, jacobians
 
 
@@ -49,20 +50,6 @@ class RealVectorFieldSym:
         return self.coeffs.get(name, Poly.zero(self.vars))
 
 
-def _det_power_of(c: RatFun, det: Poly, max_power=4):
-    """Express c as (num, p) with c = num / det^p; the denominators produced
-    by the frame construction are always powers of det W_s."""
-    if c.den.is_constant():
-        # normalization scales the trailing den coefficient to 1
-        return c.num, 0
-    power = det
-    for p in range(1, max_power + 1):
-        if c.den == power:
-            return c.num, p
-        power = power * det
-    raise AutosysError("denominator is not a small power of det W_s")
-
-
 @dataclass(frozen=True)
 class PDETerm:
     unknown: str
@@ -90,56 +77,34 @@ def generate_system(sdef: StructureDef) -> PDESystem:
     frame = build_frame(sdef)
     det = jacobians(sdef).det_w_s
     vars = sdef.vars
-    integrals = sdef.first_integrals()
-    labels = sdef.integral_labels()
     equations = []
-    frame_pairs = []
-    for L in frame:
-        frame_pairs.append({n: _det_power_of(c, det) for n, c in L.coeffs.items()})
-    for label, F in zip(labels, integrals):
+    for label, F in zip(sdef.integral_labels(), sdef.first_integrals()):
         dF = {c: F.diff(c) for c in vars}
-        for i, pairs in enumerate(frame_pairs, start=1):
-            raw = {}  # (unknown, deriv) -> (num, power)
+        for i, L in enumerate(frame, start=1):
+            raw = {}  # (unknown, deriv) -> RatFun coefficient
             for c in vars:
                 fc = dF[c]
                 if fc.is_zero():
                     continue
-                # zeroth order: L(F_c) * u_c
-                for cprime, (num, p) in pairs.items():
+                for cprime, coeff in L.coeffs.items():
+                    # zeroth order: L(F_c) * u_c
                     d = fc.diff(cprime)
-                    if d.is_zero():
-                        continue
-                    _accumulate(raw, (c, None), num * d, p, det)
-                # first order: F_c * L^{c'} * du_c/dc'
-                for cprime, (num, p) in pairs.items():
-                    _accumulate(raw, (c, cprime), fc * num, p, det)
+                    if not d.is_zero():
+                        raw[(c, None)] = coeff * d + raw.get((c, None), 0)
+                    # first order: F_c * L^{c'} * du_c/dc'
+                    raw[(c, cprime)] = coeff * fc + raw.get((c, cprime), 0)
             if not raw:
                 continue
-            big = max(p for (_, p) in raw.values())
+            pairs = {key: f.power_of(det) for key, f in raw.items()}
+            big = max(p for (_, p) in pairs.values())
             terms = []
             for (unknown, deriv), (num, p) in sorted(
-                raw.items(), key=lambda kv: (kv[0][0], kv[0][1] or "")
+                pairs.items(), key=lambda kv: (kv[0][0], kv[0][1] or "")
             ):
-                coeff = num
-                for _ in range(big - p):
-                    coeff = coeff * det
-                if not coeff.is_zero():
-                    terms.append(PDETerm(unknown, deriv, coeff))
+                if not num.is_zero():
+                    terms.append(PDETerm(unknown, deriv, num * det ** (big - p)))
             equations.append(PDEEquation(label, i, big, tuple(terms)))
     return PDESystem(sdef, vars, tuple(equations))
-
-
-def _accumulate(raw, key, num, p, det):
-    if key not in raw:
-        raw[key] = (num, p)
-        return
-    num0, p0 = raw[key]
-    big = max(p0, p)
-    for _ in range(big - p0):
-        num0 = num0 * det
-    for _ in range(big - p):
-        num = num * det
-    raw[key] = (num0 + num, big)
 
 
 @dataclass(frozen=True)

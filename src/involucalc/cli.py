@@ -18,6 +18,10 @@ inside expressions):
     Polynomials use variables x1.., y1.., s1.., t1.., the imaginary unit i,
     rational literals p/q, operators + - * / ^ (with ^ a nonnegative integer
     and / by a nonzero constant), and parentheses.
+
+    Integers are bounded by LIMITS: exponents by "exponent", each of nu, d
+    and mu by "dimension", and so on; [approx] also needs
+    grid^(nx + 1) <= LIMITS["samples"].
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -57,6 +61,23 @@ from .structure import (
     levi_form,
     structure_vars,
 )
+
+
+# Upper limits of the file grammar's integers (README, "Structure files"),
+# far above every catalog, benchmark and test input, so that no file can ask
+# for a computation that exhausts the machine.
+LIMITS = {
+    "exponent": 64,  # ^ in a polynomial
+    "dimension": 16,  # each of nu, d and mu
+    "rank": 8,  # [bundle] rank
+    "nx": 3,  # [approx] nx
+    "order": 16,  # [approx] order and --order
+    "grid": 65,  # [approx] grid and --grid
+    "samples": 2**21,  # [approx] sample points, grid^(nx + 1)
+    "scan_grid": 1024,  # [fbi] grid
+    "dirs": 256,  # [fbi] dirs and --dirs
+    "radii": 64,  # the count of an [fbi] radii spec and of --radii
+}
 
 
 class ParseError(Exception):
@@ -197,6 +218,8 @@ class _ExprParser:
             e = self._next()
             if e.kind != "NUMBER":
                 raise ParseError("exponent must be a nonnegative integer", e.line, e.col)
+            if int(e.text) > LIMITS["exponent"]:
+                raise ParseError(f"exponent must be at most {LIMITS['exponent']}", e.line, e.col)
             return p ** int(e.text)
         return p
 
@@ -393,7 +416,7 @@ def _parse_dims(lines, header_line):
             )
             if not ok:
                 raise ParseError("expected 'nu = <int>' style entries", toks[i].line, toks[i].col)
-            vals[toks[i].text] = int(toks[i + 2].text)
+            vals[toks[i].text] = _parse_int(toks[i + 2 : i + 3], 0, LIMITS["dimension"])
             i += 3
     for key in ("nu", "d", "mu"):
         if key not in vals:
@@ -426,11 +449,18 @@ def _parse_fraction(toks):
     return Fraction(-num if neg else num, den)
 
 
-def _parse_int(toks, minimum):
-    """A single integer literal no smaller than ``minimum``."""
-    if len(toks) != 1 or toks[0].kind != "NUMBER" or int(toks[0].text) < minimum:
-        raise ParseError(f"expected an integer >= {minimum}", toks[0].line, toks[0].col)
-    return int(toks[0].text)
+def _bounds(minimum, maximum):
+    return f">= {minimum}" if maximum is None else f"from {minimum} to {maximum}"
+
+
+def _parse_int(toks, minimum, maximum=None):
+    """A single integer literal in [minimum, maximum]."""
+    value = int(toks[0].text) if len(toks) == 1 and toks[0].kind == "NUMBER" else None
+    if value is None or value < minimum or (maximum is not None and value > maximum):
+        raise ParseError(
+            f"expected an integer {_bounds(minimum, maximum)}", toks[0].line, toks[0].col
+        )
+    return value
 
 
 def _parse_positive(toks):
@@ -450,7 +480,7 @@ def _parse_bundle(lines, vars):
         if head.kind != "NAME":
             raise ParseError("expected a bundle directive", head.line, head.col)
         if head.text == "rank":
-            block.rank = _parse_int(_parse_assignment(toks)[1], 1)
+            block.rank = _parse_int(_parse_assignment(toks)[1], 1, LIMITS["rank"])
         elif head.text == "D":
             if len(toks) < 6 or toks[4].text != "=":
                 raise ParseError("expected 'D j a b = poly'", head.line, head.col)
@@ -472,20 +502,24 @@ def _parse_bundle(lines, vars):
 def _parse_approx(lines):
     block = ApproxBlock()
     pending = []
+    size_tok = None  # the nx or grid literal that last set the sample count
     for toks in lines:
         if not toks:
             continue
         name, rhs = _parse_assignment(toks)
         if name in ("nx", "grid"):
-            setattr(block, name, _parse_int(rhs, 1))
+            setattr(block, name, _parse_int(rhs, 1, LIMITS[name]))
+            size_tok = rhs[0]
         elif name == "order":
-            block.order = _parse_int(rhs, 0)
+            block.order = _parse_int(rhs, 0, LIMITS["order"])
         elif name == "box":
             block.box = _parse_positive(rhs)
         elif name in ("b", "u0"):
             pending.append((name, rhs))
         else:
             raise ParseError(f"unknown approx key {name!r}", toks[0].line, toks[0].col)
+    if block.grid ** (block.nx + 1) > LIMITS["samples"]:
+        raise ParseError(_samples_message(block.grid, block.nx), size_tok.line, size_tok.col)
     vars = field_vars(block.nx)
     for name, rhs in pending:
         polys = tuple(parse_poly_tokens(g, vars) for g in _split_on_commas(rhs))
@@ -494,6 +528,13 @@ def _parse_approx(lines):
         else:
             block.u0 = polys
     return block
+
+
+def _samples_message(grid, nx):
+    return (
+        f"grid^(nx + 1) = {grid}^{nx + 1} exceeds the {LIMITS['samples']} "
+        "sample points the [approx] sampler allows"
+    )
 
 
 def _parse_fbi(lines):
@@ -510,8 +551,10 @@ def _parse_fbi(lines):
             setattr(block, name, _parse_fraction(rhs))
         elif name == "halfwidth":
             block.halfwidth = _parse_positive(rhs)
-        elif name in ("grid", "dirs"):
-            setattr(block, name, _parse_int(rhs, 1))
+        elif name == "grid":
+            block.grid = _parse_int(rhs, 1, LIMITS["scan_grid"])
+        elif name == "dirs":
+            block.dirs = _parse_int(rhs, 1, LIMITS["dirs"])
         elif name == "radii":
             parts = [t.text for t in rhs]
             block.radii = "".join(parts)
@@ -648,13 +691,15 @@ def _option_fraction(text: str, what: str) -> Fraction:
         raise ModuleError("cli", ValueError(f"bad {what} {text.strip()!r}: {e}"))
 
 
-def _option_int(value, default, minimum, flag):
+def _option_int(value, default, minimum, maximum, flag):
     """An integer option, or ``default`` when it is absent; held to the
-    minimum the file grammar enforces for the same setting."""
+    limits the file grammar enforces for the same setting."""
     if value is None:
         return default
-    if value < minimum:
-        raise ModuleError("cli", ValueError(f"{flag} must be >= {minimum}, got {value}"))
+    if value < minimum or (maximum is not None and value > maximum):
+        raise ModuleError(
+            "cli", ValueError(f"{flag} must be {_bounds(minimum, maximum)}, got {value}")
+        )
     return value
 
 
@@ -683,11 +728,26 @@ def _parse_radii(spec: str):
         lo, hi, count = float(Fraction(lo)), float(Fraction(hi)), int(count)
     except (ValueError, ZeroDivisionError) as e:
         raise ModuleError("cli", ValueError(f"bad radii spec {spec!r}: {e}"))
-    if count < 4 or lo <= 0 or hi <= lo:
-        raise ModuleError("cli", ValueError("radii spec needs 0 < lo < hi and count >= 4"))
+    if not 4 <= count <= LIMITS["radii"] or lo <= 0 or hi <= lo:
+        raise ModuleError(
+            "cli", ValueError(f"radii spec needs 0 < lo < hi and count from 4 to {LIMITS['radii']}")
+        )
     return [
         lo * (hi / lo) ** (m / (count - 1)) for m in range(count)
     ]
+
+
+def _effective_config(sf: StructureFile):
+    """DEFAULTS with the settings the file's [approx] and [fbi] blocks replace."""
+    config = DEFAULTS
+    if sf.approx is not None:
+        config = replace(config, grid=sf.approx.grid, approx_order=sf.approx.order)
+    if sf.fbi is not None:
+        f = sf.fbi
+        config = replace(
+            config, kappa=f.kappa, scan_grid=f.grid, n_dirs=f.dirs, radii_spec=f.radii
+        )
+    return config
 
 
 def run_report(sf: StructureFile, options=None) -> Report:
@@ -709,7 +769,7 @@ def run_report(sf: StructureFile, options=None) -> Report:
     human.append("involucalc-report v1")
     machine.append("report_version = 1")
     human.append("# configuration")
-    for line in DEFAULTS.header_lines():
+    for line in _effective_config(sf).header_lines():
         human.append("#   " + line)
         machine.append("config." + line.replace(" ", ""))
     human.append(f"# options: k_max = {k_max}")
@@ -1014,7 +1074,7 @@ def _load(path) -> StructureFile:
 def cmd_analyze(args) -> int:
     sf = _load(args.file)
     options = {
-        "k_max": _option_int(args.kmax, DEFAULTS.k_max, 0, "--kmax"),
+        "k_max": _option_int(args.kmax, DEFAULTS.k_max, 0, None, "--kmax"),
         "covectors": args.covector or [],
         "autosys": False,
     }
@@ -1034,7 +1094,7 @@ def cmd_analyze(args) -> int:
 def cmd_autosys(args) -> int:
     sf = _load(args.file)
     options = {
-        "k_max": _option_int(args.kmax, DEFAULTS.k_max, 0, "--kmax"),
+        "k_max": _option_int(args.kmax, DEFAULTS.k_max, 0, None, "--kmax"),
         "covectors": [],
         "autosys": True,
     }
@@ -1048,11 +1108,13 @@ def cmd_approx(args) -> int:
     block = sf.approx
     if block is None:
         raise ModuleError("approx", ValueError("the file has no [approx] section"))
-    order = _option_int(args.order, block.order, 0, "--order")
+    order = _option_int(args.order, block.order, 0, LIMITS["order"], "--order")
     if args.box is not None and not (args.box > 0 and math.isfinite(args.box)):
         raise ModuleError("cli", ValueError(f"--box must be a positive number, got {args.box}"))
     box = args.box if args.box is not None else float(block.box)
-    grid = _option_int(args.grid, block.grid, 1, "--grid")
+    grid = _option_int(args.grid, block.grid, 1, LIMITS["grid"], "--grid")
+    if grid ** (block.nx + 1) > LIMITS["samples"]:
+        raise ModuleError("cli", ValueError(_samples_message(grid, block.nx)))
     plan, ev = _approx_solution(block, order, box, grid)
     lines = ["involucalc-report v1", f"# approx order {order}, box {box}, grid {grid}"]
     for k, (c, r) in enumerate(zip(plan.constants, plan.radii)):
@@ -1096,9 +1158,14 @@ def cmd_wavefront(args) -> int:
     sf = _load(args.file)
     block = sf.fbi if sf.fbi is not None else FbiBlock()
     kappa = _option_fraction(args.kappa, "kappa") if args.kappa else block.kappa
-    dirs = _option_int(args.dirs, block.dirs, 1, "--dirs")
-    radii = _parse_radii(args.radii if args.radii else block.radii)
-    lines = ["involucalc-report v1"]
+    dirs = _option_int(args.dirs, block.dirs, 1, LIMITS["dirs"], "--dirs")
+    spec = args.radii if args.radii else block.radii
+    radii = _parse_radii(spec)
+    lines = [
+        "involucalc-report v1",
+        f"# wavefront kappa {kappa}, dirs {dirs}, radii {spec}, grid {block.grid}, "
+        f"halfwidth {block.halfwidth}",
+    ]
     if args.covector:
         xi = _parse_covector(args.covector[0], sf.sdef.vars)
         try:

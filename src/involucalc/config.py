@@ -1,4 +1,5 @@
-"""Run-wide defaults, echoed into every report header for reproducibility."""
+"""Run-wide defaults.  A report header echoes them for reproducibility, with
+the values its file's [approx] and [fbi] blocks replace."""
 
 from __future__ import annotations
 

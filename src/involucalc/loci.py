@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import Poly, det, ratfun_det
-from .hull import SpanChain, apply_word
+from .hull import SpanChain, lie_derivative
 from .structure import StructureDef, build_frame, characteristic_form, jacobians
 
 
@@ -100,12 +100,22 @@ def exceptional_locus_check(sdef: StructureDef) -> LocusVerdict:
 
 def hull_generator_rows(sdef: StructureDef, chain: SpanChain):
     """Symbolic coefficient rows (in the first-integral coframe) of the kept
-    hull generators, recomputed exactly from the recorded words."""
+    hull generators, recomputed exactly from the recorded words.
+
+    The entries are in breadth-first order and a kept word's parent (the
+    word without its leftmost, last-applied letter) is always kept, so each
+    section is its parent's section differentiated once: the same RatFun
+    operations as ``apply_word``, without redoing the shared prefixes."""
     frame = build_frame(sdef)
     thetas = [characteristic_form(sdef, kv) for kv in chain.kernel]
+    sections = {}
     rows = []
     for word, si, _ in chain.entries:
-        sec = apply_word(sdef, thetas[si], word, frame=frame)
+        if word:
+            sec = lie_derivative(sdef, frame[word[0]], sections[(word[1:], si)])
+        else:
+            sec = thetas[si]
+        sections[(word, si)] = sec
         rows.append(((word, si), sec.components()))
     return rows
 

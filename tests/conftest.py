@@ -101,3 +101,30 @@ def rand_flat_bundle(rng: random.Random, base, r):
     vars = base[0].vars
     T = rand_invertible_matrix(rng, r, vars)
     return frame_change(VBundle.trivial(base, r), T), T
+
+
+# -- structures whose det W_s is not constant ----------------------------------
+
+
+def s2_structure(d):
+    """phi_k = s1 t1^2 + t1^(k+1), k = 1..d: det W_s = 1 + i t1^2."""
+    from involucalc.structure import StructureDef, structure_vars
+
+    vars = structure_vars(0, d, 1)
+    s1t2 = Poly.var(vars, "s1") * Poly.var(vars, "t1", 2)
+    return StructureDef(0, d, 1, tuple(s1t2 + Poly.var(vars, "t1", k + 1) for k in range(1, d + 1)))
+
+
+def s1_structure():
+    """nu = 1, d = 3, mu = 2 with phi = (t1^3/3 + x1^2 t2^2 + s1 t1^2,
+    t1^2 t2 + y1^2 t1^2, t2^4 + x1 y1 t1 t2 + s2^2): det W_s depends on t1 and s2."""
+    from involucalc.structure import StructureDef, structure_vars
+
+    vars = structure_vars(1, 3, 2)
+    x1, y1, s1, s2, t1, t2 = (Poly.var(vars, v) for v in ("x1", "y1", "s1", "s2", "t1", "t2"))
+    phi = (
+        t1 * t1 * t1 * Fraction(1, 3) + x1 * x1 * t2 * t2 + s1 * t1 * t1,
+        t1 * t1 * t2 + y1 * y1 * t1 * t1,
+        t2 * t2 * t2 * t2 + x1 * y1 * t1 * t2 + s2 * s2,
+    )
+    return StructureDef(1, 3, 2, phi)

@@ -90,6 +90,50 @@ def test_ratfun_trailing_denominator_normalization():
     assert f.den.constant_term() == GaussRat(1)
 
 
+def test_ratfun_sum_keeps_the_common_denominator_power():
+    vars = ("u", "v")
+    u, v = P(vars, "u"), P(vars, "v")
+    f = Poly.one(vars) + u * v * GaussRat(0, 1)  # a unit at the origin
+    a, b = RatFun(u, f), RatFun(v, f)
+    assert (a + b).den == f  # lifted to the larger power, not multiplied
+    assert (a * b).den == f * f
+    assert a.diff("u").den == f * f  # quotient rule at power 2, not f^2 * f^2
+    g = RatFun(u, Poly.one(vars) + v)
+    assert g.diff("u").den == Poly.one(vars) + v  # the factor does not depend on u
+
+
+def test_ratfun_equality_across_factorizations():
+    vars = ("u", "v")
+    u, v = P(vars, "u"), P(vars, "v")
+    f = Poly.one(vars) + u + v * v
+    assert RatFun(u, f) == RatFun(u * f, f * f)
+    assert RatFun(u, f) != RatFun(v, f)
+    assert RatFun(u, f) - RatFun(u * f, f * f) == 0
+
+
+def test_ratfun_conjugate_and_coordinate_factors():
+    vars = ("u", "v")
+    u = P(vars, "u")
+    i = GaussRat(0, 1)
+    a = RatFun(Poly.one(vars), Poly.one(vars) + u * i)
+    assert a.conjugate() == RatFun(Poly.one(vars), Poly.one(vars) - u * i)
+    assert (a + a.conjugate()).den == Poly.one(vars) + u * u
+    # a coordinate in the denominator cancels against the numerator
+    assert (RatFun(Poly.one(vars), u * u) * u * u).is_polynomial()
+    assert (RatFun(Poly.one(vars), u) * u).as_poly() == Poly.one(vars)
+
+
+@given(unit_ratfuns(), unit_ratfuns())
+@settings(max_examples=40)
+def test_ratfun_factored_arithmetic_is_a_differential_field(f, g):
+    assert (f + g).value_at_origin() == f.value_at_origin() + g.value_at_origin()
+    assert (f * g).value_at_origin() == f.value_at_origin() * g.value_at_origin()
+    assert (f * g).diff("u") == f.diff("u") * g + f * g.diff("u")
+    assert (f + g).diff("v") - g.diff("v") == f.diff("v")
+    if not g.is_zero():
+        assert (f / g) * g == f
+
+
 @given(unit_ratfuns(), unit_ratfuns())
 @settings(max_examples=40)
 def test_ratfun_jet_is_multiplicative(f, g):

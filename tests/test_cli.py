@@ -94,6 +94,41 @@ def test_parse_error_nonpositive_width_position(block, col):
     assert "positive" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "body, line, col",
+    [
+        ("[phi]\nt1^2 + s1*t1^100000\n", 4, 14),
+        ("[phi]\nt1^65\n", 4, 4),
+        ("[phi]\nt1^2\n[fbi]\ngrid = 1025\n", 6, 8),
+        ("[phi]\nt1^2\n[approx]\nnx = 3\ngrid = 39\n", 7, 8),
+        ("[phi]\nt1^2\n[approx]\ngrid = 39\nnx = 3\n", 7, 6),
+    ],
+)
+def test_parse_error_limit_position(body, line, col):
+    bad = "[dims]\nnu = 0 d = 1 mu = 1\n" + body
+    with pytest.raises(ParseError) as exc:
+        parse_structure(bad)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_parse_error_dimension_limit_position():
+    with pytest.raises(ParseError) as exc:
+        parse_structure("[dims]\nnu = 100 d = 1 mu = 1\n[phi]\nt1^2\n")
+    assert (exc.value.line, exc.value.col) == (2, 6)
+    assert "from 0 to 16" in str(exc.value)
+
+
+def test_grammar_limits_admit_their_bounds():
+    # the largest admitted values parse; the limits are inclusive
+    text = (
+        "[dims]\nnu = 0 d = 1 mu = 16\n[phi]\nt1^64\n"
+        "[approx]\nnx = 2\norder = 16\ngrid = 65\n"
+        "[fbi]\ngrid = 1024\ndirs = 256\n"
+    )
+    sf = parse_structure(text)
+    assert (sf.sdef.mu, sf.approx.grid, sf.fbi.grid, sf.fbi.dirs) == (16, 65, 1024, 256)
+
+
 def test_dimension_mismatch():
     bad = "[dims]\nnu = 0 d = 2 mu = 1\n[phi]\nt1^2\nt1^3\nt1^4\n"
     with pytest.raises(DimensionMismatch):
@@ -254,6 +289,21 @@ APPROX_FILE = MINIMAL_FILE + "[approx]\norder = 2\ngrid = 5\n"
         (APPROX_FILE, ["approx", "--box", "nan"]),
         (APPROX_FILE, ["approx", "--grid", "0"]),
         (APPROX_FILE, ["approx", "--order", "-1"]),
+        ("[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^100000\n", ["analyze"]),
+        ("[dims]\nnu = 100 d = 1 mu = 1\n[phi]\nt1^2\n", ["analyze"]),
+        ("[dims]\nnu = 0 d = 1 mu = 17\n[phi]\nt1^2\n", ["autosys"]),
+        (MINIMAL_FILE + "[fbi]\ngrid = 100000\n", ["wavefront"]),
+        (MINIMAL_FILE + "[fbi]\ndirs = 100000\n", ["analyze"]),
+        (MINIMAL_FILE + "[approx]\ngrid = 100000\n", ["approx"]),
+        (MINIMAL_FILE + "[approx]\nnx = 4\n", ["approx"]),
+        (MINIMAL_FILE + "[approx]\nnx = 3\ngrid = 65\n", ["approx"]),
+        (MINIMAL_FILE + "[approx]\norder = 100\n", ["analyze"]),
+        (MINIMAL_FILE + "[bundle]\nrank = 100\n", ["analyze"]),
+        (APPROX_FILE, ["approx", "--grid", "100000"]),
+        (MINIMAL_FILE + "[approx]\nnx = 3\ngrid = 5\n", ["approx", "--grid", "65"]),
+        (APPROX_FILE, ["approx", "--order", "100"]),
+        (MINIMAL_FILE, ["wavefront", "--dirs", "100000"]),
+        (MINIMAL_FILE, ["wavefront", "--radii", "1:100:100000"]),
     ],
     ids=[
         "double-caret",
@@ -285,6 +335,21 @@ APPROX_FILE = MINIMAL_FILE + "[approx]\norder = 2\ngrid = 5\n"
         "option-box-nan",
         "option-grid-zero",
         "option-order-negative",
+        "exponent-too-large",
+        "dims-nu-too-large",
+        "dims-mu-too-large",
+        "fbi-grid-too-large",
+        "fbi-dirs-too-large",
+        "approx-grid-too-large",
+        "approx-nx-too-large",
+        "approx-samples-too-many",
+        "approx-order-too-large",
+        "bundle-rank-too-large",
+        "option-grid-too-large",
+        "option-grid-samples-too-many",
+        "option-order-too-large",
+        "option-dirs-too-large",
+        "option-radii-count-too-large",
     ],
 )
 def test_cli_exit_code_on_parse_error(tmp_path, capsys, text, argv):
@@ -337,6 +402,45 @@ def test_cli_approx(tmp_path, capsys):
     assert code == 0
     assert "R_0" in out
     assert "plateau radius" in out
+
+
+def test_cli_approx_rejects_nonfinite_samples(tmp_path, capsys):
+    # box edges of 1e308 overflow the sample grid into NaN, which a plain
+    # max() fold drops: the plan used to read a sampled constant 0 for x1^2
+    f = tmp_path / "approx.struct"
+    f.write_text(MINIMAL_FILE + "[approx]\nnx = 1\norder = 3\nb = -t\nu0 = x1^2\n")
+    code, out, err = run_cli(["approx", str(f), "--box", "1e308"], capsys)
+    assert code == 1
+    assert "[approx] sampled derivative is not finite" in err
+    assert "Traceback" not in err
+    assert "R_0" not in out
+
+
+def test_report_header_echoes_block_settings(tmp_path, capsys):
+    f = tmp_path / "full.struct"
+    f.write_text(
+        MINIMAL_FILE + "[approx]\nnx = 1\norder = 3\ngrid = 9\nb = -t\nu0 = x1\n"
+        "[fbi]\nkappa = 1\ngrid = 64\ndirs = 2\nradii = 1:100:5\n"
+    )
+    code, out, err = run_cli(["analyze", str(f)], capsys)
+    assert code == 0
+    header = out.split("# options:")[0]
+    for line in ("kappa = 1", "grid = 9", "scan_grid = 64", "approx_order = 3", "n_dirs = 2", "radii = 1:100:5"):
+        assert f"#   {line}\n" in header
+    code, out, err = run_cli(["analyze", str(f), "--machine"], capsys)
+    assert "config.scan_grid=64\n" in out and "config.radii=1:100:5\n" in out
+    # no block: the defaults
+    f.write_text(MINIMAL_FILE)
+    code, out, err = run_cli(["analyze", str(f)], capsys)
+    assert "#   grid = 33\n" in out and "#   radii = 6/5:120:7\n" in out
+
+
+def test_cli_wavefront_header_echoes_overrides(tmp_path, capsys):
+    f = tmp_path / "scan.struct"
+    f.write_text(MINIMAL_FILE + "[fbi]\ngrid = 32\ndirs = 4\nradii = 1:100:5\n")
+    code, out, err = run_cli(["wavefront", str(f), "--kappa", "1", "--radii", "2:200:4"], capsys)
+    assert code == 0
+    assert out.splitlines()[1] == "# wavefront kappa 1, dirs 4, radii 2:200:4, grid 32, halfwidth 1/2"
 
 
 def test_cli_approx_rejects_nonzero_residuals(tmp_path, capsys, monkeypatch):

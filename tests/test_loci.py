@@ -11,17 +11,25 @@ from involucalc.catalog import (
     monomial_structure,
     three_quadrics,
 )
-from involucalc.hull import hull_chain
+from involucalc.hull import apply_word, hull_chain
 from involucalc.loci import (
     NotMonomialTimesUnit,
     ZeroPolynomial,
     degeneracy_locus_check,
     exceptional_locus_check,
+    hull_generator_rows,
     monomial_unit_factor,
     verify_witness,
 )
-from involucalc.structure import KernelVector, StructureDef, kernel_vectors
-from conftest import rand_poly
+from involucalc.structure import (
+    KernelVector,
+    StructureDef,
+    build_frame,
+    characteristic_form,
+    jacobians,
+    kernel_vectors,
+)
+from conftest import rand_poly, s1_structure, s2_structure
 
 
 # -- monomial-times-unit factorization ----------------------------------------
@@ -163,3 +171,42 @@ def test_degeneracy_established_for_disk_weighted():
     v = degeneracy_locus_check(sdef, chain)
     assert v.established
     assert verify_witness(v)
+
+
+# -- hull generator rows -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, k_max", [("s2-d3", 3), ("s1", 4)])
+def test_hull_rows_carry_det_to_at_most_word_length_plus_one(name, k_max):
+    # each derivative along a frame field raises the det W_s power by at most one
+    sdef = s2_structure(3) if name == "s2-d3" else s1_structure()
+    det = jacobians(sdef).det_w_s
+    powers = [Poly.one(sdef.vars)]
+    for _ in range(k_max + 1):
+        powers.append(powers[-1] * det)
+    chain = hull_chain(sdef, kernel_vectors(sdef), k_max=k_max)
+    rows = hull_generator_rows(sdef, chain)
+    assert max(len(word) for (word, _), _ in rows) == k_max
+    for (word, _), comps in rows:
+        for c in comps:
+            assert c.den in powers[: len(word) + 2]
+
+
+@pytest.mark.parametrize("name", ["s2-d3", "disk"])
+def test_hull_rows_match_apply_word(name):
+    # rows are built from their parent word's row; they must equal the
+    # section recomputed from the start form along the whole word
+    sdef = s2_structure(3) if name == "s2-d3" else disk_weighted_powers(1, 2)
+    kernel = kernel_vectors(sdef)
+    if name == "disk":
+        vars = sdef.vars
+        kernel = [KernelVector(sdef, (Poly.var(vars, "t1", 2), -Poly.var(vars, "t1")))]
+    chain = hull_chain(sdef, kernel, k_max=4)
+    frame = build_frame(sdef)
+    thetas = [characteristic_form(sdef, kv) for kv in chain.kernel]
+    rows = hull_generator_rows(sdef, chain)
+    assert [key for key, _ in rows] == [(w, si) for w, si, _ in chain.entries]
+    assert any(len(w) >= 2 for w, _, _ in chain.entries)
+    for (word, si), comps in rows:
+        expect = apply_word(sdef, thetas[si], word, frame=frame).components()
+        assert all(a == b for a, b in zip(comps, expect))

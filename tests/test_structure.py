@@ -366,6 +366,20 @@ def test_w_s_inverse_exact():
     assert jac.det_w_s.constant_term() == GaussRat(1)
 
 
+@pytest.mark.parametrize("name", ["s2-d3", "s1"])
+def test_frame_coefficients_carry_det_to_the_first_power(name):
+    # N_k = sum_l (tW_s^-1)_kl d/ds_l: every coefficient lies in
+    # det W_s^-1 Q(i)[coords], so a sum of such terms needs no det^2
+    from conftest import s1_structure, s2_structure
+
+    sdef = s2_structure(3) if name == "s2-d3" else s1_structure()
+    det = jacobians(sdef).det_w_s
+    assert not det.is_constant()
+    for L in build_frame(sdef):
+        for c in L.coeffs.values():
+            assert c.den in (Poly.one(sdef.vars), det)
+
+
 def test_vector_field_is_a_derivation():
     import random as _random
     from conftest import rand_poly
