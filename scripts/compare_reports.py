@@ -2,17 +2,17 @@
 """Compare the reports of two source trees on the benchmark's inputs.
 
     python3 scripts/compare_reports.py PARENT_SRC CHANGE_SRC [--seed N]
-        [--workload NAME ...] [--timeout S]
 
 PARENT_SRC and CHANGE_SRC are checkouts (or their ``src`` directories).
 The inputs of each workload are taken from ``perfbench/workloads.py`` of the
 checkout that holds this script, which is imported without writing to it
 (the catalog inputs are generated with CHANGE_SRC's package).
-Every input runs once under each tree, each in a fresh interpreter in the
-same scratch directory, so paths echoed in a report agree.  Inputs whose
+Every input of every workload runs once under each tree, each in a fresh
+interpreter in the same scratch directory, so paths echoed in a report agree.  Inputs whose
 standard output, standard error or exit code differ are printed with a
-unified diff; inputs that exceed their time limit under either tree are
-listed as not compared.  The exit code is 1 if any input differs."""
+unified diff; inputs that exceed their time limit under either tree (the
+benchmark's cap, or TIMEOUT_S for inputs it does not cap) are listed as not
+compared.  The exit code is 1 if any input differs."""
 
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+TIMEOUT_S = 120.0  # per run, for inputs without a cap of their own
 RUNNER = "import sys; from involucalc.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -71,24 +72,18 @@ def main(argv=None):
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--workload", action="append", help="default: every workload")
-    ap.add_argument(
-        "--timeout", type=float, default=120.0,
-        help="seconds per run for inputs the benchmark times; capped inputs keep their cap",
-    )
     args = ap.parse_args(argv)
     trees = (_src_dir(args.parent), _src_dir(args.change))
     workloads = _load_workloads(trees[1])
-    names = args.workload or list(workloads)
     compared = differ = 0
     skipped = []
     with tempfile.TemporaryDirectory(prefix="compare_reports_") as tmp:
-        for wl in names:
-            for inp in workloads[wl](args.seed):
+        for wl, make_inputs in workloads.items():
+            for inp in make_inputs(args.seed):
                 path = Path(tmp) / f"{inp.name}.txt"
                 path.write_text(inp.text)
                 label = f"{wl}/{inp.name}"
-                limit = inp.cap_s if inp.cap_s is not None else args.timeout
+                limit = inp.cap_s if inp.cap_s is not None else TIMEOUT_S
                 results = [_run(src, inp.argv(path.name), tmp, limit) for src in trees]
                 if None in results:
                     side = " and ".join(t for t, r in zip(("parent", "change"), results) if r is None)

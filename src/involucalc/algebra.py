@@ -13,11 +13,11 @@ Conventions used throughout the package:
 * All variables denote real coordinates.  Complex conjugation therefore acts
   on coefficients only.
 * Rational functions are num / (f_1^p_1 ... f_m^p_m) with the denominator
-  kept factored over registered polynomials (det W_s and the like; see
-  ``RatFun``).  Equality is decided by cross multiplication.  Coordinates in
-  the denominator cancel against the numerator's monomial content and every
-  factor has trailing (lowest-order) coefficient 1; no multivariate GCD is
-  attempted.
+  kept factored over the polynomials it divides by (det W_s and the like;
+  see ``RatFun``).  Equality is decided by cross multiplication.
+  Coordinates in the denominator cancel against the numerator's monomial
+  content and every factor has trailing (lowest-order) coefficient 1; no
+  multivariate GCD is attempted.
 * A jet (Taylor expansion at the origin truncated at total degree k) is a
   plain ``Poly`` of degree <= k; the caller keeps k and multiplies jets with
   ``mul_truncated``.
@@ -25,7 +25,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import operator
+import weakref
 from fractions import Fraction
 
 
@@ -421,55 +423,62 @@ class Poly:
         return " + ".join(parts)
 
 
-class _FactorTable:
-    """The polynomials that occur as denominator factors, each stored once
-    under a small ordinal so that denominators combine by ordinal rather than
-    by polynomial equality.  A factor is either a single coordinate or a
-    polynomial without monomial content whose trailing coefficient is 1.
-    Powers, partial derivatives and conjugates are cached per factor."""
+class _Factor:
+    """One denominator factor: a single coordinate, or a polynomial without
+    monomial content whose trailing coefficient is 1.  Its powers, partial
+    derivatives and conjugate are cached on it, so the cache lives exactly
+    as long as some RatFun (or a conjugate factor) still holds the factor."""
 
-    def __init__(self):
-        self.polys = []  # ordinal -> factor
-        self.ordinals = {}  # factor -> ordinal
-        self.coord = []  # ordinal -> position of a single-coordinate factor, else None
-        self.powers = []  # ordinal -> [f^0, f^1, ...] computed so far
-        self.diffs = {}  # (ordinal, name) -> df/dname
-        self.conj = {}  # ordinal -> ordinal of the conjugate factor
+    __slots__ = ("poly", "key", "coord", "pows", "diffs", "conj", "__weakref__")
 
-    def ordinal(self, f: Poly) -> int:
-        i = self.ordinals.get(f)
-        if i is None:
-            i = self.ordinals[f] = len(self.polys)
-            self.polys.append(f)
-            self.coord.append(next(iter(f.terms)).index(1) if len(f.terms) == 1 else None)
-            self.powers.append([Poly.one(f.vars), f])
-        return i
+    def __init__(self, poly: Poly, key: int):
+        self.poly = poly
+        self.key = key  # creation order; powers tuples are sorted by it
+        # position of a single-coordinate factor, else None
+        self.coord = next(iter(poly.terms)).index(1) if len(poly.terms) == 1 else None
+        self.pows = [Poly.one(poly.vars), poly]  # [f^0, f^1, ...] computed so far
+        self.diffs = {}  # name -> df/dname
+        self.conj = None
 
-    def power(self, i, k) -> Poly:
-        pw = self.powers[i]
+    def power(self, k) -> Poly:
+        pw = self.pows
         while len(pw) <= k:
             pw.append(pw[-1] * pw[1])
         return pw[k]
 
-    def diff(self, i, name) -> Poly:
-        d = self.diffs.get((i, name))
+    def diff(self, name) -> Poly:
+        d = self.diffs.get(name)
         if d is None:
-            d = self.diffs[(i, name)] = self.polys[i].diff(name)
+            d = self.diffs[name] = self.poly.diff(name)
         return d
 
-    def conjugate(self, i) -> int:
-        j = self.conj.get(i)
-        if j is None:
-            j = self.conj[i] = self.ordinal(self.polys[i].conjugate())
-        return j
+    def conjugate(self) -> "_Factor":
+        if self.conj is None:
+            self.conj = _factor(self.poly.conjugate())
+        return self.conj
 
 
-_FACTORS = _FactorTable()
+# Each polynomial that is a denominator factor of a live RatFun has one
+# _Factor, so denominators combine by identity rather than by polynomial
+# equality; a factor no RatFun holds any more is dropped with its cache.
+_LIVE_FACTORS = weakref.WeakValueDictionary()
+_FACTOR_KEYS = itertools.count()
+
+
+def _factor(f: Poly) -> _Factor:
+    fac = _LIVE_FACTORS.get(f)
+    if fac is None:
+        fac = _LIVE_FACTORS[f] = _Factor(f, next(_FACTOR_KEYS))
+    return fac
+
+
+def _by_key(item):
+    return item[0].key
 
 
 def _split_denominator(den: Poly):
-    """(c, powers) with den = c * prod f_i^p_i over registered factors f_i;
-    ``powers`` is a sorted tuple of (ordinal, p)."""
+    """(c, powers) with den = c * prod f_i^p_i over factors f_i; ``powers``
+    is a tuple of (_Factor, p) sorted by factor key."""
     vars = den.vars
     mono = den.min_exponents()
     if any(mono):
@@ -477,11 +486,11 @@ def _split_denominator(den: Poly):
     _, c = den.trailing_term()
     powers = {}
     if not den.is_constant():
-        powers[_FACTORS.ordinal(den * (ONE / c) if c != ONE else den)] = 1
+        powers[_factor(den * (ONE / c) if c != ONE else den)] = 1
     for j, k in enumerate(mono):
         if k:
-            powers[_FACTORS.ordinal(Poly.var(vars, vars[j]))] = k
-    return c, tuple(sorted(powers.items()))
+            powers[_factor(Poly.var(vars, vars[j]))] = k
+    return c, tuple(sorted(powers.items(), key=_by_key))
 
 
 def _merge_powers(a, b, op):
@@ -491,9 +500,9 @@ def _merge_powers(a, b, op):
     if not a:
         return b
     out = dict(a)
-    for i, p in b:
-        out[i] = op(out.get(i, 0), p)
-    return tuple(sorted(out.items()))
+    for f, p in b:
+        out[f] = op(out.get(f, 0), p)
+    return tuple(sorted(out.items(), key=_by_key))
 
 
 def _lift(num: Poly, have, want) -> Poly:
@@ -501,20 +510,20 @@ def _lift(num: Poly, have, want) -> Poly:
     if have == want:
         return num
     have = dict(have)
-    for i, p in want:
-        k = p - have.get(i, 0)
+    for f, p in want:
+        k = p - have.get(f, 0)
         if k:
-            num = num * _FACTORS.power(i, k)
+            num = num * f.power(k)
     return num
 
 
 class RatFun:
     """Rational function num / (f_1^p_1 ... f_m^p_m) over the same variables.
 
-    The denominator is kept factored over registered factors (see
-    ``_FactorTable``): a structure's coefficients live in the localisation
-    Q(i)[coords][1/det W_s], so det W_s, its conjugate and any other divisor
-    (a bundle's det T, say) each become one factor with a power.  Sums lift
+    The denominator is kept factored (see ``_Factor``): a structure's
+    coefficients live in the localisation Q(i)[coords][1/det W_s], so det W_s,
+    its conjugate and any other divisor (a bundle's det T, say) each become
+    one factor with a power.  Sums lift
     both sides to the per-factor maximum power, products add powers, and
     ``diff`` raises the power of each factor that depends on the variable by
     one.  Coordinate factors cancel against the numerator's monomial content;
@@ -574,17 +583,17 @@ class RatFun:
         """The expanded denominator; its trailing coefficient is 1."""
         if self._den is None:
             d = Poly.one(self.vars)
-            for i, p in self.powers:
-                d = d * _FACTORS.power(i, p)
+            for f, p in self.powers:
+                d = d * f.power(p)
             object.__setattr__(self, "_den", d)
         return self._den
 
     def power_of(self, unit: Poly):
         """(num, p) with self == num / unit^p, when the denominator is a
-        power of the registered factor ``unit``."""
+        power of the factor ``unit``."""
         if not self.powers:
             return self.num, 0
-        if len(self.powers) > 1 or _FACTORS.polys[self.powers[0][0]] != unit:
+        if len(self.powers) > 1 or self.powers[0][0].poly != unit:
             raise AlgebraError("denominator is not a power of the given factor")
         return self.num, self.powers[0][1]
 
@@ -601,10 +610,6 @@ class RatFun:
 
     def __add__(self, other):
         other = RatFun.of(other, self.vars)
-        if not other.num.terms:
-            return self
-        if not self.num.terms:
-            return other
         want = _merge_powers(self.powers, other.powers, max)
         return RatFun._make(
             _lift(self.num, self.powers, want) + _lift(other.num, other.powers, want),
@@ -623,8 +628,6 @@ class RatFun:
         return RatFun.of(other, self.vars) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            return RatFun._make(self.num * other, self.powers)
         other = RatFun.of(other, self.vars)
         return RatFun._make(
             self.num * other.num, _merge_powers(self.powers, other.powers, operator.add)
@@ -660,26 +663,25 @@ class RatFun:
         # (n / prod f^p)' = (n' prod_S f - n sum_S p f' prod_{S-f} f) / prod f^(p + [f in S]),
         # S the factors that depend on ``name``
         num = self.num.diff(name)
-        moving = [(i, p, _FACTORS.diff(i, name)) for i, p in self.powers]
+        moving = [(f, p, f.diff(name)) for f, p in self.powers]
         moving = [m for m in moving if m[2].terms]
         if not moving:
             return RatFun._make(num, self.powers)
-        polys = _FACTORS.polys
-        for i, _, _ in moving:
-            num = num * polys[i]
-        for i, p, df in moving:
+        for f, _, _ in moving:
+            num = num * f.poly
+        for f, p, df in moving:
             term = self.num * (df * p)
-            for j, _, _ in moving:
-                if j != i:
-                    term = term * polys[j]
+            for g, _, _ in moving:
+                if g is not f:
+                    term = term * g.poly
             num = num - term
-        bump = {i for i, _, _ in moving}
+        bump = {f for f, _, _ in moving}
         return RatFun._make(
-            num, tuple((i, p + 1 if i in bump else p) for i, p in self.powers)
+            num, tuple((f, p + 1 if f in bump else p) for f, p in self.powers)
         )
 
     def conjugate(self) -> "RatFun":
-        powers = tuple(sorted((_FACTORS.conjugate(i), p) for i, p in self.powers))
+        powers = tuple(sorted(((f.conjugate(), p) for f, p in self.powers), key=_by_key))
         return RatFun._make(self.num.conjugate(), powers)
 
     def evaluate(self, point) -> GaussRat:
@@ -702,20 +704,19 @@ class RatFun:
 
 def _cancel_coordinates(num: Poly, powers):
     """Cancel single-coordinate factors against the numerator's monomial content."""
-    coord = _FACTORS.coord
-    if all(coord[i] is None for i, _ in powers):
+    if all(f.coord is None for f, _ in powers):
         return num, powers
     lo = num.min_exponents()
     shift = [0] * len(lo)
     kept = []
-    for i, p in powers:
-        j = coord[i]
+    for f, p in powers:
+        j = f.coord
         if j is not None and lo[j]:
             k = min(p, lo[j])
             shift[j] = k
             p -= k
         if p:
-            kept.append((i, p))
+            kept.append((f, p))
     if any(shift):
         num = num.shift_divide(shift)
     return num, tuple(kept)

@@ -64,12 +64,16 @@ from .structure import (
 
 
 # Upper limits of the file grammar's integers (README, "Structure files"),
-# far above every catalog, benchmark and test input, so that no file can ask
-# for a computation that exhausts the machine.
+# above every catalog, benchmark and test input.  At each limit the step the
+# setting controls stays within about 15 s on a 2-core Xeon, although the
+# cofactor determinants of size d and rank are factorial: det and adjugate
+# of a dense 7 x 7 W_s take 14 s there, of an 8 x 8 one 132 s.
+# They bound single settings, not the whole run: k_max and the size of an
+# expanded polynomial are not limited.
 LIMITS = {
     "exponent": 64,  # ^ in a polynomial
-    "dimension": 16,  # each of nu, d and mu
-    "rank": 8,  # [bundle] rank
+    "dimension": 7,  # each of nu, d and mu
+    "rank": 7,  # [bundle] rank
     "nx": 3,  # [approx] nx
     "order": 16,  # [approx] order and --order
     "grid": 65,  # [approx] grid and --grid

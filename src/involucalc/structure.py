@@ -165,7 +165,7 @@ def _jacobians_cached(sdef: StructureDef) -> PhiJacobians:
     if d:
         w_det = det([list(r) for r in w_s])
         adj = adjugate([list(r) for r in w_s])
-        # RatFun registers w_det as a denominator factor, so frame
+        # w_det becomes one RatFun denominator factor, so frame
         # coefficients and their derivatives stay numerator / w_det^p
         inv = tuple(
             tuple(RatFun(adj[k][m], w_det) for m in range(d)) for k in range(d)

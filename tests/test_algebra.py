@@ -123,6 +123,22 @@ def test_ratfun_conjugate_and_coordinate_factors():
     assert (RatFun(Poly.one(vars), u) * u).as_poly() == Poly.one(vars)
 
 
+def test_ratfun_factor_cache_is_dropped_with_its_last_holder():
+    import gc
+
+    from involucalc import algebra
+
+    vars = ("u", "v")
+    f = Poly.one(vars) + P(vars, "u") * 7 + P(vars, "v") ** 5 * 11
+    a = RatFun(Poly.one(vars), f)
+    b = a + RatFun(P(vars, "v"), f)  # shares the factor of f, power 1
+    assert b.den == f and b.diff("u").den == f * f
+    assert f in algebra._LIVE_FACTORS
+    del a, b
+    gc.collect()
+    assert f not in algebra._LIVE_FACTORS
+
+
 @given(unit_ratfuns(), unit_ratfuns())
 @settings(max_examples=40)
 def test_ratfun_factored_arithmetic_is_a_differential_field(f, g):

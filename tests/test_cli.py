@@ -115,18 +115,21 @@ def test_parse_error_dimension_limit_position():
     with pytest.raises(ParseError) as exc:
         parse_structure("[dims]\nnu = 100 d = 1 mu = 1\n[phi]\nt1^2\n")
     assert (exc.value.line, exc.value.col) == (2, 6)
-    assert "from 0 to 16" in str(exc.value)
+    assert "from 0 to 7" in str(exc.value)
 
 
 def test_grammar_limits_admit_their_bounds():
     # the largest admitted values parse; the limits are inclusive
     text = (
-        "[dims]\nnu = 0 d = 1 mu = 16\n[phi]\nt1^64\n"
+        "[dims]\nnu = 0 d = 1 mu = 7\n[phi]\nt1^64\n"
+        "[bundle]\nrank = 7\n"
         "[approx]\nnx = 2\norder = 16\ngrid = 65\n"
         "[fbi]\ngrid = 1024\ndirs = 256\n"
     )
     sf = parse_structure(text)
-    assert (sf.sdef.mu, sf.approx.grid, sf.fbi.grid, sf.fbi.dirs) == (16, 65, 1024, 256)
+    assert (sf.sdef.mu, sf.bundle.rank, sf.approx.grid, sf.fbi.grid, sf.fbi.dirs) == (
+        7, 7, 65, 1024, 256
+    )
 
 
 def test_dimension_mismatch():
@@ -291,14 +294,14 @@ APPROX_FILE = MINIMAL_FILE + "[approx]\norder = 2\ngrid = 5\n"
         (APPROX_FILE, ["approx", "--order", "-1"]),
         ("[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^100000\n", ["analyze"]),
         ("[dims]\nnu = 100 d = 1 mu = 1\n[phi]\nt1^2\n", ["analyze"]),
-        ("[dims]\nnu = 0 d = 1 mu = 17\n[phi]\nt1^2\n", ["autosys"]),
+        ("[dims]\nnu = 0 d = 1 mu = 8\n[phi]\nt1^2\n", ["autosys"]),
         (MINIMAL_FILE + "[fbi]\ngrid = 100000\n", ["wavefront"]),
         (MINIMAL_FILE + "[fbi]\ndirs = 100000\n", ["analyze"]),
         (MINIMAL_FILE + "[approx]\ngrid = 100000\n", ["approx"]),
         (MINIMAL_FILE + "[approx]\nnx = 4\n", ["approx"]),
         (MINIMAL_FILE + "[approx]\nnx = 3\ngrid = 65\n", ["approx"]),
         (MINIMAL_FILE + "[approx]\norder = 100\n", ["analyze"]),
-        (MINIMAL_FILE + "[bundle]\nrank = 100\n", ["analyze"]),
+        (MINIMAL_FILE + "[bundle]\nrank = 8\n", ["analyze"]),
         (APPROX_FILE, ["approx", "--grid", "100000"]),
         (MINIMAL_FILE + "[approx]\nnx = 3\ngrid = 5\n", ["approx", "--grid", "65"]),
         (APPROX_FILE, ["approx", "--order", "100"]),
