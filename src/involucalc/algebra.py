@@ -7,9 +7,12 @@ Conventions used throughout the package:
 * Scalars are Gaussian rationals (complex numbers with ``Fraction`` real and
   imaginary parts), so every symbolic computation is exact.
 * A polynomial carries an explicit, ordered tuple of variable names.  Terms
-  map exponent tuples (one entry per variable) to nonzero scalars.  Operations
-  require both operands to live over the *same* variable tuple; this keeps
-  multi-index bookkeeping unambiguous across modules.
+  map exponent tuples (one entry per variable) to nonzero scalars; inside
+  ``Poly`` each exponent tuple is packed into one int and the coefficients
+  are Gaussian integers over one common denominator, so no ``Fraction`` is
+  made in its arithmetic loops.  Operations require both operands to live
+  over the *same* variable tuple; this keeps multi-index bookkeeping
+  unambiguous across modules.
 * All variables denote real coordinates.  Complex conjugation therefore acts
   on coefficients only.
 * Rational functions are num / (f_1^p_1 ... f_m^p_m) with the denominator
@@ -25,8 +28,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import operator
+import types
 import weakref
 from fractions import Fraction
 
@@ -152,42 +158,127 @@ def _deg_key(exps):
     return (sum(exps), exps)
 
 
+# Packed exponents (Monagan and Pearce, "Polynomial division using dynamic
+# arrays, heaps, and packed exponent vectors", CASC 2007): the exponent tuple
+# of a term over n variables is one int of n + 1 fields of _FIELD bits, the
+# total degree in the top field and variable 0 next, so int order is the
+# graded order of _deg_key.  The top bit of each field is a guard: no total
+# degree reaches _DEG_CAP, so adding two keys never carries between fields,
+# and a borrow out of a field sets its guard bit.
+_FIELD = 16
+_FMASK = (1 << _FIELD) - 1
+_DEG_CAP = 1 << (_FIELD - 1)
+
+
+class DegreeOverflow(AlgebraError):
+    """A total degree does not fit the packed exponent field."""
+
+
+_OVERFLOW = f"total degree exceeds {_DEG_CAP - 1}, the packed exponent limit"
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(n):
+    """(top-field shift, per-variable shifts, guard bits) for n variables."""
+    shifts = tuple(_FIELD * (n - 1 - j) for j in range(n))
+    return _FIELD * n, shifts, sum(1 << (s + _FIELD - 1) for s in shifts)
+
+
+def _pack(exps, n) -> int:
+    top, shifts, _ = _layout(n)
+    if len(exps) != n or any(k < 0 for k in exps):
+        raise ValueError("exponents must be one nonnegative integer per variable")
+    deg = sum(exps)
+    if deg >= _DEG_CAP:
+        raise DegreeOverflow(_OVERFLOW)
+    return (deg << top) + sum(k << s for k, s in zip(exps, shifts))
+
+
+def _unpack(key, shifts) -> tuple:
+    return tuple((key >> s) & _FMASK for s in shifts)
+
+
+def _gauss_int(c: GaussRat):
+    """(re, im, den) with c = (re + im*i) / den and den > 0 least."""
+    dr, di = c.re.denominator, c.im.denominator
+    d = math.lcm(dr, di)
+    return c.re.numerator * (d // dr), c.im.numerator * (d // di), d
+
+
 class Poly:
     """Sparse multivariate polynomial over GaussRat with a fixed variable
-    tuple.  Zero coefficients are never stored."""
+    tuple.
 
-    __slots__ = ("vars", "terms")
+    ``_t`` maps packed exponents (see ``_pack``) to Gaussian-integer
+    numerators (re, im), never (0, 0), over the common denominator ``_d`` > 0,
+    which shares no factor with all of them; this form is canonical.
+    ``terms`` is the read-only view exponent tuple -> GaussRat, built on first
+    use, in the same order."""
 
-    def __init__(self, vars, terms=None, _clean=True):
-        object.__setattr__(self, "vars", tuple(vars))
-        if terms is None:
-            terms = {}
-        if _clean:
-            cleaned = {}
-            for exps, c in terms.items():
-                c = GaussRat.of(c)
-                if len(exps) != len(self.vars):
-                    raise ValueError("exponent length does not match variables")
-                if not c.is_zero():
-                    cleaned[tuple(exps)] = c
-            terms = cleaned
-        object.__setattr__(self, "terms", terms)
+    __slots__ = ("vars", "_t", "_d", "_terms")
+
+    def __init__(self, vars, terms=None):
+        vars = tuple(vars)
+        cs = {}
+        for exps, c in (terms or {}).items():
+            c = GaussRat.of(c)
+            e = _pack(exps, len(vars))
+            if not c.is_zero():
+                cs[e] = _gauss_int(c)
+        d = math.lcm(*(c[2] for c in cs.values()))
+        self._set(vars, {e: (a * (d // k), b * (d // k)) for e, (a, b, k) in cs.items()}, d)
+
+    def _set(self, vars, t, d):
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "_t", t)
+        object.__setattr__(self, "_d", d)
+        object.__setattr__(self, "_terms", None)
+
+    @classmethod
+    def _new(cls, vars, t, d=1) -> "Poly":
+        """From packed terms already in canonical form."""
+        self = object.__new__(cls)
+        self._set(vars, t, d)
+        return self
+
+    @classmethod
+    def _reduced(cls, vars, t, d) -> "Poly":
+        """From packed terms without zeros, dividing out the common factor of
+        ``d`` and the numerators."""
+        if d != 1:
+            g = math.gcd(d, *itertools.chain.from_iterable(t.values()))
+            if g != 1:
+                d //= g
+                t = {e: (a // g, b // g) for e, (a, b) in t.items()}
+        return cls._new(vars, t, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    @property
+    def terms(self):
+        if self._terms is None:
+            shifts = _layout(len(self.vars))[1]
+            object.__setattr__(self, "_terms", types.MappingProxyType(
+                {_unpack(e, shifts): self._scalar(c) for e, c in self._t.items()}
+            ))
+        return self._terms
+
+    def _scalar(self, c) -> GaussRat:
+        return GaussRat(Fraction(c[0], self._d), Fraction(c[1], self._d))
+
     # -- constructors -----------------------------------------------------
     @classmethod
     def zero(cls, vars):
-        return cls(vars, {}, _clean=False)
+        return cls._new(tuple(vars), {})
 
     @classmethod
     def const(cls, vars, c):
         c = GaussRat.of(c)
         if c.is_zero():
             return cls.zero(vars)
-        z = (0,) * len(tuple(vars))
-        return cls(vars, {z: c}, _clean=False)
+        a, b, d = _gauss_int(c)
+        return cls._new(tuple(vars), {0: (a, b)}, d)
 
     @classmethod
     def one(cls, vars):
@@ -196,10 +287,9 @@ class Poly:
     @classmethod
     def var(cls, vars, name, power=1):
         vars = tuple(vars)
-        idx = vars.index(name)
         e = [0] * len(vars)
-        e[idx] = power
-        return cls(vars, {tuple(e): ONE}, _clean=False)
+        e[vars.index(name)] = power
+        return cls._new(vars, {_pack(e, len(vars)): (1, 0)})
 
     @classmethod
     def monomial(cls, vars, exps, c=ONE):
@@ -207,21 +297,20 @@ class Poly:
 
     # -- queries ----------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def constant_term(self) -> GaussRat:
-        return self.terms.get((0,) * len(self.vars), ZERO)
+        c = self._t.get(0)
+        return ZERO if c is None else self._scalar(c)
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max(self._t) >> _layout(len(self.vars))[0] if self._t else 0
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return not any(self._t)
 
     def is_real(self) -> bool:
-        return all(c.is_real() for c in self.terms.values())
+        return not any(b for _, b in self._t.values())
 
     def coefficient(self, exps) -> GaussRat:
         return self.terms.get(tuple(exps), ZERO)
@@ -231,28 +320,32 @@ class Poly:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
 
     # -- arithmetic -------------------------------------------------------
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         if isinstance(other, (int, Fraction, GaussRat)):
             other = Poly.const(self.vars, other)
         self._check(other)
-        res = dict(self.terms)
-        for e, c in other.terms.items():
-            s = res.get(e, ZERO) + c
-            if s.is_zero():
-                res.pop(e, None)
-            else:
-                res[e] = s
-        return Poly(self.vars, res, _clean=False)
+        d = math.lcm(self._d, other._d)
+        fp, fq = d // self._d, sign * (d // other._d)
+        res = dict(self._t) if fp == 1 else {e: (a * fp, b * fp) for e, (a, b) in self._t.items()}
+        for e, (a, b) in other._t.items():
+            a, b = a * fq, b * fq
+            old = res.get(e)
+            if old is not None:
+                a += old[0]
+                b += old[1]
+                if not (a or b):
+                    del res[e]
+                    continue
+            res[e] = (a, b)
+        return Poly._reduced(self.vars, res, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()}, _clean=False)
+        return Poly._new(self.vars, {e: (-a, -b) for e, (a, b) in self._t.items()}, self._d)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            other = Poly.const(self.vars, other)
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -262,20 +355,13 @@ class Poly:
             c = GaussRat.of(other)
             if c.is_zero():
                 return Poly.zero(self.vars)
-            return Poly(
-                self.vars, {e: k * c for e, k in self.terms.items()}, _clean=False
+            x, y, k = _gauss_int(c)
+            return Poly._reduced(
+                self.vars,
+                {e: (a * x - b * y, a * y + b * x) for e, (a, b) in self._t.items()},
+                self._d * k,
             )
-        self._check(other)
-        res = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = res.get(e, ZERO) + c1 * c2
-                if s.is_zero():
-                    res.pop(e, None)
-                else:
-                    res[e] = s
-        return Poly(self.vars, res, _clean=False)
+        return mul_truncated(self, other)
 
     __rmul__ = __mul__
 
@@ -287,8 +373,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -296,28 +383,25 @@ class Poly:
             other = Poly.const(self.vars, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self._d == other._d and self._t == other._t
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self._d, frozenset(self._t.items())))
 
     # -- calculus ---------------------------------------------------------
     def diff(self, name) -> "Poly":
-        idx = self.vars.index(name)
+        top, shifts, _ = _layout(len(self.vars))
+        s = shifts[self.vars.index(name)]
+        step = (1 << top) + (1 << s)
         res = {}
-        for e, c in self.terms.items():
-            k = e[idx]
-            if k == 0:
-                continue
-            ne = list(e)
-            ne[idx] = k - 1
-            res[tuple(ne)] = c * k
-        return Poly(self.vars, res, _clean=False)
+        for e, (a, b) in self._t.items():
+            k = (e >> s) & _FMASK
+            if k:
+                res[e - step] = (a * k, b * k)
+        return Poly._reduced(self.vars, res, self._d)
 
     def conjugate(self) -> "Poly":
-        return Poly(
-            self.vars, {e: c.conjugate() for e, c in self.terms.items()}, _clean=False
-        )
+        return Poly._new(self.vars, {e: (a, -b) for e, (a, b) in self._t.items()}, self._d)
 
     def real_part(self) -> "Poly":
         return (self + self.conjugate()) * HALF
@@ -343,40 +427,33 @@ class Poly:
     def shift_divide(self, exps) -> "Poly":
         """Exact division by the monomial with exponent ``exps``; every term
         must be divisible."""
+        shift = _pack(exps, len(self.vars))
+        guards = _layout(len(self.vars))[2]
         res = {}
-        for e, c in self.terms.items():
-            ne = tuple(a - b for a, b in zip(e, exps))
-            if any(k < 0 for k in ne):
+        for e, c in self._t.items():
+            ne = e - shift
+            if ne < 0 or ne & guards:
                 raise ValueError("not divisible by the requested monomial")
             res[ne] = c
-        return Poly(self.vars, res, _clean=False)
+        return Poly._new(self.vars, res, self._d)
 
     def min_exponents(self):
         """Componentwise minimum exponent over the support (the largest
         monomial dividing every term)."""
-        if not self.terms:
+        if not self._t:
             raise ValueError("zero polynomial has no support")
-        it = iter(self.terms)
-        m = list(next(it))
-        for e in it:
-            for j, k in enumerate(e):
-                if k < m[j]:
-                    m[j] = k
-        return tuple(m)
+        return tuple(min((e >> s) & _FMASK for e in self._t) for s in _layout(len(self.vars))[1])
 
     def trailing_term(self):
         """(exps, coeff) of the lowest-order term in the graded order."""
-        if not self.terms:
+        if not self._t:
             raise ValueError("zero polynomial has no trailing term")
-        e = min(self.terms, key=_deg_key)
-        return e, self.terms[e]
+        e = min(self._t)
+        return _unpack(e, _layout(len(self.vars))[1]), self._scalar(self._t[e])
 
     def truncate(self, order) -> "Poly":
-        return Poly(
-            self.vars,
-            {e: c for e, c in self.terms.items() if sum(e) <= order},
-            _clean=False,
-        )
+        lim = (order + 1) << _layout(len(self.vars))[0]
+        return Poly._reduced(self.vars, {e: c for e, c in self._t.items() if e < lim}, self._d)
 
     def rename_vars(self, new_vars, mapping=None) -> "Poly":
         """Re-express over a different variable tuple.
@@ -405,7 +482,7 @@ class Poly:
                 res.pop(key, None)
             else:
                 res[key] = s
-        return Poly(new_vars, res, _clean=False)
+        return Poly(new_vars, res)
 
     def __repr__(self):
         if not self.terms:
@@ -435,7 +512,7 @@ class _Factor:
         self.poly = poly
         self.key = key  # creation order; powers tuples are sorted by it
         # position of a single-coordinate factor, else None
-        self.coord = next(iter(poly.terms)).index(1) if len(poly.terms) == 1 else None
+        self.coord = next(iter(poly.terms)).index(1) if len(poly._t) == 1 else None
         self.pows = [Poly.one(poly.vars), poly]  # [f^0, f^1, ...] computed so far
         self.diffs = {}  # name -> df/dname
         self.conj = None
@@ -547,7 +624,7 @@ class RatFun:
         self._settle(num, powers)
 
     def _settle(self, num, powers):
-        if not num.terms:
+        if not num._t:
             powers = ()
         elif powers:
             num, powers = _cancel_coordinates(num, powers)
@@ -598,7 +675,7 @@ class RatFun:
         return self.num, self.powers[0][1]
 
     def is_zero(self) -> bool:
-        return not self.num.terms
+        return not self.num._t
 
     def is_polynomial(self) -> bool:
         return not self.powers
@@ -664,7 +741,7 @@ class RatFun:
         # S the factors that depend on ``name``
         num = self.num.diff(name)
         moving = [(f, p, f.diff(name)) for f, p in self.powers]
-        moving = [m for m in moving if m[2].terms]
+        moving = [m for m in moving if m[2]._t]
         if not moving:
             return RatFun._make(num, self.powers)
         for f, _, _ in moving:
@@ -722,25 +799,41 @@ def _cancel_coordinates(num: Poly, powers):
     return num, tuple(kept)
 
 
-def mul_truncated(p: Poly, q: Poly, order: int) -> Poly:
-    """p * q without the terms of total degree above ``order``; pairs whose
-    degrees already sum past ``order`` are never multiplied."""
+def mul_truncated(p: Poly, q: Poly, order=None) -> Poly:
+    """p * q without the terms of total degree above ``order`` (all of them
+    when ``order`` is None); pairs whose degrees already sum past ``order``
+    are never multiplied.  Raises DegreeOverflow when a kept term's degree
+    would not fit the packed field."""
     p._check(q)
+    pt, qt = p._t, q._t
+    top = _layout(len(p.vars))[0]
+    lim = _DEG_CAP << top
+    if order is not None and order < _DEG_CAP:
+        lim = (order + 1) << top
+    elif pt and qt and max(pt) + max(qt) >= lim:
+        raise DegreeOverflow(_OVERFLOW)
     res = {}
-    for e1, c1 in p.terms.items():
-        d1 = sum(e1)
-        if d1 > order:
+    get = res.get
+    qi = list(qt.items())
+    for e1, (a, b) in pt.items():
+        room = lim - e1
+        if room <= 0:
             continue
-        for e2, c2 in q.terms.items():
-            if d1 + sum(e2) > order:
+        for e2, (c, d) in qi:
+            if e2 >= room:
                 continue
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = res.get(e, ZERO) + c1 * c2
-            if s.is_zero():
-                res.pop(e, None)
-            else:
-                res[e] = s
-    return Poly(p.vars, res, _clean=False)
+            e = e1 + e2
+            re = a * c - b * d
+            im = a * d + b * c
+            old = get(e)
+            if old is not None:
+                re += old[0]
+                im += old[1]
+                if not (re or im):
+                    del res[e]
+                    continue
+            res[e] = (re, im)
+    return Poly._reduced(p.vars, res, p._d * q._d)
 
 
 def ratfun_jet(f: RatFun, order: int) -> Poly:
@@ -752,11 +845,7 @@ def ratfun_jet(f: RatFun, order: int) -> Poly:
         raise DenominatorVanishesAtBase("denominator vanishes at the base point")
     scale = ONE / c0
     # den = c0 (1 - u) with u(0) = 0, so 1/den = scale * sum_k u^k
-    u = Poly(
-        f.vars,
-        {e: -(c * scale) for e, c in f.den.terms.items() if 0 < sum(e) <= order},
-        _clean=False,
-    )
+    u = (f.den.truncate(order) - c0) * -scale
     inv = term = Poly.one(f.vars)
     for _ in range(order):
         term = mul_truncated(term, u, order)

@@ -320,6 +320,9 @@ class CutoffPlan:
         return float(Fraction(1, 2) / max(self.radii))
 
 
+# Overflowing samples are not warned about: every sampled sup is checked
+# below and a non-finite one raises PlanInfeasible.
+@np.errstate(over="ignore", invalid="ignore")
 def select_cutoff_plan(
     series: ApproxSeries, box_halfwidth=1.0, grid: int = 33
 ) -> CutoffPlan:

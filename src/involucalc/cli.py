@@ -33,7 +33,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import GaussRat, Poly, _deg_key
+from .algebra import AlgebraError, GaussRat, Poly, _deg_key
 from .approx import (
     NormalFormField,
     assemble_evaluator,
@@ -67,9 +67,10 @@ from .structure import (
 # above every catalog, benchmark and test input.  At each limit the step the
 # setting controls stays within about 15 s on a 2-core Xeon, although the
 # cofactor determinants of size d and rank are factorial: det and adjugate
-# of a dense 7 x 7 W_s take 14 s there, of an 8 x 8 one 132 s.
-# They bound single settings, not the whole run: k_max and the size of an
-# expanded polynomial are not limited.
+# of a dense 7 x 7 W_s take 1.1 s there, of an 8 x 8 one 11.6 s.
+# They bound single settings, not the whole run: the size of an expanded
+# polynomial is not limited.  The k_max limit also keeps every jet degree far
+# below the packed exponent field of algebra.Poly.
 LIMITS = {
     "exponent": 64,  # ^ in a polynomial
     "dimension": 7,  # each of nu, d and mu
@@ -81,6 +82,7 @@ LIMITS = {
     "scan_grid": 1024,  # [fbi] grid
     "dirs": 256,  # [fbi] dirs and --dirs
     "radii": 64,  # the count of an [fbi] radii spec and of --radii
+    "kmax": 20,  # --kmax
 }
 
 
@@ -245,7 +247,10 @@ class _ExprParser:
 
 
 def parse_poly_tokens(toks, vars) -> Poly:
-    return _ExprParser(toks, vars).parse()
+    try:
+        return _ExprParser(toks, vars).parse()
+    except AlgebraError as err:  # a degree past the packed exponent field
+        raise ParseError(str(err), toks[0].line, toks[0].col)
 
 
 def _split_on_commas(toks):
@@ -1078,7 +1083,7 @@ def _load(path) -> StructureFile:
 def cmd_analyze(args) -> int:
     sf = _load(args.file)
     options = {
-        "k_max": _option_int(args.kmax, DEFAULTS.k_max, 0, None, "--kmax"),
+        "k_max": _option_int(args.kmax, DEFAULTS.k_max, 0, LIMITS["kmax"], "--kmax"),
         "covectors": args.covector or [],
         "autosys": False,
     }
@@ -1098,7 +1103,7 @@ def cmd_analyze(args) -> int:
 def cmd_autosys(args) -> int:
     sf = _load(args.file)
     options = {
-        "k_max": _option_int(args.kmax, DEFAULTS.k_max, 0, None, "--kmax"),
+        "k_max": _option_int(args.kmax, DEFAULTS.k_max, 0, LIMITS["kmax"], "--kmax"),
         "covectors": [],
         "autosys": True,
     }

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from involucalc.algebra import (
+    AlgebraError,
+    DegreeOverflow,
     GaussRat,
     HermitianMatrix,
     NotHermitian,
@@ -18,6 +20,7 @@ from involucalc.algebra import (
     hermitian_inertia,
     mul_truncated,
     ratfun_jet,
+    ZERO,
 )
 from conftest import gauss_rationals, polys, unit_ratfuns, rand_gauss, rand_poly
 
@@ -195,6 +198,152 @@ def test_ratfun_jet_denominator_vanishing():
 def test_jet_truncated_product(p, q):
     k = 2
     assert mul_truncated(p, q, k) == (p * q).truncate(k)
+
+
+# -- the packed Poly kernel against exponent-tuple / GaussRat oracles ---------------
+#
+# The oracles are the loops Poly ran before its terms were packed.  They take
+# and return plain dicts exponent tuple -> GaussRat, so the comparison covers
+# the contents and the iteration order of ``terms``.
+
+
+def oracle_mul(p, q, order=None):
+    """p * q, skipping pairs whose degrees sum past ``order`` (if given)."""
+    res = {}
+    for e1, c1 in p.terms.items():
+        d1 = sum(e1)
+        if order is not None and d1 > order:
+            continue
+        for e2, c2 in q.terms.items():
+            if order is not None and d1 + sum(e2) > order:
+                continue
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = res.get(e, ZERO) + c1 * c2
+            if s.is_zero():
+                res.pop(e, None)
+            else:
+                res[e] = s
+    return res
+
+
+def oracle_add(p_terms, q_terms):
+    res = dict(p_terms)
+    for e, c in q_terms.items():
+        s = res.get(e, ZERO) + c
+        if s.is_zero():
+            res.pop(e, None)
+        else:
+            res[e] = s
+    return res
+
+
+def oracle_diff(p, j):
+    res = {}
+    for e, c in p.terms.items():
+        if e[j]:
+            res[e[:j] + (e[j] - 1,) + e[j + 1 :]] = c * e[j]
+    return res
+
+
+def mixed_poly(rng, vars, max_degree=4, n_terms=7):
+    """Gaussian coefficients with unrelated denominators up to 12, half of
+    them from a small pool so that real or imaginary parts alone cancel."""
+    terms = {}
+    for _ in range(rng.randint(0, n_terms)):
+        exps = [0] * len(vars)
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(len(vars))] += 1
+        if rng.random() < 0.5:
+            re, im = rng.choice((-1, 0, 1, Fraction(1, 2))), rng.choice((-1, 0, 1))
+        else:
+            re = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+            im = Fraction(rng.randint(-30, 30), rng.randint(1, 12)) if rng.random() < 0.6 else 0
+        terms[tuple(exps)] = GaussRat(re, im)
+    return Poly(vars, terms)
+
+
+def same_terms(p, expected):
+    assert list(p.terms.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_packed_arithmetic_matches_tuple_oracles(seed):
+    rng = random.Random(seed)
+    vars = ("u", "v", "w")
+    for _ in range(25):
+        p, q = mixed_poly(rng, vars), mixed_poly(rng, vars)
+        if rng.random() < 0.3:  # shared support, so sums and products cancel
+            q = q + p * GaussRat(rng.choice((-1, 1)))
+        same_terms(p * q, oracle_mul(p, q))
+        same_terms(p + q, oracle_add(p.terms, q.terms))
+        same_terms(p - q, oracle_add(p.terms, {e: -c for e, c in q.terms.items()}))
+        k = rng.randint(0, 6)
+        same_terms(mul_truncated(p, q, k), oracle_mul(p, q, k))
+        same_terms(p.truncate(k), {e: c for e, c in p.terms.items() if sum(e) <= k})
+        j = rng.randrange(len(vars))
+        same_terms(p.diff(vars[j]), oracle_diff(p, j))
+        same_terms(p.conjugate(), {e: c.conjugate() for e, c in p.terms.items()})
+        c = rand_gauss(rng)
+        same_terms(p * c, {e: a * c for e, a in p.terms.items() if not (a * c).is_zero()})
+        if p.is_zero():
+            continue
+        lo = tuple(min(e[i] for e in p.terms) for i in range(len(vars)))
+        assert p.min_exponents() == lo
+        same_terms(p.shift_divide(lo), {tuple(a - b for a, b in zip(e, lo)): c for e, c in p.terms.items()})
+        e = min(p.terms, key=lambda e: (sum(e), e))
+        assert p.trailing_term() == (e, p.terms[e])
+        with pytest.raises(ValueError):  # some term misses each variable of hi
+            p.shift_divide(tuple(x + 1 for x in lo))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_packed_equality_and_hash_ignore_construction(seed):
+    rng = random.Random(100 + seed)
+    vars = ("u", "v")
+    for _ in range(20):
+        p = mixed_poly(rng, vars)
+        items = list(p.terms.items())
+        rng.shuffle(items)
+        q = Poly(vars, dict(items))
+        assert q == p and hash(q) == hash(p)
+        # the same polynomial reached through arithmetic over other denominators
+        r = mixed_poly(rng, vars)
+        s = (p + r) * GaussRat(Fraction(3, 7)) - r * GaussRat(Fraction(3, 7))
+        assert s == p * GaussRat(Fraction(3, 7))
+        assert hash(s) == hash(p * GaussRat(Fraction(3, 7)))
+        assert (p + r != p) == (not r.is_zero())
+
+
+def test_shift_divide_rejects_a_term_short_in_one_variable():
+    # u^4 has the degree of u*v*w and more, so only the v and w fields borrow
+    vars = ("u", "v", "w")
+    u, v, w = (Poly.var(vars, x) for x in vars)
+    with pytest.raises(ValueError):
+        (u ** 4 + u * v * w).shift_divide((1, 1, 1))
+    assert (u ** 4 * v * w + u * v * w).shift_divide((1, 1, 1)) == u ** 3 + 1
+
+
+def test_packed_terms_are_read_only():
+    p = Poly(("u",), {(1,): GaussRat(Fraction(1, 2))})
+    with pytest.raises(TypeError):
+        p.terms[(2,)] = GaussRat(1)
+    assert dict(p.terms) == {(1,): GaussRat(Fraction(1, 2))}
+
+
+def test_degree_past_the_packed_field_raises_a_typed_error():
+    vars = ("u", "v")
+    u = Poly.var(vars, "u")
+    big = (u ** 64) ** 64  # degree 4096 fits
+    assert big.total_degree() == 4096
+    with pytest.raises(DegreeOverflow):
+        big ** 64
+    with pytest.raises(AlgebraError):
+        Poly(vars, {(40000, 0): 1})
+    # a truncated product never forms the terms it drops
+    huge = big ** 4 * big ** 3  # degree 28672
+    assert mul_truncated(huge, huge, 10).is_zero()
+    with pytest.raises(DegreeOverflow):
+        huge * huge
 
 
 # -- Hermitian inertia -------------------------------------------------------------

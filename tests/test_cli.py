@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from involucalc.algebra import GaussRat, Poly
 from involucalc.cli import (
     DimensionMismatch,
+    LIMITS,
     NonRealPhi,
     ParseError,
     format_poly,
@@ -285,6 +287,10 @@ APPROX_FILE = MINIMAL_FILE + "[approx]\norder = 2\ngrid = 5\n"
         (MINIMAL_FILE + "[fbi]\nhalfwidth = -1/2\n", ["analyze"]),
         (MINIMAL_FILE, ["analyze", "--kmax", "-1"]),
         (MINIMAL_FILE, ["autosys", "--kmax", "-1"]),
+        (MINIMAL_FILE, ["analyze", "--kmax", "100000"]),
+        (MINIMAL_FILE, ["autosys", "--kmax", "21"]),
+        ("[dims]\nnu = 0 d = 1 mu = 1\n[phi]\n((t1^64)^64)^64\n", ["analyze"]),
+        ("[dims]\nnu = 0 d = 1 mu = 1\n[phi]\n" + " * ".join(["(t1^64)^64"] * 8) + "\n", ["autosys"]),
         (MINIMAL_FILE, ["wavefront", "--dirs", "0"]),
         (MINIMAL_FILE, ["wavefront", "--dirs", "-2"]),
         (APPROX_FILE, ["approx", "--box", "-1"]),
@@ -331,6 +337,10 @@ APPROX_FILE = MINIMAL_FILE + "[approx]\norder = 2\ngrid = 5\n"
         "fbi-halfwidth-negative",
         "option-kmax-negative",
         "option-autosys-kmax-negative",
+        "option-kmax-too-large",
+        "option-autosys-kmax-too-large",
+        "nested-powers-overflow-degree",
+        "product-overflows-degree",
         "option-dirs-zero",
         "option-dirs-negative",
         "option-box-negative",
@@ -362,6 +372,14 @@ def test_cli_exit_code_on_parse_error(tmp_path, capsys, text, argv):
     assert code == 1
     assert err.startswith("[cli] ")
     assert "Traceback" not in err
+
+
+def test_cli_kmax_limit_is_inclusive(tmp_path, capsys):
+    f = tmp_path / "min.struct"
+    f.write_text(MINIMAL_FILE)
+    code, out, err = run_cli(["analyze", str(f), "--kmax", str(LIMITS["kmax"])], capsys)
+    assert code == 0
+    assert f"# options: k_max = {LIMITS['kmax']}\n" in out
 
 
 @pytest.mark.parametrize(
@@ -412,7 +430,10 @@ def test_cli_approx_rejects_nonfinite_samples(tmp_path, capsys):
     # max() fold drops: the plan used to read a sampled constant 0 for x1^2
     f = tmp_path / "approx.struct"
     f.write_text(MINIMAL_FILE + "[approx]\nnx = 1\norder = 3\nb = -t\nu0 = x1^2\n")
-    code, out, err = run_cli(["approx", str(f), "--box", "1e308"], capsys)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(["approx", str(f), "--box", "1e308"], capsys)
+    assert [str(w.message) for w in caught] == []
     assert code == 1
     assert "[approx] sampled derivative is not finite" in err
     assert "Traceback" not in err

@@ -277,6 +277,26 @@ def test_apply_field_jets_loses_one_order():
             assert got == (ratfun_jet(L.apply(f), k - 1),)
 
 
+@pytest.mark.parametrize("k_max", [3, 5])
+def test_run_chain_lowers_the_jet_order_once_per_level(monkeypatch, k_max):
+    # level k applies the frame to level-(k-1) jets of order k_max - k + 1,
+    # which are exact only to order k_max - k
+    import involucalc.hull as hull_mod
+
+    orders = []
+
+    def recording(fj, jets, order):
+        orders.append(order)
+        return _apply_field_jets(fj, jets, order)
+
+    monkeypatch.setattr(hull_mod, "_apply_field_jets", recording)
+    sdef = disk_weighted_powers(1, 2)
+    chain = hull_chain(sdef, [_disk_kernel(sdef, 1, 2)], k_max=k_max)
+    levels = chain.stabilized_at or k_max
+    assert orders == sorted(orders, reverse=True)
+    assert sorted(set(orders), reverse=True) == [k_max - k for k in range(1, levels + 1)]
+
+
 def test_hull_chain_undetermined_when_kmax_too_small():
     sdef = disk_weighted_powers(1, 2)
     chain = hull_chain(sdef, [_disk_kernel(sdef, 1, 2)], k_max=3)
