@@ -7,6 +7,8 @@ PARENT_SRC and CHANGE_SRC are checkouts (or their ``src`` directories).
 The inputs of each workload are taken from ``perfbench/workloads.py`` of the
 checkout that holds this script, which is imported without writing to it
 (the catalog inputs are generated with CHANGE_SRC's package).
+A fixed list of inputs whose reports record errors (FAILING) is added as
+the workload ``errors``, so that the error path is compared as well.
 Every input of every workload runs once under each tree, each in a fresh
 interpreter in the same scratch directory, so paths echoed in a report agree.  Inputs whose
 standard output, standard error or exit code differ are printed with a
@@ -28,13 +30,38 @@ HERE = Path(__file__).resolve().parent
 TIMEOUT_S = 120.0  # per run, for inputs without a cap of their own
 RUNNER = "import sys; from involucalc.cli import main; sys.exit(main(sys.argv[1:]))"
 
+_MINIMAL = "[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^2\n"
+_HUGE = "[fbi]\nhalfwidth = 1" + "0" * 189 + "\n"  # samples and kernels overflow to 0
+# (name, structure file, command and options) of inputs that fail a report
+# section, a command option or the file grammar
+FAILING = [
+    ("candidate-not-real", _MINIMAL + "[candidate]\ns1 = i*s1\n", ["analyze"]),
+    (
+        "candidate-not-real-then-bundle",
+        _MINIMAL + "[candidate]\ns1 = i*s1\n[bundle]\nrank = 1\nD 1 1 1 = t1\n",
+        ["analyze"],
+    ),
+    ("fbi-halfwidth-1e20", _MINIMAL + "[fbi]\nhalfwidth = 100000000000000000000\n", ["wavefront"]),
+    ("fbi-halfwidth-190-digits", _MINIMAL + _HUGE, ["wavefront"]),
+    ("fbi-halfwidth-190-digits-analyze", _MINIMAL + _HUGE, ["analyze"]),
+    ("fbi-boundary-pole", _MINIMAL + "[fbi]\ndata = boundary\ndelta = 0\ngrid = 65\n", ["wavefront"]),
+    (
+        "bundle-lambda-index-above-rank",
+        _MINIMAL + "[bundle]\nrank = 1\nlambda 1 1 = 1\nlambda 2 2 = 5\n",
+        ["analyze"],
+    ),
+    ("bundle-frame-index-above-fields", _MINIMAL + "[bundle]\nD 3 1 1 = t1\n", ["analyze"]),
+    ("covector-not-characteristic", "[dims]\nnu = 1 d = 0 mu = 0\n", ["analyze", "--covector", "x1=1"]),
+]
+
 
 def _load_workloads(src):
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(HERE.parent / "perfbench"), str(src)]
-    from workloads import WORKLOADS
+    from workloads import WORKLOADS, Input
 
-    return WORKLOADS
+    failing = [Input(name, text, argv[0], argv[1:]) for name, text, argv in FAILING]
+    return {**WORKLOADS, "errors": lambda seed: failing}
 
 
 def _src_dir(path):

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Run the full symbolic analysis on the built-in example structures and
-print one report per structure."""
+print one report per structure.  Errors of failed report sections go to
+stderr, and the exit code is 1 if there were any."""
 
 import sys
 
@@ -28,12 +29,16 @@ def main():
         ("flat d=1 mu=1", flat_structure(1, 1), ["s1=1"]),
         ("product disk x line", disk_times_line(), []),
     ]
+    failed = False
     for name, sdef, covectors in examples:
         print("=" * 72)
         print(f"== {name}")
         report = run_report(StructureFile(sdef), {"k_max": 8, "covectors": covectors})
         sys.stdout.write(report.human_text())
-    return 0
+        for error in report.errors:
+            sys.stderr.write(f"{name}: {error}\n")
+        failed = failed or bool(report.errors)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ inside expressions):
     [kernel]     optional; one kernel vector per line: d comma-separated polys
     [candidate]  optional, repeatable; lines "coord = poly" (omitted: zero)
     [bundle]     optional; "rank = r", "D j a b = poly", "lambda a b = poly",
-                 "section = poly, ..., poly"
+                 "section = poly, ..., poly"; j indexes the nu + mu frame
+                 fields, a and b run from 1 to the rank (default nu + d)
     [approx]     optional; "nx = 1", "order = 8", "box = 1", "grid = 33",
                  "b = poly, ..." and "u0 = poly, ..." over (x1..xN, t)
     [fbi]        optional; "data = gaussian|heaviside|boundary", "delta = 1/40",
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import AlgebraError, GaussRat, Poly, _deg_key
+from .algebra import AlgebraError, GaussRat, Poly, RatFun, _deg_key
 from .approx import (
     NormalFormField,
     assemble_evaluator,
@@ -49,7 +50,7 @@ from .bundle import (
     is_solution_section,
 )
 from .config import DEFAULTS
-from .hull import hull_chain, kernel_chain
+from .hull import SpanChain, hull_chain, kernel_chain
 from .loci import degeneracy_locus_check, exceptional_locus_check
 from .structure import (
     StructureDef,
@@ -389,7 +390,7 @@ def parse_structure(text: str) -> StructureFile:
                 cand[coord] = parse_poly_tokens(rhs, vars)
             candidates.append(cand)
         elif name == "bundle":
-            bundle = _parse_bundle(lines, vars)
+            bundle = _parse_bundle(lines, vars, nu + mu, nu + d)
         elif name == "approx":
             approx = _parse_approx(lines)
         elif name == "fbi":
@@ -480,8 +481,11 @@ def _parse_positive(toks):
     return value
 
 
-def _parse_bundle(lines, vars):
+def _parse_bundle(lines, vars, n_fields, default_rank):
+    """The [bundle] block; a frame index j must be from 1 to n_fields and a
+    fiber index a or b from 1 to the rank (default_rank when no rank line)."""
     block = BundleBlock()
+    fiber_indices = []  # literals checked once the rank is known
     for toks in lines:
         if not toks:
             continue
@@ -493,18 +497,24 @@ def _parse_bundle(lines, vars):
         elif head.text == "D":
             if len(toks) < 6 or toks[4].text != "=":
                 raise ParseError("expected 'D j a b = poly'", head.line, head.col)
-            j, a, b = (_parse_int(toks[k : k + 1], 1) for k in (1, 2, 3))
+            j = _parse_int(toks[1:2], 1, n_fields)
+            a, b = _parse_int(toks[2:3], 1), _parse_int(toks[3:4], 1)
+            fiber_indices += toks[2:4]
             block.d_entries[(j, a, b)] = parse_poly_tokens(toks[5:], vars)
         elif head.text == "lambda":
             if len(toks) < 5 or toks[3].text != "=":
                 raise ParseError("expected 'lambda a b = poly'", head.line, head.col)
             a, b = _parse_int(toks[1:2], 1), _parse_int(toks[2:3], 1)
+            fiber_indices += toks[1:3]
             block.lam_entries[(a, b)] = parse_poly_tokens(toks[4:], vars)
         elif head.text == "section":
             groups = _split_on_commas(toks[2:])
             block.sections.append(tuple(parse_poly_tokens(g, vars) for g in groups))
         else:
             raise ParseError(f"unknown bundle directive {head.text!r}", head.line, head.col)
+    rank = block.rank if block.rank is not None else default_rank
+    for tok in fiber_indices:
+        _parse_int([tok], 1, rank)
     return block
 
 
@@ -576,21 +586,13 @@ def _parse_fbi(lines):
 
 
 def format_gauss(c: GaussRat) -> str:
-    def frac(f):
-        return str(f)
-
     if c.im == 0:
-        return frac(c.re)
+        return str(c.re)
+    sign = "+" if c.im > 0 else "-"
+    im_txt = "i" if abs(c.im) == 1 else f"{abs(c.im)}*i"
     if c.re == 0:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        return f"{frac(c.im)}*i"
-    im = c.im
-    op = "+" if im > 0 else "-"
-    im_txt = "i" if abs(im) == 1 else f"{frac(abs(im))}*i"
-    return f"({frac(c.re)}{op}{im_txt})"
+        return im_txt if c.im > 0 else sign + im_txt
+    return f"({c.re}{sign}{im_txt})"
 
 
 def format_poly(p: Poly) -> str:
@@ -672,19 +674,31 @@ def serialize_structure(sf: StructureFile) -> str:
 
 
 class ModuleError(Exception):
-    """A module error with its origin tag, propagated to the exit code."""
+    """An error with its origin tag, reported as ``[module] message``."""
 
     def __init__(self, module, original):
         super().__init__(f"[{module}] {original}")
-        self.module = module
-        self.original = original
 
 
 @dataclass
 class Report:
-    human: list
-    machine: list
-    csv_paths: list
+    """The lines a report has emitted, the CSV files it wrote, one
+    ``[module] message`` per failed section, and what earlier sections
+    computed for later ones (None until computed)."""
+
+    sf: StructureFile
+    options: dict
+    human: list = dc_field(default_factory=list)
+    machine: list = dc_field(default_factory=list)
+    csv_paths: list = dc_field(default_factory=list)
+    errors: list = dc_field(default_factory=list)
+    kvs: list | None = None  # kernel vectors
+    chain: SpanChain | None = None  # hull chain
+
+    def emit(self, h, key=None, val=None):
+        self.human.append(h)
+        if key is not None:
+            self.machine.append(f"{key} = {val}")
 
     def human_text(self) -> str:
         return "\n".join(self.human) + "\n"
@@ -697,7 +711,7 @@ def _option_fraction(text: str, what: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as e:
-        raise ModuleError("cli", ValueError(f"bad {what} {text.strip()!r}: {e}"))
+        raise ModuleError("cli", f"bad {what} {text.strip()!r}: {e}")
 
 
 def _option_int(value, default, minimum, maximum, flag):
@@ -706,9 +720,7 @@ def _option_int(value, default, minimum, maximum, flag):
     if value is None:
         return default
     if value < minimum or (maximum is not None and value > maximum):
-        raise ModuleError(
-            "cli", ValueError(f"{flag} must be {_bounds(minimum, maximum)}, got {value}")
-        )
+        raise ModuleError("cli", f"{flag} must be {_bounds(minimum, maximum)}, got {value}")
     return value
 
 
@@ -723,10 +735,10 @@ def _parse_covector(spec: str, vars):
         elif ":" in part:
             name, val = part.split(":", 1)
         else:
-            raise ModuleError("cli", ValueError(f"bad covector component {part!r}"))
+            raise ModuleError("cli", f"bad covector component {part!r}")
         name = name.strip()
         if name not in vars:
-            raise ModuleError("cli", ValueError(f"unknown coordinate {name!r} in covector"))
+            raise ModuleError("cli", f"unknown coordinate {name!r} in covector")
         xi[name] = _option_fraction(val, "covector value")
     return xi
 
@@ -736,14 +748,10 @@ def _parse_radii(spec: str):
         lo, hi, count = spec.split(":")
         lo, hi, count = float(Fraction(lo)), float(Fraction(hi)), int(count)
     except (ValueError, ZeroDivisionError) as e:
-        raise ModuleError("cli", ValueError(f"bad radii spec {spec!r}: {e}"))
+        raise ModuleError("cli", f"bad radii spec {spec!r}: {e}")
     if not 4 <= count <= LIMITS["radii"] or lo <= 0 or hi <= lo:
-        raise ModuleError(
-            "cli", ValueError(f"radii spec needs 0 < lo < hi and count from 4 to {LIMITS['radii']}")
-        )
-    return [
-        lo * (hi / lo) ** (m / (count - 1)) for m in range(count)
-    ]
+        raise ModuleError("cli", f"radii spec needs 0 < lo < hi and count from 4 to {LIMITS['radii']}")
+    return [lo * (hi / lo) ** (m / (count - 1)) for m in range(count)]
 
 
 def _effective_config(sf: StructureFile):
@@ -753,195 +761,231 @@ def _effective_config(sf: StructureFile):
         config = replace(config, grid=sf.approx.grid, approx_order=sf.approx.order)
     if sf.fbi is not None:
         f = sf.fbi
-        config = replace(
-            config, kappa=f.kappa, scan_grid=f.grid, n_dirs=f.dirs, radii_spec=f.radii
-        )
+        config = replace(config, kappa=f.kappa, scan_grid=f.grid, n_dirs=f.dirs, radii_spec=f.radii)
     return config
 
 
+def _run_sections(report: Report, sections) -> Report:
+    """Run each ``(module, needs, section)`` into ``report``.  A section that
+    raises leaves no lines or CSV paths and records ``[module] message`` (a
+    ModuleError keeps its own tag); a later section is skipped when one of
+    the report attributes it needs is still unset."""
+    for module, needs, section in sections:
+        if any(getattr(report, name) is None for name in needs):
+            continue
+        outputs = (report.human, report.machine, report.csv_paths)
+        marks = [len(out) for out in outputs]
+        try:
+            section(report)
+        except Exception as e:
+            for out, mark in zip(outputs, marks):
+                del out[mark:]
+            report.errors.append(str(e) if isinstance(e, ModuleError) else f"[{module}] {e}")
+    return report
+
+
 def run_report(sf: StructureFile, options=None) -> Report:
-    """Analysis driver: characteristic dimension, Levi data, kernel and
-    characteristic forms, hull chains, locus verdicts, candidate verdicts,
-    bundle checks.  Deterministic for fixed input and options."""
-    options = options or {}
-    k_max = options.get("k_max", DEFAULTS.k_max)
-    covectors = options.get("covectors", [])
-    human = []
-    machine = []
-    csv_paths = []
-
-    def emit(h, key=None, val=None):
-        human.append(h)
-        if key is not None:
-            machine.append(f"{key} = {val}")
-
-    human.append("involucalc-report v1")
-    machine.append("report_version = 1")
-    human.append("# configuration")
+    """Analysis driver: the header, then the SECTIONS: characteristic
+    dimension, Levi data, kernel and characteristic forms, hull chains, locus
+    verdicts, candidate verdicts, bundle checks and the numeric blocks.
+    Deterministic for fixed input and options."""
+    options = {"k_max": DEFAULTS.k_max, "covectors": [], **(options or {})}
+    report = Report(sf, options)
+    report.human += ["involucalc-report v1", "# configuration"]
+    report.machine.append("report_version = 1")
     for line in _effective_config(sf).header_lines():
-        human.append("#   " + line)
-        machine.append("config." + line.replace(" ", ""))
-    human.append(f"# options: k_max = {k_max}")
-    machine.append(f"options.k_max = {k_max}")
-
+        report.human.append("#   " + line)
+        report.machine.append("config." + line.replace(" ", ""))
+    k_max = options["k_max"]
+    report.emit(f"# options: k_max = {k_max}", "options.k_max", k_max)
     sdef = sf.sdef
-    emit(
+    report.emit(
         f"structure: nu = {sdef.nu}, d = {sdef.d}, mu = {sdef.mu}",
         "structure.dims",
         f"{sdef.nu},{sdef.d},{sdef.mu}",
     )
     for k, p in enumerate(sdef.phi, start=1):
-        emit(f"phi_{k} = {format_poly(p)}", f"structure.phi{k}", format_poly(p))
+        report.emit(f"phi_{k} = {format_poly(p)}", f"structure.phi{k}", format_poly(p))
+    return _run_sections(report, SECTIONS)
 
-    try:
-        cd = characteristic_dim(sdef, sdef.zero_point())
-    except Exception as e:
-        raise ModuleError("structure", e)
-    emit(f"characteristic dimension at 0: {cd}", "characteristic_dim", cd)
 
-    for spec in covectors:
+def _chardim(report):
+    sdef = report.sf.sdef
+    cd = characteristic_dim(sdef, sdef.zero_point())
+    report.emit(f"characteristic dimension at 0: {cd}", "characteristic_dim", cd)
+
+
+def _levi(report):
+    sdef = report.sf.sdef
+    for spec in report.options["covectors"]:
         xi = spec if isinstance(spec, dict) else _parse_covector(spec, sdef.vars)
         xi_txt = ",".join(f"{k}={v}" for k, v in sorted(xi.items()))
-        try:
-            rep = levi_form(sdef, sdef.zero_point(), xi)
-        except Exception as e:
-            raise ModuleError("structure", e)
-        emit(
-            f"levi inertia at 0 in <{xi_txt}>: "
-            f"(n+, n-, n0) = {rep.inertia}",
+        rep = levi_form(sdef, sdef.zero_point(), xi)
+        n_plus, n_minus, n_zero = rep.inertia
+        report.emit(
+            f"levi inertia at 0 in <{xi_txt}>: (n+, n-, n0) = {rep.inertia}",
             f"levi.{xi_txt}",
-            f"{rep.inertia[0]},{rep.inertia[1]},{rep.inertia[2]}",
+            f"{n_plus},{n_minus},{n_zero}",
         )
 
-    try:
-        if sf.kernel is not None:
-            kvs = kernel_vectors(sdef, user=sf.kernel)
-        else:
-            kvs = kernel_vectors(sdef)
-    except Exception as e:
-        raise ModuleError("structure", e)
+
+def _kernel(report):
+    sdef = report.sf.sdef
+    kvs = kernel_vectors(sdef, user=report.sf.kernel)
     if not kvs:
-        emit(
+        report.emit(
             "kernel vectors: none (phi_t has full generic rank; characteristic "
             "directions are generically trivial)",
             "kernel.count",
             0,
         )
     else:
-        emit(f"kernel vectors: {len(kvs)}", "kernel.count", len(kvs))
+        report.emit(f"kernel vectors: {len(kvs)}", "kernel.count", len(kvs))
         for i, kv in enumerate(kvs, start=1):
             btxt = ", ".join(format_poly(p) for p in kv.b)
-            emit(f"  b[{i}] = ({btxt})   [{kv.provenance}]", f"kernel.b{i}", btxt)
+            report.emit(f"  b[{i}] = ({btxt})   [{kv.provenance}]", f"kernel.b{i}", btxt)
             theta = characteristic_form(sdef, kv)
             parts = [format_poly(c.num) + ("/" + format_poly(c.den) if not c.is_polynomial() else "") for c in theta.components()]
             labels = sdef.integral_labels()
             ttxt = " , ".join(f"d{l}: {t}" for l, t in zip(labels, parts))
-            emit(f"  theta[{i}] = ({ttxt})", f"kernel.theta{i}", ttxt)
+            report.emit(f"  theta[{i}] = ({ttxt})", f"kernel.theta{i}", ttxt)
+    report.kvs = kvs
 
-    try:
-        chain = hull_chain(sdef, kvs, k_max=k_max)
-        kchain = kernel_chain(sdef, kvs, k_max=k_max, hull=chain)
-    except Exception as e:
-        raise ModuleError("hull", e)
-    emit("hull chain (level: span dimension at 0):", None)
+
+def _hull(report):
+    sdef = report.sf.sdef
+    k_max = report.options["k_max"]
+    chain = hull_chain(sdef, report.kvs, k_max=k_max)
+    kchain = kernel_chain(sdef, report.kvs, k_max=k_max, hull=chain)
+    report.emit("hull chain (level: span dimension at 0):")
     for k, dim in enumerate(chain.dims):
-        emit(f"  {k}: {dim}", f"hull.dim{k}", dim)
+        report.emit(f"  {k}: {dim}", f"hull.dim{k}", dim)
     if chain.nondeg_order is not None:
-        emit(
-            f"nondegeneracy order: {chain.nondeg_order}",
-            "hull.nondeg_order",
-            chain.nondeg_order,
-        )
+        order = value = chain.nondeg_order
     else:
-        emit(
-            f"nondegeneracy order: undetermined at k_max = {k_max}",
-            "hull.nondeg_order",
-            "undetermined",
-        )
-    emit(
+        order, value = f"undetermined at k_max = {k_max}", "undetermined"
+    report.emit(f"nondegeneracy order: {order}", "hull.nondeg_order", value)
+    report.emit(
         f"kernel chain reaches dimension {kchain.dims[-1]} of {sdef.d}",
         "hull.kernel_dim",
         kchain.dims[-1],
     )
+    report.chain = chain
 
-    try:
-        exc = exceptional_locus_check(sdef)
-        deg = degeneracy_locus_check(sdef, chain)
-    except Exception as e:
-        raise ModuleError("loci", e)
+
+def _loci(report):
+    sdef = report.sf.sdef
+    exc = exceptional_locus_check(sdef)
+    deg = degeneracy_locus_check(sdef, report.chain)
     for name, verdict in (("exceptional", exc), ("degeneracy", deg)):
         if verdict.established:
             wtxt = "trivial" if verdict.witness is None else (
                 f"rows {verdict.witness.rows}, minor {format_poly(verdict.witness.minor)}"
             )
-            emit(f"{name} locus: Yes ({wtxt})", f"loci.{name}", "yes")
+            report.emit(f"{name} locus: Yes ({wtxt})", f"loci.{name}", "yes")
         else:
-            emit(f"{name} locus: NotEstablished ({verdict.note})", f"loci.{name}", "not_established")
+            report.emit(f"{name} locus: NotEstablished ({verdict.note})", f"loci.{name}", "not_established")
 
-    if options.get("autosys") or sf.candidates:
-        try:
-            system = generate_system(sdef)
-        except Exception as e:
-            raise ModuleError("autosys", e)
-        emit(
-            f"automorphism system: {len(system.equations)} equations in "
-            f"{len(system.unknowns)} unknowns",
-            "autosys.equations",
-            len(system.equations),
+
+def _autosys(report):
+    """The automorphism system's size, its equations for the autosys
+    command, and the candidate verdicts."""
+    sf = report.sf
+    listed = report.options.get("autosys")
+    if not (listed or sf.candidates):
+        return
+    system = generate_system(sf.sdef)
+    report.emit(
+        f"automorphism system: {len(system.equations)} equations in "
+        f"{len(system.unknowns)} unknowns",
+        "autosys.equations",
+        len(system.equations),
+    )
+    for eq in system.equations if listed else ():
+        terms = []
+        for t in eq.terms:
+            u = f"u_{t.unknown}"
+            if t.deriv is not None:
+                u = f"d{u}/d{t.deriv}"
+            terms.append(f"({format_poly(t.coeff)})*{u}")
+        report.emit(
+            f"  [{eq.integral}, L{eq.field_index}] " + " + ".join(terms) + " = 0",
+            f"autosys.eq.{eq.integral}.L{eq.field_index}",
+            " + ".join(terms),
         )
-        if options.get("autosys"):
-            for eq in system.equations:
-                terms = []
-                for t in eq.terms:
-                    u = f"u_{t.unknown}"
-                    if t.deriv is not None:
-                        u = f"d{u}/d{t.deriv}"
-                    terms.append(f"({format_poly(t.coeff)})*{u}")
-                emit(
-                    f"  [{eq.integral}, L{eq.field_index}] " + " + ".join(terms) + " = 0",
-                    f"autosys.eq.{eq.integral}.L{eq.field_index}",
-                    " + ".join(terms),
-                )
-        for i, cand in enumerate(sf.candidates, start=1):
-            X = RealVectorFieldSym(sdef.vars, cand)
-            verdict = check_candidate(sdef, X, system=system)
-            if verdict.automorphism:
-                emit(f"candidate {i}: Automorphism", f"autosys.candidate{i}", "automorphism")
-            else:
-                (tag, res) = verdict.failure
-                emit(
-                    f"candidate {i}: Not (first residual at {tag}: {format_poly(res)})",
-                    f"autosys.candidate{i}",
-                    "not",
-                )
+    for i, cand in enumerate(sf.candidates, start=1):
+        X = RealVectorFieldSym(sf.sdef.vars, cand)
+        verdict = check_candidate(sf.sdef, X, system=system)
+        if verdict.automorphism:
+            report.emit(f"candidate {i}: Automorphism", f"autosys.candidate{i}", "automorphism")
+        else:
+            tag, res = verdict.failure
+            report.emit(
+                f"candidate {i}: Not (first residual at {tag}: {format_poly(res)})", f"autosys.candidate{i}", "not"
+            )
 
-    if sf.bundle is not None:
-        _bundle_report(sf, sdef, emit)
 
-    csv_dir = options.get("csv_dir")
-    if sf.approx is not None:
-        _approx_report(sf.approx, emit, csv_dir, csv_paths)
-    if sf.fbi is not None:
-        _fbi_report(sf.fbi, emit, csv_dir, csv_paths)
+def _bundle(report):
+    block = report.sf.bundle
+    if block is None:
+        return
+    sdef = report.sf.sdef
+    rank = block.rank if block.rank is not None else sdef.nu + sdef.d
+    zero = RatFun.of(Poly.zero(sdef.vars))
+    base = build_frame(sdef)
+    D = [[[zero for _ in range(rank)] for _ in range(rank)] for _ in base]
+    for (j, a, b), p in block.d_entries.items():
+        D[j - 1][a - 1][b - 1] = RatFun.of(p)
+    bundle = VBundle(base, D, require_flat=False)
+    verdict = flatness_check(bundle)
+    if verdict.flat:
+        report.emit("bundle: Flat", "bundle.flat", "yes")
+    else:
+        j, k, a, b, _ = verdict.failure
+        report.emit(f"bundle: NotFlat (first failure at fields ({j},{k}) entry ({a},{b}))", "bundle.flat", "no")
+    for i, sec in enumerate(block.sections, start=1):
+        v = is_solution_section(bundle, sec)
+        report.emit(
+            f"bundle section {i}: {'Solution' if v.solution else 'Not a solution'}",
+            f"bundle.section{i}",
+            "solution" if v.solution else "not",
+        )
+    if block.lam_entries:
+        lam = [
+            [RatFun.of(block.lam_entries.get((a + 1, b + 1), Poly.zero(sdef.vars))) for b in range(rank)]
+            for a in range(rank)
+        ]
+        v = is_integrating_frame(bundle, lam)
+        report.emit(
+            f"integrating frame: {'Integrating' if v.integrating else 'Not'}",
+            "bundle.integrating",
+            "yes" if v.integrating else "no",
+        )
 
-    return Report(human, machine, csv_paths)
+
+def _csv(report, name, key, write):
+    """Write one CSV table into the report's csv_dir, if it has one, and emit
+    its path: under ``key`` in an analyze report, unkeyed at a command's end."""
+    csv_dir = report.options.get("csv_dir")
+    if csv_dir is None:
+        return
+    path = Path(csv_dir) / name
+    write(path)
+    report.csv_paths.append(str(path))
+    report.emit(f"  csv: {path}" if key else f"csv: {path}", key, path)
 
 
 def _approx_solution(block, order, box, grid):
     """Cutoff plan and evaluator of the [approx] block's series at ``order``,
     after checking that the series recursion residuals vanish."""
-    try:
-        vars = field_vars(block.nx)
-        b = block.b or tuple(Poly.zero(vars) for _ in range(block.nx))
-        u0 = block.u0 or (Poly.var(vars, "x1"),)
-        series = series_coefficients(NormalFormField(block.nx, b), u0, order)
-        if not all(p.is_zero() for res in series.recursion_residuals() for p in res):
-            raise ValueError("series recursion residuals do not vanish")
-        plan = select_cutoff_plan(series, box_halfwidth=box, grid=grid)
-        ev = assemble_evaluator(series, plan)
-    except Exception as e:
-        raise ModuleError("approx", e)
-    return plan, ev
+    vars = field_vars(block.nx)
+    b = block.b or tuple(Poly.zero(vars) for _ in range(block.nx))
+    u0 = block.u0 or (Poly.var(vars, "x1"),)
+    series = series_coefficients(NormalFormField(block.nx, b), u0, order)
+    if not all(p.is_zero() for res in series.recursion_residuals() for p in res):
+        raise ValueError("series recursion residuals do not vanish")
+    plan = select_cutoff_plan(series, box_halfwidth=box, grid=grid)
+    return plan, assemble_evaluator(series, plan)
 
 
 def _approx_csv(plan, ev, path):
@@ -953,194 +997,39 @@ def _approx_csv(plan, ev, path):
     ev.write_csv(path, mesh, np.full(mesh[0].shape, plan.plateau / 2))
 
 
-def _approx_report(block, emit, csv_dir, csv_paths):
+def _approx(report):
+    block = report.sf.approx
+    if block is None:
+        return
     plan, ev = _approx_solution(block, block.order, float(block.box), block.grid)
-    emit(
+    report.emit(
         f"approximate solution: order {block.order}, plateau radius {plan.plateau:.6g}",
         "approx.plateau",
         f"{plan.plateau:.17g}",
     )
     for k, r in enumerate(plan.radii):
-        emit(f"  R_{k} = {r}", f"approx.R{k}", r)
+        report.emit(f"  R_{k} = {r}", f"approx.R{k}", r)
     s = plan.plateau / 2
     sup = ev.sup_d1u(s, grid=9)
-    emit(
+    report.emit(
         f"  sup |D1 u| at s = {s:.6g}: {sup:.6g}",
         "approx.residual_sup",
         f"{sup:.17g}",
     )
-    if csv_dir is not None:
-        path = Path(csv_dir) / "approx_samples.csv"
-        _approx_csv(plan, ev, path)
-        csv_paths.append(str(path))
-        emit(f"  csv: {path}", "approx.csv", path)
+    _csv(report, "approx_samples.csv", "approx.csv", lambda path: _approx_csv(plan, ev, path))
 
 
-def _fbi_scan(block, kappa, dirs, radii):
-    """Direction scan of the [fbi] block's sampled data."""
-    from .fbi import direction_scan, sample_data
-
-    try:
-        data = sample_data(
-            _fbi_data_fn(block),
-            halfwidth=float(block.halfwidth),
-            n=block.grid,
-            window_support=0.95,
-            window_plateau=0.95 * 0.75,
-        )
-        return direction_scan(data, float(kappa), (0.0, 0.0), dirs, radii)
-    except Exception as e:
-        raise ModuleError("fbi", e)
-
-
-def _fbi_report(block, emit, csv_dir, csv_paths):
-    scan = _fbi_scan(block, block.kappa, block.dirs, _parse_radii(block.radii))
-    emit(
-        f"direction scan: data = {block.data}, kappa = {block.kappa}, "
-        f"dirs = {block.dirs}",
-        "fbi.data",
-        block.data,
-    )
-    for i, (xi_d, tau_d) in enumerate(scan.directions):
-        emit(
-            f"  direction {i} ({xi_d:+.4f}, {tau_d:+.4f}): slope {scan.slopes[i]:+.3f} "
-            f"-> {scan.labels[i]}",
-            f"fbi.direction{i}",
-            f"{scan.slopes[i]:.6g},{scan.labels[i]}",
-        )
-    if csv_dir is not None:
-        path = Path(csv_dir) / "wavefront.csv"
-        scan.write_csv(path)
-        csv_paths.append(str(path))
-        emit(f"  csv: {path}", "fbi.csv", path)
-
-
-def _bundle_report(sf, sdef, emit):
-    from .algebra import RatFun
-
-    block = sf.bundle
-    try:
-        base = build_frame(sdef)
-        rank = block.rank if block.rank is not None else sdef.nu + sdef.d
-        vars = sdef.vars
-        zero = RatFun.of(Poly.zero(vars))
-        D = [
-            [[zero for _ in range(rank)] for _ in range(rank)]
-            for _ in base
-        ]
-        for (j, a, b), p in block.d_entries.items():
-            D[j - 1][a - 1][b - 1] = RatFun.of(p)
-        bundle = VBundle(base, D, require_flat=False)
-        verdict = flatness_check(bundle)
-    except Exception as e:
-        raise ModuleError("bundle", e)
-    if verdict.flat:
-        emit("bundle: Flat", "bundle.flat", "yes")
-    else:
-        j, k, a, b, _ = verdict.failure
-        emit(
-            f"bundle: NotFlat (first failure at fields ({j},{k}) entry ({a},{b}))",
-            "bundle.flat",
-            "no",
-        )
-    for i, sec in enumerate(block.sections, start=1):
-        try:
-            v = is_solution_section(bundle, sec)
-        except Exception as e:
-            raise ModuleError("bundle", e)
-        emit(
-            f"bundle section {i}: {'Solution' if v.solution else 'Not a solution'}",
-            f"bundle.section{i}",
-            "solution" if v.solution else "not",
-        )
-    if block.lam_entries:
-        try:
-            lam = [
-                [
-                    RatFun.of(block.lam_entries.get((a + 1, b + 1), Poly.zero(sdef.vars)))
-                    for b in range(rank)
-                ]
-                for a in range(rank)
-            ]
-            v = is_integrating_frame(bundle, lam)
-        except Exception as e:
-            raise ModuleError("bundle", e)
-        emit(
-            f"integrating frame: {'Integrating' if v.integrating else 'Not'}",
-            "bundle.integrating",
-            "yes" if v.integrating else "no",
-        )
-
-
-# -- subcommands --------------------------------------------------------------------------
-
-
-def _load(path) -> StructureFile:
-    text = Path(path).read_text()
-    return parse_structure(text)
-
-
-def cmd_analyze(args) -> int:
-    sf = _load(args.file)
-    options = {
-        "k_max": _option_int(args.kmax, DEFAULTS.k_max, 0, LIMITS["kmax"], "--kmax"),
-        "covectors": args.covector or [],
-        "autosys": False,
-    }
-    if args.csv:
-        Path(args.csv).mkdir(parents=True, exist_ok=True)
-        options["csv_dir"] = args.csv
-    report = run_report(sf, options)
-    out = report.machine_text() if args.machine else report.human_text()
-    sys.stdout.write(out)
-    if args.csv:
-        outdir = Path(args.csv)
-        (outdir / "report.txt").write_text(report.human_text())
-        (outdir / "report.kv").write_text(report.machine_text())
-    return 0
-
-
-def cmd_autosys(args) -> int:
-    sf = _load(args.file)
-    options = {
-        "k_max": _option_int(args.kmax, DEFAULTS.k_max, 0, LIMITS["kmax"], "--kmax"),
-        "covectors": [],
-        "autosys": True,
-    }
-    report = run_report(sf, options)
-    sys.stdout.write(report.machine_text() if args.machine else report.human_text())
-    return 0
-
-
-def cmd_approx(args) -> int:
-    sf = _load(args.file)
-    block = sf.approx
-    if block is None:
-        raise ModuleError("approx", ValueError("the file has no [approx] section"))
-    order = _option_int(args.order, block.order, 0, LIMITS["order"], "--order")
-    if args.box is not None and not (args.box > 0 and math.isfinite(args.box)):
-        raise ModuleError("cli", ValueError(f"--box must be a positive number, got {args.box}"))
-    box = args.box if args.box is not None else float(block.box)
-    grid = _option_int(args.grid, block.grid, 1, LIMITS["grid"], "--grid")
-    if grid ** (block.nx + 1) > LIMITS["samples"]:
-        raise ModuleError("cli", ValueError(_samples_message(grid, block.nx)))
-    plan, ev = _approx_solution(block, order, box, grid)
-    lines = ["involucalc-report v1", f"# approx order {order}, box {box}, grid {grid}"]
+def _approx_scales(report):
+    """The approx command's cutoff scales, with the residual sups at seven
+    halvings of the plateau radius."""
+    o = report.options
+    plan, ev = _approx_solution(report.sf.approx, o["order"], o["box"], o["grid"])
     for k, (c, r) in enumerate(zip(plan.constants, plan.radii)):
-        lines.append(f"R_{k} = {r}   (sampled constant {c:.6g})")
-    lines.append(f"plateau radius = {plan.plateau:.6g}")
-    svals = [plan.plateau * 2.0**-j for j in range(1, 8)]
-    sups = [ev.sup_d1u(s, grid=9) for s in svals]
-    for s, sup in zip(svals, sups):
-        lines.append(f"sup |D1 u| at s = {s:.6g}: {sup:.6g}")
-    sys.stdout.write("\n".join(lines) + "\n")
-    if args.csv:
-        outdir = Path(args.csv)
-        outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / "approx_samples.csv"
-        _approx_csv(plan, ev, path)
-        sys.stdout.write(f"csv: {path}\n")
-    return 0
+        report.emit(f"R_{k} = {r}   (sampled constant {c:.6g})")
+    report.emit(f"plateau radius = {plan.plateau:.6g}")
+    for s in [plan.plateau * 2.0**-j for j in range(1, 8)]:
+        report.emit(f"sup |D1 u| at s = {s:.6g}: {ev.sup_d1u(s, grid=9):.6g}")
+    _csv(report, "approx_samples.csv", None, lambda path: _approx_csv(plan, ev, path))
 
 
 def _fbi_data_fn(block):
@@ -1155,58 +1044,165 @@ def _fbi_data_fn(block):
     return lambda X, T: 1.0 / (X + 1j * delta)
 
 
-def cmd_wavefront(args) -> int:
-    from .fbi import (
-        NoNegativeDirection,
-        RectificationUnavailable,
-        kappa_smallness_check,
-        levi_to_normal_form,
-        sign_condition,
-    )
+def _fbi_scan(report, kappa, dirs, radii, csv_key):
+    """Direction scan of the [fbi] block's sampled data: its direction lines
+    and CSV table."""
+    from .fbi import direction_scan, sample_data
 
-    sf = _load(args.file)
-    block = sf.fbi if sf.fbi is not None else FbiBlock()
-    kappa = _option_fraction(args.kappa, "kappa") if args.kappa else block.kappa
-    dirs = _option_int(args.dirs, block.dirs, 1, LIMITS["dirs"], "--dirs")
-    spec = args.radii if args.radii else block.radii
-    radii = _parse_radii(spec)
-    lines = [
-        "involucalc-report v1",
-        f"# wavefront kappa {kappa}, dirs {dirs}, radii {spec}, grid {block.grid}, "
-        f"halfwidth {block.halfwidth}",
-    ]
-    if args.covector:
-        xi = _parse_covector(args.covector[0], sf.sdef.vars)
-        try:
-            red = levi_to_normal_form(sf.sdef, sf.sdef.zero_point(), xi)
-            sr = sign_condition(red.field, red.xi0)
-            lines.append(
-                f"normal form witness: frame field {red.witness_index}, "
-                f"drift sign pairing = {sr.value} ({'Holds' if sr.holds else 'Fails'})"
-            )
-            small = kappa_smallness_check(red.field, red.xi0, kappa)
-            if not small.ok:
-                lines.append(
-                    f"# warning: kappa = {kappa} violates the smallness bound "
-                    f"(lhs {small.lhs:.6g} vs rho/16 = {small.rho / 16:.6g})"
-                )
-        except (NoNegativeDirection, RectificationUnavailable) as e:
-            lines.append(f"normal form: unavailable ({e})")
-    scan = _fbi_scan(block, kappa, dirs, radii)
-    lines.append(f"scan: data = {block.data}, kappa = {kappa}, dirs = {dirs}")
+    block = report.sf.fbi
+    data = sample_data(_fbi_data_fn(block), float(block.halfwidth), block.grid, window_plateau=0.95 * 0.75)
+    scan = direction_scan(data, float(kappa), (0.0, 0.0), dirs, radii)
     for i, (xi_d, tau_d) in enumerate(scan.directions):
-        lines.append(
+        report.emit(
             f"  direction {i} ({xi_d:+.4f}, {tau_d:+.4f}): slope {scan.slopes[i]:+.3f} "
-            f"-> {scan.labels[i]}"
+            f"-> {scan.labels[i]}",
+            f"fbi.direction{i}",
+            f"{scan.slopes[i]:.6g},{scan.labels[i]}",
         )
-    sys.stdout.write("\n".join(lines) + "\n")
-    if args.csv:
-        outdir = Path(args.csv)
-        outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / "wavefront.csv"
-        scan.write_csv(path)
-        sys.stdout.write(f"csv: {path}\n")
-    return 0
+    _csv(report, "wavefront.csv", csv_key, scan.write_csv)
+
+
+def _fbi(report):
+    block = report.sf.fbi
+    if block is None:
+        return
+    radii = _parse_radii(block.radii)
+    report.emit(
+        f"direction scan: data = {block.data}, kappa = {block.kappa}, "
+        f"dirs = {block.dirs}",
+        "fbi.data",
+        block.data,
+    )
+    _fbi_scan(report, block.kappa, block.dirs, radii, "fbi.csv")
+
+
+def _wavefront_scan(report):
+    o = report.options
+    report.emit(f"scan: data = {report.sf.fbi.data}, kappa = {o['kappa']}, dirs = {o['dirs']}")
+    _fbi_scan(report, o["kappa"], o["dirs"], o["radii"], None)
+
+
+def _normal_form(report):
+    """The wavefront command's normal-form reduction at its first --covector."""
+    from .fbi import NoNegativeDirection, RectificationUnavailable
+    from .fbi import kappa_smallness_check, levi_to_normal_form, sign_condition
+
+    if not report.options["covectors"]:
+        return
+    sdef, kappa = report.sf.sdef, report.options["kappa"]
+    xi = _parse_covector(report.options["covectors"][0], sdef.vars)
+    try:
+        red = levi_to_normal_form(sdef, sdef.zero_point(), xi)
+        sr = sign_condition(red.field, red.xi0)
+        report.emit(
+            f"normal form witness: frame field {red.witness_index}, "
+            f"drift sign pairing = {sr.value} ({'Holds' if sr.holds else 'Fails'})"
+        )
+        small = kappa_smallness_check(red.field, red.xi0, kappa)
+        if not small.ok:
+            report.emit(
+                f"# warning: kappa = {kappa} violates the smallness bound "
+                f"(lhs {small.lhs:.6g} vs rho/16 = {small.rho / 16:.6g})"
+            )
+    except (NoNegativeDirection, RectificationUnavailable) as e:
+        report.emit(f"normal form: unavailable ({e})")
+
+
+# (module tag, Report attributes the section needs, section) in report order
+SECTIONS = (
+    ("structure", (), _chardim),
+    ("structure", (), _levi),
+    ("structure", (), _kernel),
+    ("hull", ("kvs",), _hull),
+    ("loci", ("chain",), _loci),
+    ("autosys", (), _autosys),
+    ("bundle", (), _bundle),
+    ("approx", (), _approx),
+    ("fbi", (), _fbi),
+)
+APPROX_SECTIONS = (("approx", (), _approx_scales),)
+WAVEFRONT_SECTIONS = (("structure", (), _normal_form), ("fbi", (), _wavefront_scan))
+
+
+# -- subcommands --------------------------------------------------------------------------
+
+
+def _load(path) -> StructureFile:
+    return parse_structure(Path(path).read_text())
+
+
+def _csv_dir(args):
+    """The --csv directory, created, or None."""
+    if not getattr(args, "csv", None):
+        return None
+    Path(args.csv).mkdir(parents=True, exist_ok=True)
+    return args.csv
+
+
+def _print(report, machine=False) -> int:
+    """Write the report to stdout and its errors to stderr; the exit code."""
+    sys.stdout.write(report.machine_text() if machine else report.human_text())
+    for error in report.errors:
+        sys.stderr.write(error + "\n")
+    return 1 if report.errors else 0
+
+
+def cmd_analyze(args) -> int:
+    """The analyze and autosys commands; autosys also lists the automorphism
+    system."""
+    sf = _load(args.file)
+    options = {
+        "k_max": _option_int(args.kmax, DEFAULTS.k_max, 0, LIMITS["kmax"], "--kmax"),
+        "covectors": getattr(args, "covector", None) or [],
+        "autosys": args.command == "autosys",
+        "csv_dir": _csv_dir(args),
+    }
+    report = run_report(sf, options)
+    if options["csv_dir"] is not None:
+        outdir = Path(options["csv_dir"])
+        (outdir / "report.txt").write_text(report.human_text())
+        (outdir / "report.kv").write_text(report.machine_text())
+    return _print(report, args.machine)
+
+
+def cmd_approx(args) -> int:
+    sf = _load(args.file)
+    block = sf.approx
+    if block is None:
+        raise ModuleError("approx", "the file has no [approx] section")
+    order = _option_int(args.order, block.order, 0, LIMITS["order"], "--order")
+    if args.box is not None and not (args.box > 0 and math.isfinite(args.box)):
+        raise ModuleError("cli", f"--box must be a positive number, got {args.box}")
+    box = args.box if args.box is not None else float(block.box)
+    grid = _option_int(args.grid, block.grid, 1, LIMITS["grid"], "--grid")
+    if grid ** (block.nx + 1) > LIMITS["samples"]:
+        raise ModuleError("cli", _samples_message(grid, block.nx))
+    report = Report(sf, {"order": order, "box": box, "grid": grid, "csv_dir": _csv_dir(args)})
+    report.human += ["involucalc-report v1", f"# approx order {order}, box {box}, grid {grid}"]
+    return _print(_run_sections(report, APPROX_SECTIONS))
+
+
+def cmd_wavefront(args) -> int:
+    sf = _load(args.file)
+    if sf.fbi is None:
+        sf.fbi = FbiBlock()
+    kappa = _option_fraction(args.kappa, "kappa") if args.kappa else sf.fbi.kappa
+    dirs = _option_int(args.dirs, sf.fbi.dirs, 1, LIMITS["dirs"], "--dirs")
+    spec = args.radii if args.radii else sf.fbi.radii
+    options = {
+        "covectors": args.covector or [],
+        "kappa": kappa,
+        "dirs": dirs,
+        "radii": _parse_radii(spec),
+        "csv_dir": _csv_dir(args),
+    }
+    report = Report(sf, options)
+    report.human += [
+        "involucalc-report v1",
+        f"# wavefront kappa {kappa}, dirs {dirs}, radii {spec}, grid {sf.fbi.grid}, "
+        f"halfwidth {sf.fbi.halfwidth}",
+    ]
+    return _print(_run_sections(report, WAVEFRONT_SECTIONS))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1235,7 +1231,7 @@ def build_parser() -> argparse.ArgumentParser:
         kmax=True, covector=True, csv=True, machine=True,
     )
     command(
-        "autosys", cmd_autosys, "emit the automorphism system and candidate verdicts",
+        "autosys", cmd_analyze, "emit the automorphism system and candidate verdicts",
         kmax=True, machine=True,
     )
     p = command("approx", cmd_approx, "build an approximate solution and its certificate", csv=True)
@@ -1254,7 +1250,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, DimensionMismatch, NonRealPhi) as e:
+    except (ParseError, DimensionMismatch, NonRealPhi, OSError, UnicodeDecodeError) as e:
         sys.stderr.write(f"[cli] {e}\n")
         return 1
     except ModuleError as e:

@@ -89,6 +89,7 @@ def scaled_window(x, plateau, support):
     return chi_float(np.clip(u, 0.0, 1.0))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def sample_data(
     fn,
     halfwidth=1.0,
@@ -101,7 +102,10 @@ def sample_data(
 
     The window is a product of per-axis bumps with support radius
     window_support * halfwidth (strictly inside the box) and plateau radius
-    window_plateau * halfwidth (default: half the support)."""
+    window_plateau * halfwidth (default: half the support).  Overflow or a
+    pole in fn, or overflow in the window, is not warned about:
+    direction_scan rejects the non-finite or all-zero magnitudes it leads
+    to."""
     if n < 5:
         raise DegenerateGrid("need at least 5 points per axis")
     if not 0 < window_support < 1:
@@ -149,9 +153,11 @@ def simpson_weights(n: int, h: float) -> np.ndarray:
 _BATCH = 64
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fbi_transforms(data: SampledData, kappa, basepoint, covectors) -> np.ndarray:
     """Transform values at one basepoint for a batch of covectors, shape
-    (len(covectors), rank), by the separable quadrature kx^T (w u) kt."""
+    (len(covectors), rank), by the separable quadrature kx^T (w u) kt.  A
+    kernel that overflows is not warned about; see sample_data."""
     kappa = float(kappa)
     if kappa <= 0:
         raise FbiError("kappa must be positive")
@@ -199,9 +205,6 @@ class FbiScan:
     # scanned direction (xi, tau) extends to covectors within transverse
     # ratio < cone_aperture of it
     cone_aperture: float = 1.0 / math.sqrt(2.0)
-
-    def label_of(self, i):
-        return self.labels[i]
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -253,6 +256,9 @@ def direction_scan(
     mags = np.abs(values).max(axis=1).reshape(n_dirs, len(radii))
     if not np.all(np.isfinite(mags)):
         raise FbiError("non-finite transform magnitude in the scan")
+    zero = np.flatnonzero(~mags.any(axis=1))
+    if len(zero):
+        raise FbiError(f"every transform magnitude in direction {zero[0]} is zero")
     magnitudes = mags.tolist()
     slopes = []
     labels = []

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Poly, RatFun, ZERO, exact_rank, mul_truncated, ratfun_jet
+from .config import DEFAULTS
 from .structure import (
     CotangentSection,
     StructureDef,
@@ -24,8 +25,6 @@ from .structure import (
     build_frame,
     characteristic_form,
 )
-
-DEFAULT_KMAX = 8
 
 
 class HullError(Exception):
@@ -142,11 +141,6 @@ class SpanChain:
     def nondegenerate(self) -> bool:
         return self.nondeg_order is not None
 
-    def words(self, max_len=None):
-        if max_len is None:
-            return [(w, i) for w, i, _ in self.entries]
-        return [(w, i) for w, i, _ in self.entries if len(w) <= max_len]
-
 
 def _run_chain(sdef: StructureDef, start_vectors, target, k_max):
     """Shared chain driver: start_vectors is a list of tuples of RatFun (or
@@ -202,7 +196,7 @@ def _run_chain(sdef: StructureDef, start_vectors, target, k_max):
     return SpanChain(target, k_max, dims, entries, nondeg_order, stabilized_at)
 
 
-def hull_chain(sdef: StructureDef, kernel, k_max=DEFAULT_KMAX) -> SpanChain:
+def hull_chain(sdef: StructureDef, kernel, k_max=DEFAULTS.k_max) -> SpanChain:
     """Ascending chain of iterated derivatives of the characteristic forms;
     the structure is nondegenerate at 0 when the values at 0 span all of the
     annihilator fiber (dimension nu + d)."""
@@ -215,7 +209,7 @@ def hull_chain(sdef: StructureDef, kernel, k_max=DEFAULT_KMAX) -> SpanChain:
     return chain
 
 
-def kernel_chain(sdef: StructureDef, kernel, k_max=DEFAULT_KMAX, hull=None) -> SpanChain:
+def kernel_chain(sdef: StructureDef, kernel, k_max=DEFAULTS.k_max, hull=None) -> SpanChain:
     """Chain on the kernel rows alone (values in C^d).
 
     When the hull chain reaches full span at level k, this chain must reach

@@ -275,6 +275,8 @@ APPROX_FILE = MINIMAL_FILE + "[approx]\norder = 2\ngrid = 5\n"
         (MINIMAL_FILE + "[bundle]\nD x 1 1 = t1\n", ["analyze"]),
         (MINIMAL_FILE + "[bundle]\nlambda a 1 = 1\n", ["analyze"]),
         (MINIMAL_FILE + "[bundle]\nD 0 1 1 = t1\n", ["analyze"]),
+        (MINIMAL_FILE + "[bundle]\nD 3 1 1 = t1\n", ["analyze"]),
+        (MINIMAL_FILE + "[bundle]\nrank = 1\nlambda 1 1 = 1\nlambda 2 2 = 5\n", ["analyze"]),
         (MINIMAL_FILE + "[bundle]\nrank = 1/2\n", ["analyze"]),
         (MINIMAL_FILE + "[approx]\nnx = 1/2\n", ["approx"]),
         (MINIMAL_FILE + "[approx]\norder = -1\n", ["approx"]),
@@ -325,6 +327,8 @@ APPROX_FILE = MINIMAL_FILE + "[approx]\norder = 2\ngrid = 5\n"
         "bundle-d-index-not-integer",
         "bundle-lambda-index-not-integer",
         "bundle-d-index-zero",
+        "bundle-d-frame-index-too-large",
+        "bundle-lambda-index-above-rank",
         "bundle-rank-fraction",
         "approx-nx-fraction",
         "approx-order-negative",
@@ -372,6 +376,31 @@ def test_cli_exit_code_on_parse_error(tmp_path, capsys, text, argv):
     assert code == 1
     assert err.startswith("[cli] ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "body, line, col",
+    [
+        ("D 3 1 1 = t1\n", 6, 3),
+        ("rank = 1\nlambda 1 1 = 1\nlambda 2 2 = 5\n", 8, 8),
+        ("D 1 1 2 = t1\nrank = 1\n", 6, 7),
+        ("D 1 2 1 = t1\n", 6, 5),  # default rank nu + d = 1
+    ],
+)
+def test_parse_error_bundle_index_position(body, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_structure(MINIMAL_FILE + "[bundle]\n" + body)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert "from 1 to 1" in str(exc.value)
+
+
+def test_cli_unreadable_file_is_a_cli_error(tmp_path, capsys):
+    code, out, err = run_cli(["analyze", str(tmp_path / "missing.struct")], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("[cli] ") and "missing.struct" in err
+    (tmp_path / "binary.struct").write_bytes(b"\xff\xfe[dims]\n")
+    code, out, err = run_cli(["wavefront", str(tmp_path / "binary.struct")], capsys)
+    assert code == 1 and err.startswith("[cli] ")
 
 
 def test_cli_kmax_limit_is_inclusive(tmp_path, capsys):
@@ -575,3 +604,89 @@ def test_cli_wavefront_normal_form_unavailable(tmp_path, capsys):
     assert code == 0
     assert "normal form: unavailable" in out
     assert "direction 0" in out
+
+
+NOT_REAL_CANDIDATE_FILE = MINIMAL_FILE + "[candidate]\ns1 = i*s1\n"
+
+
+def test_cli_failed_section_keeps_the_others(tmp_path, capsys):
+    # the candidate section fails; the sections before and after it print,
+    # the failed one prints nothing, and --csv still writes the report files
+    f = tmp_path / "cand.struct"
+    f.write_text(NOT_REAL_CANDIDATE_FILE + "[bundle]\nrank = 1\nD 1 1 1 = t1\n")
+    outdir = tmp_path / "csv"
+    code, out, err = run_cli(["analyze", str(f), "--csv", str(outdir)], capsys)
+    assert code == 1
+    assert err == "[autosys] coefficient of d/ds1 is not real\n"
+    assert "nondegeneracy order: undetermined at k_max = 8\n" in out
+    assert "exceptional locus: Yes" in out
+    assert "automorphism system" not in out
+    assert out.endswith("bundle: Flat\n")
+    assert (outdir / "report.txt").read_text() == out
+    assert (outdir / "report.kv").read_text().endswith("bundle.flat = yes\n")
+
+
+def test_cli_autosys_reports_a_non_real_candidate(tmp_path, capsys):
+    f = tmp_path / "cand.struct"
+    f.write_text(NOT_REAL_CANDIDATE_FILE)
+    for command in ("analyze", "autosys"):
+        code, out, err = run_cli([command, str(f)], capsys)
+        assert (code, err) == (1, "[autosys] coefficient of d/ds1 is not real\n")
+        assert "degeneracy locus:" in out and "candidate 1" not in out
+
+
+def test_report_skips_sections_that_need_a_failed_one(monkeypatch):
+    import involucalc.cli as cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("no chain")
+
+    monkeypatch.setattr(cli, "hull_chain", broken)
+    report = run_report(parse_structure(CROSSING_FILE), {"k_max": 8})
+    machine = report.machine_text()
+    assert report.errors == ["[hull] no chain"]
+    assert "kernel.count = 1" in machine
+    assert "hull." not in machine and "loci." not in machine  # loci needs the chain
+    assert "autosys.candidate1 = automorphism" in machine
+
+
+def test_report_module_error_keeps_its_tag():
+    sf = parse_structure("[dims]\nnu = 0 d = 1 mu = 2\n[phi]\nt1^2/2 - t2^2/2\n")
+    report = run_report(sf, {"k_max": 4, "covectors": ["s1=1", "s1=abc"]})
+    assert len(report.errors) == 1 and report.errors[0].startswith("[cli] bad covector value 'abc'")
+    assert "levi." not in report.machine_text()  # the failed section's lines are dropped
+    assert "hull.nondeg_order" in report.machine_text()
+
+
+def test_cli_wavefront_bad_covector_still_scans(tmp_path, capsys):
+    f = tmp_path / "scan.struct"
+    f.write_text(MINIMAL_FILE + "[fbi]\ngrid = 64\ndirs = 2\nradii = 1:100:5\n")
+    code, out, err = run_cli(["wavefront", str(f), "--covector", "s1=abc"], capsys)
+    assert code == 1
+    assert err.startswith("[cli] bad covector value")
+    assert "normal form" not in out and "direction 1" in out
+
+
+@pytest.mark.parametrize(
+    "block, error",
+    [
+        # samples and kernels overflow to 0 on so wide a box
+        ("halfwidth = 100000000000000000000\n", "every transform magnitude in direction 0 is zero"),
+        ("halfwidth = 1" + "0" * 189 + "\n", "every transform magnitude in direction 0 is zero"),
+        # the odd grid samples 1/(x + i delta) at its pole x = 0
+        ("data = boundary\ndelta = 0\ngrid = 65\n", "non-finite transform magnitude in the scan"),
+    ],
+    ids=["halfwidth-1e20", "halfwidth-190-digits", "boundary-pole"],
+)
+def test_cli_wavefront_rejects_degenerate_samples(tmp_path, capsys, block, error):
+    # an [fbi] error instead of a label for every direction, and numpy warns
+    # about nothing
+    f = tmp_path / "wide.struct"
+    f.write_text(MINIMAL_FILE + "[fbi]\n" + block)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(["wavefront", str(f)], capsys)
+    assert [str(w.message) for w in caught] == []
+    assert code == 1
+    assert err == f"[fbi] {error}\n"
+    assert "direction 0" not in out

@@ -213,6 +213,13 @@ def test_scan_rejects_no_directions():
             direction_scan(data, KAPPA, (0, 0), n_dirs, RADII)
 
 
+def test_scan_rejects_all_zero_magnitudes():
+    # zero data has a zero transform at every radius: no slope to label
+    data = sample_data(lambda X, T: 0.0 * X, halfwidth=HW, n=64)
+    with pytest.raises(FbiError, match="direction 0 is zero"):
+        direction_scan(data, KAPPA, (0, 0), 2, RADII)
+
+
 # -- direction scans ------------------------------------------------------------------
 
 
