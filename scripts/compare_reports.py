@@ -32,6 +32,7 @@ RUNNER = "import sys; from involucalc.cli import main; sys.exit(main(sys.argv[1:
 
 _MINIMAL = "[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^2\n"
 _HUGE = "[fbi]\nhalfwidth = 1" + "0" * 189 + "\n"  # samples and kernels overflow to 0
+_NO_FLOAT = "1" + "0" * 400  # past the largest float
 # (name, structure file, command and options) of inputs that fail a report
 # section, a command option or the file grammar
 FAILING = [
@@ -52,6 +53,12 @@ FAILING = [
     ),
     ("bundle-frame-index-above-fields", _MINIMAL + "[bundle]\nD 3 1 1 = t1\n", ["analyze"]),
     ("covector-not-characteristic", "[dims]\nnu = 1 d = 0 mu = 0\n", ["analyze", "--covector", "x1=1"]),
+    ("approx-box-401-digits", _MINIMAL + f"[approx]\nbox = {_NO_FLOAT}\n", ["approx"]),
+    ("fbi-halfwidth-401-digits", _MINIMAL + f"[fbi]\nhalfwidth = {_NO_FLOAT}\n", ["wavefront"]),
+    ("fbi-kappa-401-digits", _MINIMAL + f"[fbi]\nkappa = {_NO_FLOAT}\n", ["wavefront"]),
+    ("option-kappa-401-digits", _MINIMAL, ["wavefront", "--kappa", _NO_FLOAT]),
+    ("bundle-section-empty", _MINIMAL + "[bundle]\nrank = 1\nsection =\n", ["analyze"]),
+    ("bundle-section-empty-group", _MINIMAL + "[bundle]\nrank = 2\nsection = t1, , 1\n", ["analyze"]),
 ]
 
 

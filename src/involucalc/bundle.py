@@ -67,13 +67,6 @@ def _mzero(r, vars):
     return _mat([[_zero(vars)] * r for _ in range(r)])
 
 
-def _mid(r, vars):
-    one = RatFun.of(Poly.one(vars))
-    return _mat(
-        [[one if i == j else _zero(vars) for j in range(r)] for i in range(r)]
-    )
-
-
 def _madd(a, b):
     return _mat([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
 
@@ -106,10 +99,6 @@ def _mscale(a, f):
 
 def _mtranspose(a):
     return _mat(list(zip(*a)))
-
-
-def _is_mzero(a):
-    return all(x.is_zero() for row in a for x in row)
 
 
 def expand_in_span(fields, target):

@@ -22,7 +22,8 @@ inside expressions):
 
     Integers are bounded by LIMITS: exponents by "exponent", each of nu, d
     and mu by "dimension", and so on; [approx] also needs
-    grid^(nx + 1) <= LIMITS["samples"].
+    grid^(nx + 1) <= LIMITS["samples"].  The rationals box, delta, sigma,
+    kappa and halfwidth must convert to a finite float.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ class _ExprParser:
     def _next(self):
         t = self._peek()
         if t is None:
-            last = self.toks[-1] if self.toks else _Tok("OP", "", 1, 1)
+            last = self.toks[-1]
             raise ParseError("unexpected end of expression", last.line, last.col + len(last.text))
         self.pos += 1
         return t
@@ -254,7 +255,10 @@ def parse_poly_tokens(toks, vars) -> Poly:
         raise ParseError(str(err), toks[0].line, toks[0].col)
 
 
-def _split_on_commas(toks):
+def _split_on_commas(toks, prev=None):
+    """The comma-separated expressions of toks, none of them empty.  An empty
+    one is a ParseError at the comma that ends it, or just after the token
+    before it (a comma, or ``prev``, the token toks follow)."""
     groups = [[]]
     depth = 0
     for t in toks:
@@ -263,9 +267,14 @@ def _split_on_commas(toks):
         elif t.kind == "OP" and t.text == ")":
             depth -= 1
         if t.kind == "OP" and t.text == "," and depth == 0:
+            if not groups[-1]:
+                raise ParseError("empty expression", t.line, t.col)
             groups.append([])
+            prev = t
         else:
             groups[-1].append(t)
+    if not groups[-1]:
+        raise ParseError("empty expression", prev.line, prev.col + len(prev.text))
     return groups
 
 
@@ -473,12 +482,22 @@ def _parse_int(toks, minimum, maximum=None):
     return value
 
 
-def _parse_positive(toks):
-    """A rational literal greater than zero."""
+def _parse_real(toks, positive=False):
+    """A rational literal that converts to a finite float, as the numerics
+    read it, and is greater than zero when ``positive``."""
     value = _parse_fraction(toks)
-    if value <= 0:
+    if positive and value <= 0:
         raise ParseError("expected a positive number", toks[0].line, toks[0].col)
+    if not _is_finite(value):
+        raise ParseError("number too large for a float", toks[0].line, toks[0].col)
     return value
+
+
+def _is_finite(value: Fraction) -> bool:
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
 
 
 def _parse_bundle(lines, vars, n_fields, default_rank):
@@ -508,7 +527,7 @@ def _parse_bundle(lines, vars, n_fields, default_rank):
             fiber_indices += toks[1:3]
             block.lam_entries[(a, b)] = parse_poly_tokens(toks[4:], vars)
         elif head.text == "section":
-            groups = _split_on_commas(toks[2:])
+            groups = _split_on_commas(toks[2:], prev=toks[:2][-1])
             block.sections.append(tuple(parse_poly_tokens(g, vars) for g in groups))
         else:
             raise ParseError(f"unknown bundle directive {head.text!r}", head.line, head.col)
@@ -532,7 +551,7 @@ def _parse_approx(lines):
         elif name == "order":
             block.order = _parse_int(rhs, 0, LIMITS["order"])
         elif name == "box":
-            block.box = _parse_positive(rhs)
+            block.box = _parse_real(rhs, positive=True)
         elif name in ("b", "u0"):
             pending.append((name, rhs))
         else:
@@ -567,9 +586,9 @@ def _parse_fbi(lines):
                 raise ParseError("data must be gaussian, heaviside, or boundary", rhs[0].line, rhs[0].col)
             block.data = rhs[0].text
         elif name in ("delta", "sigma", "kappa"):
-            setattr(block, name, _parse_fraction(rhs))
+            setattr(block, name, _parse_real(rhs))
         elif name == "halfwidth":
-            block.halfwidth = _parse_positive(rhs)
+            block.halfwidth = _parse_real(rhs, positive=True)
         elif name == "grid":
             block.grid = _parse_int(rhs, 1, LIMITS["scan_grid"])
         elif name == "dirs":
@@ -1187,6 +1206,8 @@ def cmd_wavefront(args) -> int:
     if sf.fbi is None:
         sf.fbi = FbiBlock()
     kappa = _option_fraction(args.kappa, "kappa") if args.kappa else sf.fbi.kappa
+    if not _is_finite(kappa):
+        raise ModuleError("cli", "--kappa is too large for a float")
     dirs = _option_int(args.dirs, sf.fbi.dirs, 1, LIMITS["dirs"], "--dirs")
     spec = args.radii if args.radii else sf.fbi.radii
     options = {

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Poly, RatFun, ZERO, exact_rank, mul_truncated, ratfun_jet
+from .algebra import ONE, Poly, RatFun, exact_rank, mul_truncated, ratfun_jet
 from .config import DEFAULTS
 from .structure import (
     CotangentSection,
@@ -59,57 +59,34 @@ def apply_word(
 
 
 class _SpanTracker:
-    """Incremental reduced echelon basis of sparse vectors keyed by
-    (component, exponent tuple)."""
+    """Echelon table of jet tuples over constants.  A row is keyed by its
+    pivot (component, exponent): the trailing term of its first nonzero
+    component, where the row is scaled to 1.  Distinct pivots make the rows
+    independent, and reducing by least term decides membership in their
+    span exactly."""
 
     def __init__(self):
-        self.rows = []  # list of (pivot_key, {key: GaussRat}) with pivot coeff 1
+        self.rows = {}  # pivot -> tuple of Poly
 
     @property
     def dim(self):
         return len(self.rows)
 
-    def add(self, vec: dict) -> bool:
-        v = {k: c for k, c in vec.items() if not c.is_zero()}
-        for pivot, row in self.rows:
-            c = v.get(pivot)
-            if c is None or c.is_zero():
-                continue
-            for k2, c2 in row.items():
-                nv = v.get(k2, ZERO) - c * c2
-                if nv.is_zero():
-                    v.pop(k2, None)
-                else:
-                    v[k2] = nv
-        if not v:
-            return False
-        pivot = min(v)
-        pc = v[pivot]
-        newrow = {k: c / pc for k, c in v.items()}
-        # keep the basis mutually reduced so a single pass suffices later
-        for j, (pk, row) in enumerate(self.rows):
-            c = row.get(pivot)
-            if c is None or c.is_zero():
-                continue
-            merged = dict(row)
-            for k2, c2 in newrow.items():
-                nv = merged.get(k2, ZERO) - c * c2
-                if nv.is_zero():
-                    merged.pop(k2, None)
-                else:
-                    merged[k2] = nv
-            self.rows[j] = (pk, merged)
-        self.rows.append((pivot, newrow))
-        self.rows.sort(key=lambda t: t[0])
-        return True
-
-
-def _jet_vec_key(jets) -> dict:
-    out = {}
-    for ci, j in enumerate(jets):
-        for e, c in j.terms.items():
-            out[(ci, e)] = c
-    return out
+    def add(self, jets) -> bool:
+        """Store the tuple as a new row unless it is in the span."""
+        v = tuple(jets)
+        while True:
+            ci = next((i for i, j in enumerate(v) if not j.is_zero()), None)
+            if ci is None:
+                return False
+            e, c = v[ci].trailing_term()
+            row = self.rows.get((ci, e))
+            if row is None:
+                inv = ONE / c
+                self.rows[(ci, e)] = tuple(j * inv for j in v)
+                return True
+            # the least term of v grows strictly, so the loop ends
+            v = tuple(a if r.is_zero() else a - r * c for a, r in zip(v, row))
 
 
 def _apply_field_jets(field_coeff_jets: dict, jets, order) -> tuple:
@@ -135,7 +112,7 @@ class SpanChain:
     entries: list  # (word, start index, value tuple at 0) per kept generator
     nondeg_order: int | None  # least k with dims[k] == target, if attained
     stabilized_at: int | None  # level at which the jet frontier was exhausted
-    kernel: tuple = ()  # the kernel vectors the chain was built from
+    starts: tuple = ()  # what the chain was built from, by start index
 
     @property
     def nondegenerate(self) -> bool:
@@ -161,7 +138,7 @@ def _run_chain(sdef: StructureDef, start_vectors, target, k_max):
         jets = tuple(
             ratfun_jet(RatFun.of(c, sdef.vars), k_max) for c in comp
         )
-        if tracker.add(_jet_vec_key(jets)):
+        if tracker.add(jets):
             word = ()
             values = tuple(j.constant_term() for j in jets)
             entries.append((word, si, values))
@@ -174,7 +151,7 @@ def _run_chain(sdef: StructureDef, start_vectors, target, k_max):
         for word, si, jets in frontier:
             for fi, fj in enumerate(frame_jets):
                 njets = _apply_field_jets(fj, jets, k_max - k)
-                if tracker.add(_jet_vec_key(njets)):
+                if tracker.add(njets):
                     nword = (fi,) + word
                     values = tuple(j.constant_term() for j in njets)
                     entries.append((nword, si, values))
@@ -200,12 +177,9 @@ def hull_chain(sdef: StructureDef, kernel, k_max=DEFAULTS.k_max) -> SpanChain:
     """Ascending chain of iterated derivatives of the characteristic forms;
     the structure is nondegenerate at 0 when the values at 0 span all of the
     annihilator fiber (dimension nu + d)."""
-    starts = []
-    for kv in kernel:
-        theta = characteristic_form(sdef, kv)
-        starts.append(theta.components())
-    chain = _run_chain(sdef, starts, sdef.nu + sdef.d, k_max)
-    chain.kernel = tuple(kernel)
+    thetas = tuple(characteristic_form(sdef, kv) for kv in kernel)
+    chain = _run_chain(sdef, [th.components() for th in thetas], sdef.nu + sdef.d, k_max)
+    chain.starts = thetas
     return chain
 
 
@@ -215,9 +189,9 @@ def kernel_chain(sdef: StructureDef, kernel, k_max=DEFAULTS.k_max, hull=None) ->
     When the hull chain reaches full span at level k, this chain must reach
     C^d by the same level (necessary condition); pass ``hull`` to have that
     checked."""
-    starts = [kv.b for kv in kernel]
+    starts = tuple(kv.b for kv in kernel)
     chain = _run_chain(sdef, starts, sdef.d, k_max)
-    chain.kernel = tuple(kernel)
+    chain.starts = starts
     if hull is not None and hull.nondeg_order is not None:
         k = hull.nondeg_order
         if chain.dims[min(k, len(chain.dims) - 1)] != sdef.d:

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .algebra import Poly, det, ratfun_det
 from .hull import SpanChain, lie_derivative
-from .structure import StructureDef, build_frame, characteristic_form, jacobians
+from .structure import StructureDef, build_frame, jacobians
 
 
 class LociError(Exception):
@@ -107,14 +107,13 @@ def hull_generator_rows(sdef: StructureDef, chain: SpanChain):
     section is its parent's section differentiated once: the same RatFun
     operations as ``apply_word``, without redoing the shared prefixes."""
     frame = build_frame(sdef)
-    thetas = [characteristic_form(sdef, kv) for kv in chain.kernel]
     sections = {}
     rows = []
     for word, si, _ in chain.entries:
         if word:
             sec = lie_derivative(sdef, frame[word[0]], sections[(word[1:], si)])
         else:
-            sec = thetas[si]
+            sec = chain.starts[si]
         sections[(word, si)] = sec
         rows.append(((word, si), sec.components()))
     return rows

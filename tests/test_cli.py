@@ -113,6 +113,44 @@ def test_parse_error_limit_position(body, line, col):
     assert (exc.value.line, exc.value.col) == (line, col)
 
 
+@pytest.mark.parametrize(
+    "block, col",
+    [
+        ("[approx]\nbox = 1" + "0" * 400 + "\n", 7),
+        ("[fbi]\nhalfwidth = 1" + "0" * 400 + "\n", 13),
+        ("[fbi]\nkappa = 1" + "0" * 400 + "/3\n", 9),
+        ("[fbi]\ndelta = -1" + "0" * 400 + "\n", 9),
+    ],
+    ids=["approx-box", "fbi-halfwidth", "fbi-kappa", "fbi-delta"],
+)
+def test_parse_error_float_overflow_position(block, col):
+    # the numerics read these rationals as floats
+    bad = "[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^2\n" + block
+    with pytest.raises(ParseError) as exc:
+        parse_structure(bad)
+    assert (exc.value.line, exc.value.col) == (6, col)
+    assert "too large for a float" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "body, line, col",
+    [
+        ("[bundle]\nrank = 1\nsection =\n", 7, 10),
+        ("[bundle]\nrank = 2\nsection = t1, , 1\n", 7, 15),
+        ("[bundle]\nrank = 2\nsection = t1,\n", 7, 14),
+        ("[approx]\nb = , t\n", 6, 5),
+    ],
+    ids=["nothing-after-equals", "empty-group", "trailing-comma", "leading-comma"],
+)
+def test_parse_error_empty_expression_position(body, line, col):
+    # after the '=' or ',' before the empty expression, or at the ',' ending it
+    bad = "[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^2\n" + body
+    with pytest.raises(ParseError) as exc:
+        parse_structure(bad)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert "empty expression" in str(exc.value)
+
+
 def test_parse_error_dimension_limit_position():
     with pytest.raises(ParseError) as exc:
         parse_structure("[dims]\nnu = 100 d = 1 mu = 1\n[phi]\nt1^2\n")
@@ -315,6 +353,15 @@ APPROX_FILE = MINIMAL_FILE + "[approx]\norder = 2\ngrid = 5\n"
         (APPROX_FILE, ["approx", "--order", "100"]),
         (MINIMAL_FILE, ["wavefront", "--dirs", "100000"]),
         (MINIMAL_FILE, ["wavefront", "--radii", "1:100:100000"]),
+        (MINIMAL_FILE + "[approx]\nbox = 1" + "0" * 400 + "\n", ["approx"]),
+        (MINIMAL_FILE + "[approx]\nbox = 1" + "0" * 400 + "\n", ["analyze"]),
+        (MINIMAL_FILE + "[fbi]\nhalfwidth = 1" + "0" * 400 + "\n", ["wavefront"]),
+        (MINIMAL_FILE + "[fbi]\nkappa = 1" + "0" * 400 + "\n", ["analyze"]),
+        (MINIMAL_FILE + "[fbi]\nsigma = -1" + "0" * 400 + "\n", ["wavefront"]),
+        (MINIMAL_FILE, ["wavefront", "--kappa", "1" + "0" * 400]),
+        (MINIMAL_FILE + "[bundle]\nsection =\n", ["analyze"]),
+        (MINIMAL_FILE + "[bundle]\nrank = 2\nsection = t1, , 1\n", ["analyze"]),
+        ("[dims]\nnu = 0 d = 2 mu = 1\n[phi]\nt1^2\nt1^3\n[kernel]\n, t1\n", ["analyze"]),
     ],
     ids=[
         "double-caret",
@@ -367,6 +414,15 @@ APPROX_FILE = MINIMAL_FILE + "[approx]\norder = 2\ngrid = 5\n"
         "option-order-too-large",
         "option-dirs-too-large",
         "option-radii-count-too-large",
+        "approx-box-401-digits",
+        "approx-box-401-digits-analyze",
+        "fbi-halfwidth-401-digits",
+        "fbi-kappa-401-digits",
+        "fbi-sigma-401-digits",
+        "option-kappa-401-digits",
+        "bundle-section-empty",
+        "bundle-section-empty-group",
+        "kernel-empty-group",
     ],
 )
 def test_cli_exit_code_on_parse_error(tmp_path, capsys, text, argv):

@@ -31,7 +31,7 @@ from involucalc.structure import (
     characteristic_form,
     kernel_vectors,
 )
-from conftest import rand_poly
+from conftest import rand_poly, s2_structure
 
 I = GaussRat(0, 1)
 
@@ -308,15 +308,21 @@ def test_span_tracker_matches_dense_rank():
     from conftest import rand_gauss
 
     rng = random.Random(57)
+    vars = ("s1", "t1")
+    exps = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    keys = [(0, e) for e in exps[:3]] + [(1, e) for e in exps]
     for _ in range(20):
-        keys = [(0, (i,)) for i in range(6)]
         vectors = []
         tracker = _SpanTracker()
         added = 0
         for _ in range(10):
             vec = {k: rand_gauss(rng) for k in keys if rng.random() < 0.5}
             vectors.append(vec)
-            if tracker.add(vec):
+            jets = tuple(
+                Poly(vars, {e: c for (cj, e), c in vec.items() if cj == ci})
+                for ci in range(2)
+            )
+            if tracker.add(jets):
                 added += 1
             dense = [[v.get(k, GaussRat(0)) for k in keys] for v in vectors]
             assert added == exact_rank(dense)
@@ -348,8 +354,8 @@ def brute_force_dims(sdef, kernel, k_max):
 
 @pytest.mark.parametrize(
     "sdef,kmax",
-    [(crossing_powers(1, 2), 4), (three_quadrics(), 3)],
-    ids=["crossing", "threeq"],
+    [(crossing_powers(1, 2), 4), (three_quadrics(), 3), (s2_structure(3), 5)],
+    ids=["crossing", "threeq", "s2-d3"],
 )
 def test_hull_dims_match_brute_force(sdef, kmax):
     kvs = kernel_vectors(sdef)

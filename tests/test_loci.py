@@ -203,7 +203,7 @@ def test_hull_rows_match_apply_word(name):
         kernel = [KernelVector(sdef, (Poly.var(vars, "t1", 2), -Poly.var(vars, "t1")))]
     chain = hull_chain(sdef, kernel, k_max=4)
     frame = build_frame(sdef)
-    thetas = [characteristic_form(sdef, kv) for kv in chain.kernel]
+    thetas = [characteristic_form(sdef, kv) for kv in kernel]
     rows = hull_generator_rows(sdef, chain)
     assert [key for key, _ in rows] == [(w, si) for w, si, _ in chain.entries]
     assert any(len(w) >= 2 for w, _, _ in chain.entries)
