@@ -57,6 +57,8 @@ FAILING = [
     ("fbi-halfwidth-401-digits", _MINIMAL + f"[fbi]\nhalfwidth = {_NO_FLOAT}\n", ["wavefront"]),
     ("fbi-kappa-401-digits", _MINIMAL + f"[fbi]\nkappa = {_NO_FLOAT}\n", ["wavefront"]),
     ("option-kappa-401-digits", _MINIMAL, ["wavefront", "--kappa", _NO_FLOAT]),
+    ("approx-box-float-zero", _MINIMAL + f"[approx]\nbox = 1/{_NO_FLOAT}\n", ["approx"]),
+    ("fbi-halfwidth-float-zero", _MINIMAL + f"[fbi]\nhalfwidth = 1/{_NO_FLOAT}\n", ["wavefront"]),
     ("bundle-section-empty", _MINIMAL + "[bundle]\nrank = 1\nsection =\n", ["analyze"]),
     ("bundle-section-empty-group", _MINIMAL + "[bundle]\nrank = 2\nsection = t1, , 1\n", ["analyze"]),
 ]

@@ -306,6 +306,43 @@ def poly_complex_fn(p: Poly):
     return f
 
 
+def max_degrees(polys, n_vars: int) -> tuple:
+    """The largest exponent of each of the n_vars variables over polys."""
+    exps = [e for p in polys for e in p.terms]
+    return tuple(max((e[v] for e in exps), default=0) for v in range(n_vars))
+
+
+def grid_sup_fn(axes, degrees):
+    """max |p| over the tensor grid axes[0] x ... x axes[n-1], for a
+    polynomial p of degree at most degrees[v] in variable v.
+
+    Sum factorization: p's dense complex coefficient tensor is contracted
+    with one real Vandermonde matrix per axis, one axis at a time, so no
+    meshgrid array is filled per term.  The matrices are built once, here;
+    each call evaluates one polynomial, cut to its own degrees.  A variable
+    p does not depend on is not contracted, since the sup is the same along
+    its axis; the others are contracted from the highest degree down, so the
+    full grid is reached by the cheapest contraction.  A coefficient that
+    does not convert to a complex raises OverflowError; an overflowing sample
+    comes back as an inf or NaN sup (np.max propagates NaN)."""
+    vander = [
+        np.asarray(ax, dtype=float)[:, None] ** np.arange(d + 1)
+        for ax, d in zip(axes, degrees)
+    ]
+
+    def sup(p: Poly) -> float:
+        deg = max_degrees((p,), len(vander))
+        live = sorted((v for v in range(len(vander)) if deg[v]), key=lambda v: -deg[v])
+        vals = np.zeros(tuple(deg[v] + 1 for v in live), dtype=complex)
+        for e, c in p.terms.items():
+            vals[tuple(e[v] for v in live)] = complex(c)
+        for v in live:  # contract the leading degree axis; its grid axis goes last
+            vals = np.tensordot(vals, vander[v][:, : deg[v] + 1], axes=(0, 1))
+        return float(np.max(np.abs(vals)))
+
+    return sup
+
+
 @dataclass(frozen=True)
 class CutoffPlan:
     """Cutoff scales, box, and the sampled constants that selected them."""
@@ -334,7 +371,8 @@ def select_cutoff_plan(
     n = series.order
     box = tuple((-float(box_halfwidth), float(box_halfwidth)) for _ in vars)
     axes = [np.linspace(lo, hi, grid) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij") if axes else []
+    # derivatives have no larger degree than the coefficients they come from
+    grid_sup = grid_sup_fn(axes, max_degrees((p for c in series.coeffs for p in c), len(vars)))
     chi_sups = chi_derivative_sups(n)
     constants = []
     radii = []
@@ -362,8 +400,7 @@ def select_cutoff_plan(
                 for q in comps:
                     if q.is_zero():  # its samples are all 0, below any sup
                         continue
-                    vals = poly_complex_fn(q)(*mesh)
-                    x = float(np.max(np.abs(vals))) if vals.shape else abs(complex(vals))
+                    x = grid_sup(q)
                     if not math.isfinite(x):  # max() below would drop a NaN
                         raise PlanInfeasible("sampled derivative is not finite on the box")
                     sup_poly = max(sup_poly, x)
@@ -497,52 +534,38 @@ class AssembledSolution:
     def tail_certificate(self, m_max=2, grid=9, s_samples=21):
         """Check the selection inequality's consequence term by term: the
         sampled sup of each derivative of order <= min(k-1, m_max) of the k-th
-        cutoff term is at most 2^{-k}."""
-        field = self.field
-        vars = field.vars
+        cutoff term is at most 2^{-k}.  The sup of a derivative
+        d^alpha c_k d^m_s (chi(R_k s) s^k) factors into a grid sup, taken once
+        per (k, alpha), times an s-sup, taken once per (k, m)."""
+        vars = self.field.vars
+        coeffs = self.series.coeffs
         axes = [np.linspace(lo, hi, grid) for lo, hi in self.plan.box]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        grid_sup = grid_sup_fn(axes, max_degrees((p for c in coeffs for p in c), len(vars)))
+        svals = np.linspace(-1.0, 1.0, s_samples).tolist()
         rows = []
         ok = True
         for k in range(1, self.series.order + 1):
             rk = self._radii[k]
-            fact = 1.0
-            for m in range(1, k + 1):
-                fact *= m
-            sups = []
             budget = min(k - 1, m_max)
-            for alpha_l in _derivative_multiindices(len(vars), budget):
-                dtotal = sum(alpha_l)
-                for m in range(budget - dtotal + 1):
-                    sup_val = 0.0
-                    comps = []
-                    for p in self.series.coeffs[k]:
-                        q = p
-                        for vi, times in enumerate(alpha_l):
-                            for _ in range(times):
-                                q = q.diff(vars[vi])
-                        comps.append(poly_complex_fn(q))
-                    svals = np.linspace(-1.0, 1.0, s_samples)
-                    for s in svals:
-                        # m-th s-derivative of chi(R_k s) s^k at this s
-                        dchi = chi_derivatives(rk * float(s), m)
-                        acc = 0.0
-                        for q in range(m + 1):
-                            power = k - m + q
-                            if power < 0:
-                                continue
-                            dfac = 1.0
-                            for i in range(power + 1, k + 1):
-                                dfac *= i
-                            acc += math.comb(m, q) * (rk**q) * dchi[q] * dfac * float(s) ** power
-                        if acc == 0.0:
-                            continue
-                        for f in comps:
-                            vals = f(*mesh)
-                            sup_val = max(sup_val, float(np.max(np.abs(vals))) * abs(acc))
-                    sups.append(sup_val)
+            # s_sups[m]: sampled sup of the m-th s-derivative of chi(R_k s) s^k
+            s_sups = [0.0] * (budget + 1)
+            for s in svals:
+                dchi = chi_derivatives(rk * s, budget)
+                for m in range(budget + 1):
+                    acc = 0.0
+                    for q in range(m + 1):
+                        power = k - m + q
+                        dfac = 1.0
+                        for i in range(power + 1, k + 1):
+                            dfac *= i
+                        acc += math.comb(m, q) * (rk**q) * dchi[q] * dfac * s**power
+                    s_sups[m] = max(s_sups[m], abs(acc))
+            worst = 0.0
+            for alpha, comps in _multiindex_derivatives(coeffs[k], vars, budget):
+                sup_poly = max((grid_sup(q) for q in comps), default=0.0)
+                for m in range(budget - sum(alpha) + 1):
+                    worst = max(worst, sup_poly * s_sups[m])
             bound = 2.0 ** (-k)
-            worst = max(sups) if sups else 0.0
             rows.append((k, worst, bound))
             if worst > bound:
                 ok = False

@@ -484,12 +484,14 @@ def _parse_int(toks, minimum, maximum=None):
 
 def _parse_real(toks, positive=False):
     """A rational literal that converts to a finite float, as the numerics
-    read it, and is greater than zero when ``positive``."""
+    read it, and whose float is greater than zero when ``positive``."""
     value = _parse_fraction(toks)
     if positive and value <= 0:
         raise ParseError("expected a positive number", toks[0].line, toks[0].col)
     if not _is_finite(value):
         raise ParseError("number too large for a float", toks[0].line, toks[0].col)
+    if positive and float(value) == 0:
+        raise ParseError("number too small for a float", toks[0].line, toks[0].col)
     return value
 
 

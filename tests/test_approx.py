@@ -19,6 +19,8 @@ from involucalc.approx import (
     chi_float,
     chi_prime_float,
     field_vars,
+    grid_sup_fn,
+    max_degrees,
     poly_complex_fn,
     select_cutoff_plan,
     series_coefficients,
@@ -207,6 +209,28 @@ def test_multiindex_derivatives_match_direct_differentiation():
             assert list(q.terms) == list(p.terms)
 
 
+@pytest.mark.parametrize("nx", [1, 2, 3])
+@pytest.mark.parametrize("grid", [1, 6, 7])
+def test_grid_sup_matches_poly_complex_fn(nx, grid):
+    # oracle: every term of p filled into a meshgrid array by poly_complex_fn
+    rng = random.Random(10 * nx + grid)
+    vars = field_vars(nx)
+    axes = [np.linspace(-1.7, 1.7, grid) for _ in vars]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    polys = [rand_poly(rng, vars, max_degree=6, n_terms=8) for _ in range(12)]
+    # x1 has degree 0 in every polynomial, t in some of them
+    polys = [
+        Poly(vars, {(0,) + e[1:-1] + (e[-1] * (i % 2),): c for e, c in p.terms.items()})
+        for i, p in enumerate(polys)
+    ]
+    degrees = max_degrees(polys, len(vars))
+    assert degrees[0] == 0
+    sup = grid_sup_fn(axes, degrees)
+    for p in polys + [Poly.zero(vars), Poly.one(vars)]:
+        want = float(np.max(np.abs(poly_complex_fn(p)(*mesh))))
+        assert abs(sup(p) - want) <= 1e-12 * want
+
+
 # -- plan selection ----------------------------------------------------------------------
 
 
@@ -258,15 +282,16 @@ def reference_plan(series, box_halfwidth, grid):
     return CutoffPlan(tuple(radii), box, grid, tuple(constants))
 
 
-@pytest.mark.parametrize("nx", [1, 2])
+@pytest.mark.parametrize("nx", [1, 2, 3])
 @pytest.mark.parametrize("box", [1.0, 0.5])
 def test_plan_matches_reference(nx, box):
+    grid = 9 if nx < 3 else 5
     vars = field_vars(nx)
     t = Poly.var(vars, "t")
     field = NormalFormField(nx, tuple(-t for _ in range(nx)))
     u0 = Poly.var(vars, "x1") ** 5 * Fraction(3, 7) + Poly.var(vars, f"x{nx}") * 2
     series = series_coefficients(field, (u0,), 8)
-    assert select_cutoff_plan(series, box, 9) == reference_plan(series, box, 9)
+    assert select_cutoff_plan(series, box, grid) == reference_plan(series, box, grid)
 
 
 def test_plan_satisfies_selection_inequality():
@@ -362,6 +387,58 @@ def test_tail_certificate_passes():
     ok, rows = ev.tail_certificate(m_max=2, grid=5, s_samples=11)
     assert ok
     assert all(w <= bound for _, w, bound in rows)
+
+
+def reference_tail_rows(ev, m_max, grid, s_samples):
+    """Oracle: the tail certificate's rows with every derivative taken from
+    c_k itself and evaluated on the meshgrid once per (alpha, m, s)."""
+    vars = ev.field.vars
+    mesh = np.meshgrid(*[np.linspace(lo, hi, grid) for lo, hi in ev.plan.box], indexing="ij")
+    rows = []
+    for k in range(1, ev.series.order + 1):
+        rk = float(ev.plan.radii[k])
+        budget = min(k - 1, m_max)
+        sups = []
+        for alpha in _derivative_multiindices(len(vars), budget):
+            for m in range(budget - sum(alpha) + 1):
+                sup_val = 0.0
+                comps = []
+                for p in ev.series.coeffs[k]:
+                    for vi, times in enumerate(alpha):
+                        for _ in range(times):
+                            p = p.diff(vars[vi])
+                    comps.append(poly_complex_fn(p))
+                for s in np.linspace(-1.0, 1.0, s_samples):
+                    dchi = chi_derivatives(rk * float(s), m)
+                    acc = 0.0
+                    for q in range(m + 1):
+                        power = k - m + q
+                        acc += (
+                            math.comb(m, q) * rk**q * dchi[q]
+                            * math.factorial(k) / math.factorial(power) * float(s) ** power
+                        )
+                    if acc:
+                        for fn in comps:
+                            vals = fn(*mesh)
+                            sup_val = max(sup_val, float(np.max(np.abs(vals))) * abs(acc))
+                sups.append(sup_val)
+        rows.append((k, max(sups), 2.0 ** (-k)))
+    return rows
+
+
+@pytest.mark.parametrize("power", [1, 5])
+def test_tail_certificate_matches_reference(power):
+    f = mizohata_field()
+    series = series_coefficients(f, (V("x1", power),), 4)
+    plan = select_cutoff_plan(series, grid=9)
+    ev = assemble_evaluator(series, plan)
+    # s steps of 1/512 reach inside the supports |s| < 1 / R_k of the first terms
+    got = ev.tail_certificate(m_max=2, grid=5, s_samples=1025)[1]
+    want = reference_tail_rows(ev, 2, 5, 1025)
+    assert [(k, b) for k, _, b in got] == [(k, b) for k, _, b in want]
+    assert any(w for _, w, _ in want)
+    for (_, w1, _), (_, w2, _) in zip(got, want):
+        assert abs(w1 - w2) <= 1e-12 * w2
 
 
 def test_csv_export(tmp_path):

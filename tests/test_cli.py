@@ -114,22 +114,25 @@ def test_parse_error_limit_position(body, line, col):
 
 
 @pytest.mark.parametrize(
-    "block, col",
+    "block, col, message",
     [
-        ("[approx]\nbox = 1" + "0" * 400 + "\n", 7),
-        ("[fbi]\nhalfwidth = 1" + "0" * 400 + "\n", 13),
-        ("[fbi]\nkappa = 1" + "0" * 400 + "/3\n", 9),
-        ("[fbi]\ndelta = -1" + "0" * 400 + "\n", 9),
+        ("[approx]\nbox = 1" + "0" * 400 + "\n", 7, "too large"),
+        ("[fbi]\nhalfwidth = 1" + "0" * 400 + "\n", 13, "too large"),
+        ("[fbi]\nkappa = 1" + "0" * 400 + "/3\n", 9, "too large"),
+        ("[fbi]\ndelta = -1" + "0" * 400 + "\n", 9, "too large"),
+        # positive as rationals, but 0.0 as the floats the numerics sample with
+        ("[approx]\nbox = 1/1" + "0" * 400 + "\n", 7, "too small"),
+        ("[fbi]\nhalfwidth = 1/1" + "0" * 400 + "\n", 13, "too small"),
     ],
-    ids=["approx-box", "fbi-halfwidth", "fbi-kappa", "fbi-delta"],
+    ids=["approx-box", "fbi-halfwidth", "fbi-kappa", "fbi-delta", "approx-box-zero", "fbi-halfwidth-zero"],
 )
-def test_parse_error_float_overflow_position(block, col):
+def test_parse_error_float_overflow_position(block, col, message):
     # the numerics read these rationals as floats
     bad = "[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^2\n" + block
     with pytest.raises(ParseError) as exc:
         parse_structure(bad)
     assert (exc.value.line, exc.value.col) == (6, col)
-    assert "too large for a float" in str(exc.value)
+    assert f"{message} for a float" in str(exc.value)
 
 
 @pytest.mark.parametrize(
@@ -359,6 +362,8 @@ APPROX_FILE = MINIMAL_FILE + "[approx]\norder = 2\ngrid = 5\n"
         (MINIMAL_FILE + "[fbi]\nkappa = 1" + "0" * 400 + "\n", ["analyze"]),
         (MINIMAL_FILE + "[fbi]\nsigma = -1" + "0" * 400 + "\n", ["wavefront"]),
         (MINIMAL_FILE, ["wavefront", "--kappa", "1" + "0" * 400]),
+        (MINIMAL_FILE + "[approx]\nbox = 1/1" + "0" * 400 + "\n", ["approx"]),
+        (MINIMAL_FILE + "[fbi]\nhalfwidth = 1/1" + "0" * 400 + "\n", ["wavefront"]),
         (MINIMAL_FILE + "[bundle]\nsection =\n", ["analyze"]),
         (MINIMAL_FILE + "[bundle]\nrank = 2\nsection = t1, , 1\n", ["analyze"]),
         ("[dims]\nnu = 0 d = 2 mu = 1\n[phi]\nt1^2\nt1^3\n[kernel]\n, t1\n", ["analyze"]),
@@ -420,6 +425,8 @@ APPROX_FILE = MINIMAL_FILE + "[approx]\norder = 2\ngrid = 5\n"
         "fbi-kappa-401-digits",
         "fbi-sigma-401-digits",
         "option-kappa-401-digits",
+        "approx-box-float-zero",
+        "fbi-halfwidth-float-zero",
         "bundle-section-empty",
         "bundle-section-empty-group",
         "kernel-empty-group",
