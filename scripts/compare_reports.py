@@ -8,10 +8,13 @@ The inputs of each workload are taken from ``perfbench/workloads.py`` of the
 checkout that holds this script, which is imported without writing to it
 (the catalog inputs are generated with CHANGE_SRC's package).
 A fixed list of inputs whose reports record errors (FAILING) is added as
-the workload ``errors``, so that the error path is compared as well.
+the workload ``errors``, so that the error path is compared as well, and a
+fixed list of inputs on paths the benchmark does not run (UNBENCHED) as the
+workload ``unbenched``; the files a run writes under its ``--csv`` directory
+are compared too.
 Every input of every workload runs once under each tree, each in a fresh
 interpreter in the same scratch directory, so paths echoed in a report agree.  Inputs whose
-standard output, standard error or exit code differ are printed with a
+standard output, standard error, exit code or CSV files differ are printed with a
 unified diff; inputs that exceed their time limit under either tree (the
 benchmark's cap, or TIMEOUT_S for inputs it does not cap) are listed as not
 compared.  The exit code is 1 if any input differs."""
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -61,6 +65,26 @@ FAILING = [
     ("fbi-halfwidth-float-zero", _MINIMAL + f"[fbi]\nhalfwidth = 1/{_NO_FLOAT}\n", ["wavefront"]),
     ("bundle-section-empty", _MINIMAL + "[bundle]\nrank = 1\nsection =\n", ["analyze"]),
     ("bundle-section-empty-group", _MINIMAL + "[bundle]\nrank = 2\nsection = t1, , 1\n", ["analyze"]),
+    ("fbi-radii-401-digits", _MINIMAL + f"[fbi]\nradii = 1:{_NO_FLOAT}:7\n", ["wavefront"]),
+    ("fbi-radii-401-digits-analyze", _MINIMAL + f"[fbi]\nradii = 1:{_NO_FLOAT}:7\n", ["analyze"]),
+    ("option-radii-1e400", _MINIMAL, ["wavefront", "--radii", "1:1e400:7"]),
+    ("fbi-radii-count-3", _MINIMAL + "[fbi]\ngrid = 64\nradii = 1:2:3\n", ["wavefront"]),
+    ("fbi-radii-four-fields", _MINIMAL + "[fbi]\ngrid = 64\nradii = 6/5:120:7:9\n", ["wavefront"]),
+    ("fbi-radii-zero-denominator", _MINIMAL + "[fbi]\ngrid = 64\nradii = 1/0:2:3\n", ["analyze"]),
+]
+
+_APPROX = "[approx]\nnx = 2\norder = 8\nb = -t, -t\nu0 = 3/7*x1^5 + 2*x2\n"
+_FBI = "[fbi]\ndata = boundary\ndelta = 1/20\ngrid = 128\ndirs = 4\n"
+# (name, structure file, command and options) of inputs that succeed on paths
+# the benchmark does not run: the machine report's 17-digit residual sup and
+# the CSV tables
+UNBENCHED = [
+    (
+        "analyze-approx-fbi-machine",
+        _MINIMAL + _APPROX + _FBI,
+        ["analyze", "--machine", "--csv", "csv_analyze"],
+    ),
+    ("approx-csv", _MINIMAL + _APPROX, ["approx", "--csv", "csv_approx"]),
 ]
 
 
@@ -70,7 +94,8 @@ def _load_workloads(src):
     from workloads import WORKLOADS, Input
 
     failing = [Input(name, text, argv[0], argv[1:]) for name, text, argv in FAILING]
-    return {**WORKLOADS, "errors": lambda seed: failing}
+    unbenched = [Input(name, text, argv[0], argv[1:]) for name, text, argv in UNBENCHED]
+    return {**WORKLOADS, "errors": lambda seed: failing, "unbenched": lambda seed: unbenched}
 
 
 def _src_dir(path):
@@ -82,7 +107,11 @@ def _src_dir(path):
 
 
 def _run(src, argv, cwd, timeout):
-    """(exit code, stdout, stderr) of one command, or None on a timeout."""
+    """(exit code, stdout, stderr, {name: text} of the files written under
+    its --csv directory) of one command, or None on a timeout."""
+    csv_dir = Path(cwd) / argv[argv.index("--csv") + 1] if "--csv" in argv else None
+    if csv_dir is not None:
+        shutil.rmtree(csv_dir, ignore_errors=True)
     env = dict(os.environ, PYTHONPATH=str(src))
     try:
         p = subprocess.run(
@@ -91,7 +120,10 @@ def _run(src, argv, cwd, timeout):
         )
     except subprocess.TimeoutExpired:
         return None
-    return p.returncode, p.stdout, p.stderr
+    files = {}
+    if csv_dir is not None and csv_dir.is_dir():
+        files = {f.name: f.read_text() for f in sorted(csv_dir.iterdir())}
+    return p.returncode, p.stdout, p.stderr, files
 
 
 def _diff(name, a, b):
@@ -126,14 +158,16 @@ def main(argv=None):
                     skipped.append(f"{label} (over {limit:g} s under {side})")
                     continue
                 compared += 1
-                (rc0, out0, err0), (rc1, out1, err1) = results
-                if (rc0, out0, err0) == (rc1, out1, err1):
+                if results[0] == results[1]:
                     continue
+                (rc0, out0, err0, files0), (rc1, out1, err1, files1) = results
                 differ += 1
                 print(f"== {label}: {' '.join(inp.argv(path.name))}")
                 if rc0 != rc1:
                     print(f"exit code {rc0} -> {rc1}")
                 print(_diff("stdout", out0, out1) + _diff("stderr", err0, err1), end="")
+                for name in sorted(files0.keys() | files1.keys()):
+                    print(_diff(name, files0.get(name, ""), files1.get(name, "")), end="")
     print(f"# seed {args.seed}: {compared} inputs compared, {differ} differ")
     for line in skipped:
         print(f"# not compared: {line}")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -164,11 +165,7 @@ def shift_jet_check(field: NormalFormField, j: int, l_max: int) -> ShiftJetRepor
     failures = []
     minus_il = field.b[j - 1]
     for l in range(l_max + 1):
-        lhs = series.coeffs[l + 1][0]
-        fact = 1
-        for m in range(1, l + 1):
-            fact *= m
-        lhs = lhs * fact  # l-th s-derivative of the profile at 0
+        lhs = series.coeffs[l + 1][0] * math.factorial(l)  # l-th s-derivative at 0
         rhs = minus_il * Fraction(1, l + 1)
         if lhs != rhs:
             failures.append((l, lhs, rhs))
@@ -193,22 +190,6 @@ def chi_float(u):
         f2 = np.exp(-1.0 / v2)
         out[mid] = f1 / (f1 + f2)
     return out
-
-
-def chi_prime_float(u):
-    u = np.asarray(u, dtype=float)
-    au = np.abs(u)
-    out = np.zeros_like(au)
-    mid = (au > 0.5) & (au < 1.0)
-    if np.any(mid):
-        v1 = 2.0 - 2.0 * au[mid]
-        v2 = 2.0 * au[mid] - 1.0
-        f1 = np.exp(-1.0 / v1)
-        f2 = np.exp(-1.0 / v2)
-        d1 = f1 * (-2.0 / v1**2)
-        d2 = f2 * (2.0 / v2**2)
-        out[mid] = (d1 * f2 - f1 * d2) / (f1 + f2) ** 2
-    return out * np.sign(u)
 
 
 def _taylor_mul(a, b):
@@ -257,53 +238,22 @@ def chi_derivatives(u: float, order: int):
         f2 = _taylor_exp([-c for c in _taylor_recip(v2)])
         den = [a + b for a, b in zip(f1, f2)]
         chi = _taylor_mul(f1, _taylor_recip(den))
-        fact = 1.0
-        vals = []
-        for q in range(n):
-            vals.append(chi[q] * fact)
-            fact *= q + 1
+        vals = [c * math.factorial(q) for q, c in enumerate(chi)]
     return [v * (sign**q) for q, v in enumerate(vals)]
 
 
 @functools.lru_cache(maxsize=None)
-def chi_derivative_sups(order: int, samples: int = 257) -> tuple:
+def chi_derivative_sups(order: int) -> tuple:
     """Sampled suprema of |chi^(q)| for q = 0..order (attained in the
-    transition zone), from one Taylor expansion per sample point.  The
-    recurrences are truncation-stable, so entry q does not depend on order."""
-    us = np.linspace(0.5, 1.0, samples)[1:-1]
+    transition zone), from one Taylor expansion at each of 255 interior
+    points.  The recurrences are truncation-stable, so entry q does not
+    depend on order."""
+    us = np.linspace(0.5, 1.0, 257)[1:-1]
     rows = [chi_derivatives(float(u), order) for u in us]
     return (1.0,) + tuple(max(abs(r[q]) for r in rows) for q in range(1, order + 1))
 
 
-def chi_derivative_sup(order: int, samples: int = 257) -> float:
-    """Sampled supremum of |chi^(order)|."""
-    return chi_derivative_sups(order, samples)[order]
-
-
 # -- numeric evaluation of the exact polynomials --------------------------------
-
-
-def poly_complex_fn(p: Poly):
-    """Evaluator over numpy arrays, one array per variable in order."""
-    terms = [(e, complex(c)) for e, c in p.terms.items()]
-
-    def f(*arrays):
-        shape = np.broadcast(*arrays).shape if arrays else ()
-        powers = [{} for _ in arrays]  # arr**k, computed once per call
-        total = None
-        for e, c in terms:
-            term = np.full(shape, c)
-            for arr, k, cache in zip(arrays, e, powers):
-                if k:
-                    if k not in cache:
-                        cache[k] = arr**k
-                    term = term * cache[k]
-            total = term if total is None else total + term
-        if total is None:
-            return np.zeros(shape, dtype=complex)
-        return total
-
-    return f
 
 
 def max_degrees(polys, n_vars: int) -> tuple:
@@ -312,25 +262,26 @@ def max_degrees(polys, n_vars: int) -> tuple:
     return tuple(max((e[v] for e in exps), default=0) for v in range(n_vars))
 
 
-def grid_sup_fn(axes, degrees):
-    """max |p| over the tensor grid axes[0] x ... x axes[n-1], for a
-    polynomial p of degree at most degrees[v] in variable v.
+def grid_values_fn(axes, degrees):
+    """Values of a polynomial p on the tensor grid axes[0] x ... x axes[n-1],
+    for p of degree at most degrees[v] in variable v.
 
     Sum factorization: p's dense complex coefficient tensor is contracted
     with one real Vandermonde matrix per axis, one axis at a time, so no
-    meshgrid array is filled per term.  The matrices are built once, here;
-    each call evaluates one polynomial, cut to its own degrees.  A variable
-    p does not depend on is not contracted, since the sup is the same along
-    its axis; the others are contracted from the highest degree down, so the
-    full grid is reached by the cheapest contraction.  A coefficient that
-    does not convert to a complex raises OverflowError; an overflowing sample
-    comes back as an inf or NaN sup (np.max propagates NaN)."""
+    grid-sized array is made per term of p.  The matrices are built once,
+    here; each call evaluates one polynomial, cut to its own degrees.  A
+    variable p does not depend on is not contracted and its axis of the
+    result has size 1; the others are contracted from the highest degree
+    down, so the full grid is reached by the cheapest contraction.  The
+    result's axes are in variable order.  A coefficient that does not
+    convert to a complex raises OverflowError; an overflowing sample comes
+    back as inf or NaN."""
     vander = [
         np.asarray(ax, dtype=float)[:, None] ** np.arange(d + 1)
         for ax, d in zip(axes, degrees)
     ]
 
-    def sup(p: Poly) -> float:
+    def values(p: Poly) -> np.ndarray:
         deg = max_degrees((p,), len(vander))
         live = sorted((v for v in range(len(vander)) if deg[v]), key=lambda v: -deg[v])
         vals = np.zeros(tuple(deg[v] + 1 for v in live), dtype=complex)
@@ -338,9 +289,10 @@ def grid_sup_fn(axes, degrees):
             vals[tuple(e[v] for v in live)] = complex(c)
         for v in live:  # contract the leading degree axis; its grid axis goes last
             vals = np.tensordot(vals, vander[v][:, : deg[v] + 1], axes=(0, 1))
-        return float(np.max(np.abs(vals)))
+        shape = tuple(len(m) if deg[v] else 1 for v, m in enumerate(vander))
+        return np.transpose(vals, np.argsort(live)).reshape(shape)
 
-    return sup
+    return values
 
 
 @dataclass(frozen=True)
@@ -372,25 +324,18 @@ def select_cutoff_plan(
     box = tuple((-float(box_halfwidth), float(box_halfwidth)) for _ in vars)
     axes = [np.linspace(lo, hi, grid) for lo, hi in box]
     # derivatives have no larger degree than the coefficients they come from
-    grid_sup = grid_sup_fn(axes, max_degrees((p for c in series.coeffs for p in c), len(vars)))
+    values = grid_values_fn(axes, max_degrees((p for c in series.coeffs for p in c), len(vars)))
     chi_sups = chi_derivative_sups(n)
     constants = []
     radii = []
     prev = Fraction(1)
     for k in range(n + 1):
-        # k! c_k = (-i D)^k u0
-        fact = 1.0
-        for m in range(1, k + 1):
-            fact *= m
         # weight of the m-th transverse derivative; the same for every alpha
         weights = []
         for m in range(k + 1):
             acc = 0.0
             for q in range(m + 1):
-                dfac = 1.0
-                for i in range(1, k - m + q + 1):
-                    dfac *= i
-                acc += math.comb(m, q) * chi_sups[q] / dfac
+                acc += math.comb(m, q) * chi_sups[q] / math.factorial(k - m + q)
             weights.append(acc)
         best = 0.0
         for alpha_l, comps in _multiindex_derivatives(series.coeffs[k], vars, k):
@@ -400,13 +345,13 @@ def select_cutoff_plan(
                 for q in comps:
                     if q.is_zero():  # its samples are all 0, below any sup
                         continue
-                    x = grid_sup(q)
+                    x = float(np.max(np.abs(values(q))))
                     if not math.isfinite(x):  # max() below would drop a NaN
                         raise PlanInfeasible("sampled derivative is not finite on the box")
                     sup_poly = max(sup_poly, x)
             except OverflowError as e:
                 raise PlanInfeasible(f"sampled derivative norm overflows: {e}")
-            sup_poly *= fact
+            sup_poly *= math.factorial(k)  # k! c_k = (-i D)^k u0
             if not math.isfinite(sup_poly):
                 raise PlanInfeasible("sampled derivative norm is not finite")
             for m in range(m_max + 1):
@@ -428,13 +373,14 @@ def select_cutoff_plan(
 
 
 def _derivative_multiindices(n_vars, k):
-    """All derivative multi-indices over the space variables with total
-    order <= k (the transverse order m is accounted separately)."""
-    out = []
+    """All derivative multi-indices over n_vars variables with total order
+    <= k (the transverse order m is accounted separately), by total order,
+    then lexicographically: the n_vars - 1 bars of each stars-and-bars
+    arrangement, taken in lexicographic order."""
     for total in range(k + 1):
-        for combo in _compositions(total, n_vars):
-            out.append(combo)
-    return out
+        for bars in itertools.combinations(range(total + n_vars - 1), n_vars - 1):
+            edges = (-1,) + bars + (total + n_vars - 1,)
+            yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 def _multiindex_derivatives(polys, vars, k):
@@ -455,93 +401,76 @@ def _multiindex_derivatives(polys, vars, k):
         yield alpha, comps
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
-
-
 class AssembledSolution:
-    """Numeric evaluator of the cutoff series and of D_1 applied to it."""
+    """Numeric evaluator of the cutoff series and of D_1 applied to it, on a
+    tensor grid of the box at one transverse value s."""
 
     def __init__(self, series: ApproxSeries, plan: CutoffPlan):
         self.series = series
         self.plan = plan
         self.field = series.field
         self.rank = len(series.u0)
-        n = series.order
-        self._coeff_fns = [
-            [poly_complex_fn(p) for p in series.coeffs[k]] for k in range(n + 1)
-        ]
-        self._tail_fns = [poly_complex_fn(p) for p in series.transverse_tail()]
+        self._tail = series.transverse_tail()
+        self._degrees = max_degrees(
+            (p for c in series.coeffs + (self._tail,) for p in c), len(self.field.vars)
+        )
         self._radii = [float(r) for r in plan.radii]
 
-    def u(self, coords, s):
-        """coords: arrays (x_1..x_N, t); s: array; returns list per component."""
-        s = np.asarray(s, dtype=float)
-        out = [np.zeros(np.broadcast(*coords, s).shape, dtype=complex) for _ in range(self.rank)]
-        for k in range(self.series.order + 1):
-            damp = chi_float(self._radii[k] * s) * s**k
-            for c in range(self.rank):
-                out[c] = out[c] + self._coeff_fns[k][c](*coords) * damp
+    def _weighted_sum(self, axes, vectors, weights):
+        """sum_k weights[k] vectors[k] on the grid axes[0] x ... x axes[N],
+        one array per component; a term of weight 0 is skipped."""
+        values = grid_values_fn(axes, self._degrees)
+        out = [np.zeros(tuple(len(ax) for ax in axes), dtype=complex) for _ in range(self.rank)]
+        for vec, w in zip(vectors, weights):
+            if w:
+                for c, p in enumerate(vec):
+                    out[c] = out[c] + values(p) * w
         return out
 
-    def d1u(self, coords, s):
-        """(d/ds + i D) applied to the assembled sum.
+    def u(self, axes, s: float):
+        """sum_k c_k chi(R_k s) s^k on the grid axes (x_1..x_N, t) at the
+        transverse value s; returns one array per component."""
+        weights = [chi_derivatives(r * s, 0)[0] * s**k for k, r in enumerate(self._radii)]
+        return self._weighted_sum(axes, self.series.coeffs, weights)
+
+    def d1u(self, axes, s: float):
+        """(d/ds + i D) applied to the assembled sum, on the grid axes at the
+        transverse value s.
 
         Uses the telescoped form
 
-            sum_k c_k R_k chi'(R_k s) s^k
-            + sum_{k<n} (k+1) c_{k+1} (chi(R_{k+1} s) - chi(R_k s)) s^k
+            sum_k c_k (R_k chi'(R_k s) s^k + k (chi(R_k s) - chi(R_{k-1} s)) s^{k-1})
             + (i D c_n) chi(R_n s) s^n,
 
         which is algebraically identical to differentiating term by term but
         avoids the catastrophic cancellation of the raw sum: on the common
         plateau every cutoff factor is exactly 1 and only the tail remains."""
-        s = np.asarray(s, dtype=float)
-        shape = np.broadcast(*coords, s).shape
-        out = [np.zeros(shape, dtype=complex) for _ in range(self.rank)]
-        n = self.series.order
-        for k in range(n + 1):
-            rk = self._radii[k]
-            prime = rk * chi_prime_float(rk * s) * s**k
-            if np.any(prime):
-                for c in range(self.rank):
-                    out[c] = out[c] + self._coeff_fns[k][c](*coords) * prime
-            if k < n:
-                diff = (chi_float(self._radii[k + 1] * s) - chi_float(rk * s)) * (
-                    (k + 1) * s**k
-                )
-                if np.any(diff):
-                    for c in range(self.rank):
-                        out[c] = out[c] + self._coeff_fns[k + 1][c](*coords) * diff
-        tailmask = chi_float(self._radii[n] * s) * s**n
-        for c in range(self.rank):
-            out[c] = out[c] + self._tail_fns[c](*coords) * tailmask
-        return out
+        chis = [chi_derivatives(r * s, 1) for r in self._radii]
+        weights = []
+        for k, rk in enumerate(self._radii):
+            w = rk * chis[k][1] * s**k
+            if k:
+                w += (chis[k][0] - chis[k - 1][0]) * (k * s ** (k - 1))
+            weights.append(w)
+        weights.append(chis[-1][0] * s**self.series.order)
+        return self._weighted_sum(axes, self.series.coeffs + (self._tail,), weights)
 
     def sup_d1u(self, s, grid=17):
         """Sampled sup over the box of the D_1 residual at transverse value s."""
         axes = [np.linspace(lo, hi, grid) for lo, hi in self.plan.box]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        vals = self.d1u(mesh, np.full(mesh[0].shape, float(s)))
-        return max(float(np.max(np.abs(v))) for v in vals)
+        return max(float(np.max(np.abs(v))) for v in self.d1u(axes, float(s)))
 
     def tail_certificate(self, m_max=2, grid=9, s_samples=21):
         """Check the selection inequality's consequence term by term: the
         sampled sup of each derivative of order <= min(k-1, m_max) of the k-th
         cutoff term is at most 2^{-k}.  The sup of a derivative
         d^alpha c_k d^m_s (chi(R_k s) s^k) factors into a grid sup, taken once
-        per (k, alpha), times an s-sup, taken once per (k, m)."""
+        per (k, alpha), times an s-sup, taken once per (k, m) over s_samples
+        points of the term's support |s| <= 1/R_k."""
         vars = self.field.vars
         coeffs = self.series.coeffs
         axes = [np.linspace(lo, hi, grid) for lo, hi in self.plan.box]
-        grid_sup = grid_sup_fn(axes, max_degrees((p for c in coeffs for p in c), len(vars)))
-        svals = np.linspace(-1.0, 1.0, s_samples).tolist()
+        values = grid_values_fn(axes, self._degrees)
         rows = []
         ok = True
         for k in range(1, self.series.order + 1):
@@ -549,20 +478,19 @@ class AssembledSolution:
             budget = min(k - 1, m_max)
             # s_sups[m]: sampled sup of the m-th s-derivative of chi(R_k s) s^k
             s_sups = [0.0] * (budget + 1)
-            for s in svals:
+            for s in np.linspace(-1.0 / rk, 1.0 / rk, s_samples).tolist():
                 dchi = chi_derivatives(rk * s, budget)
                 for m in range(budget + 1):
                     acc = 0.0
                     for q in range(m + 1):
                         power = k - m + q
-                        dfac = 1.0
-                        for i in range(power + 1, k + 1):
-                            dfac *= i
-                        acc += math.comb(m, q) * (rk**q) * dchi[q] * dfac * s**power
+                        acc += (
+                            math.comb(m, q) * (rk**q) * dchi[q] * math.perm(k, m - q) * s**power
+                        )
                     s_sups[m] = max(s_sups[m], abs(acc))
             worst = 0.0
             for alpha, comps in _multiindex_derivatives(coeffs[k], vars, budget):
-                sup_poly = max((grid_sup(q) for q in comps), default=0.0)
+                sup_poly = max((float(np.max(np.abs(values(q)))) for q in comps), default=0.0)
                 for m in range(budget - sum(alpha) + 1):
                     worst = max(worst, sup_poly * s_sups[m])
             bound = 2.0 ** (-k)
@@ -571,22 +499,21 @@ class AssembledSolution:
                 ok = False
         return ok, rows
 
-    def write_csv(self, path, coords, s):
-        """Samples as rows: coordinates, s, then Re/Im per component."""
-        values = self.u(coords, s)
-        flat_coords = [np.asarray(c, dtype=float).ravel() for c in coords]
-        flat_s = np.broadcast_to(np.asarray(s, dtype=float), np.broadcast(*coords, s).shape).ravel()
+    def write_csv(self, path, axes, s: float):
+        """Samples on the grid axes at the transverse value s as rows:
+        coordinates, s, then Re/Im per component."""
+        values = [v.ravel().tolist() for v in self.u(axes, s)]
+        points = itertools.product(*(np.asarray(ax, dtype=float).tolist() for ax in axes))
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             header = list(self.field.vars) + ["s"]
             for c in range(self.rank):
                 header += [f"re_u{c + 1}", f"im_u{c + 1}"]
             w.writerow(header)
-            for idx in range(flat_s.size):
-                row = [f"{c[idx]:.17g}" for c in flat_coords] + [f"{flat_s[idx]:.17g}"]
-                for c in range(self.rank):
-                    v = values[c].ravel()[idx]
-                    row += [f"{v.real:.17g}", f"{v.imag:.17g}"]
+            for idx, point in enumerate(points):
+                row = [f"{x:.17g}" for x in point] + [f"{s:.17g}"]
+                for vals in values:
+                    row += [f"{vals[idx].real:.17g}", f"{vals[idx].imag:.17g}"]
                 w.writerow(row)
 
 

@@ -23,7 +23,9 @@ inside expressions):
     Integers are bounded by LIMITS: exponents by "exponent", each of nu, d
     and mu by "dimension", and so on; [approx] also needs
     grid^(nx + 1) <= LIMITS["samples"].  The rationals box, delta, sigma,
-    kappa and halfwidth must convert to a finite float.
+    kappa and halfwidth must convert to a finite float, as must the lo and hi
+    of a radii spec lo:hi:count, which needs 0 < lo < hi and a count from 4
+    to LIMITS["radii"].
 """
 
 from __future__ import annotations
@@ -596,11 +598,32 @@ def _parse_fbi(lines):
         elif name == "dirs":
             block.dirs = _parse_int(rhs, 1, LIMITS["dirs"])
         elif name == "radii":
-            parts = [t.text for t in rhs]
-            block.radii = "".join(parts)
+            block.radii = _parse_radii_spec(rhs)
         else:
             raise ParseError(f"unknown fbi key {name!r}", toks[0].line, toks[0].col)
     return block
+
+
+def _parse_radii_spec(toks):
+    """An [fbi] radii spec lo:hi:count, checked as _parse_radii reads it:
+    0 < lo < hi as floats and count from 4 to LIMITS["radii"]."""
+    groups = [[]]
+    for t in toks:
+        if t.text == ":":
+            if not groups[-1] or len(groups) == 3:
+                raise ParseError("expected lo:hi:count", t.line, t.col)
+            groups.append([])
+        else:
+            groups[-1].append(t)
+    if len(groups) < 3 or not groups[-1]:
+        end = toks[-1]
+        raise ParseError("expected lo:hi:count", end.line, end.col + len(end.text))
+    lo_toks, hi_toks, count_toks = groups
+    lo, hi = _parse_real(lo_toks, positive=True), _parse_real(hi_toks, positive=True)
+    if float(hi) <= float(lo):
+        raise ParseError("expected hi > lo", hi_toks[0].line, hi_toks[0].col)
+    _parse_int(count_toks, 4, LIMITS["radii"])
+    return "".join(t.text for t in toks)
 
 
 # -- serialization -----------------------------------------------------------------------
@@ -765,10 +788,11 @@ def _parse_covector(spec: str, vars):
 
 
 def _parse_radii(spec: str):
+    """count log-spaced radii from lo to hi, for a spec lo:hi:count."""
     try:
         lo, hi, count = spec.split(":")
         lo, hi, count = float(Fraction(lo)), float(Fraction(hi)), int(count)
-    except (ValueError, ZeroDivisionError) as e:
+    except (ValueError, ZeroDivisionError, OverflowError) as e:
         raise ModuleError("cli", f"bad radii spec {spec!r}: {e}")
     if not 4 <= count <= LIMITS["radii"] or lo <= 0 or hi <= lo:
         raise ModuleError("cli", f"radii spec needs 0 < lo < hi and count from 4 to {LIMITS['radii']}")
@@ -1013,9 +1037,7 @@ def _approx_csv(plan, ev, path):
     """Samples of the solution on a 9-point grid over the box at s = plateau / 2."""
     import numpy as np
 
-    axes = [np.linspace(lo, hi, 9) for lo, hi in plan.box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    ev.write_csv(path, mesh, np.full(mesh[0].shape, plan.plateau / 2))
+    ev.write_csv(path, [np.linspace(lo, hi, 9) for lo, hi in plan.box], plan.plateau / 2)
 
 
 def _approx(report):

@@ -41,7 +41,13 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import GaussRat, Poly, RatFun
-from .approx import NormalFormField, chi_float
+from .approx import (
+    NormalFormField,
+    chi_float,
+    grid_values_fn,
+    max_degrees,
+    series_coefficients,
+)
 from .config import DEFAULTS
 from .structure import StructureDef, build_frame, levi_form
 
@@ -96,11 +102,11 @@ def sample_data(
     n=256,
     window_support=0.95,
     window_plateau=None,
-    rank=1,
 ) -> SampledData:
-    """Sample fn(x, t) (broadcasting over arrays) on a centered square grid.
+    """Sample fn(x, t) (broadcasting over arrays) on a centered square grid;
+    fn returns an (n, n) array, or (r, n, n) for r components.
 
-    The window is a product of per-axis bumps with support radius
+    The window is the outer product of two per-axis bumps with support radius
     window_support * halfwidth (strictly inside the box) and plateau radius
     window_plateau * halfwidth (default: half the support).  Overflow or a
     pole in fn, or overflow in the window, is not warned about:
@@ -113,17 +119,13 @@ def sample_data(
     if window_plateau is None:
         window_plateau = window_support / 2.0
     xs = np.linspace(-halfwidth, halfwidth, n)
-    ts = np.linspace(-halfwidth, halfwidth, n)
-    X, T = np.meshgrid(xs, ts, indexing="ij")
-    vals = np.asarray(fn(X, T), dtype=complex)
+    vals = np.asarray(fn(*np.meshgrid(xs, xs, indexing="ij")), dtype=complex)
     if vals.ndim == 2:
         vals = vals[None, :, :]
-    if vals.shape != (rank, n, n):
+    if vals.ndim != 3 or vals.shape[1:] != (n, n):
         raise DegenerateGrid("sampled values have unexpected shape")
-    ws = window_support * halfwidth
-    wp = window_plateau * halfwidth
-    window = scaled_window(X, wp, ws) * scaled_window(T, wp, ws)
-    return SampledData(xs, ts, vals, window)
+    row = scaled_window(xs, window_plateau * halfwidth, window_support * halfwidth)
+    return SampledData(xs, xs, vals, np.outer(row, row))
 
 
 def simpson_weights(n: int, h: float) -> np.ndarray:
@@ -235,11 +237,12 @@ def direction_scan(
     basepoint,
     n_dirs: int,
     radii,
-    smooth_threshold: float = DEFAULTS.smooth_slope,
-    singular_threshold: float = DEFAULTS.singular_slope,
 ) -> FbiScan:
     """Scan |F| over a circle of directions and a radius grid; classify each
-    direction by the fitted log-log slope."""
+    direction by the fitted log-log slope against DEFAULTS.smooth_slope and
+    DEFAULTS.singular_slope."""
+    smooth_threshold = DEFAULTS.smooth_slope
+    singular_threshold = DEFAULTS.singular_slope
     radii = [float(r) for r in radii]
     if len(radii) < 4:
         raise FbiError("slope fits need at least 4 radii")
@@ -320,42 +323,32 @@ class SmallnessReport:
     sup_im_shift: float
 
 
-def kappa_smallness_check(
-    field: NormalFormField,
-    xi0,
-    kappa,
-    box_halfwidth=1.0,
-    s_max=0.25,
-    order=6,
-    grid=17,
-) -> SmallnessReport:
-    from .approx import poly_complex_fn, series_coefficients
+# the smallness check samples the box [-1, 1]^(N+1) at 17 points per axis,
+# and the shift profiles' series to order 6 at 17 values of |s| <= 1/4
+_SMALL_BOX, _SMALL_GRID, _SMALL_ORDER, _SMALL_S = 1.0, 17, 6, 0.25
 
+
+def kappa_smallness_check(field: NormalFormField, xi0, kappa) -> SmallnessReport:
     xi0 = tuple(Fraction(x) for x in xi0)
     norm = math.sqrt(sum(float(x) ** 2 for x in xi0))
     if norm == 0:
         raise FbiError("covector must be nonzero")
     vars = field.vars
-    axes = [np.linspace(-box_halfwidth, box_halfwidth, grid) for _ in vars]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pairing = None
-    for bj, x in zip(field.b, xi0):
-        if x == 0:
-            continue
-        vals = poly_complex_fn(bj.diff("t"))(*mesh).real * float(x)
-        pairing = vals if pairing is None else pairing + vals
-    rho = float(np.min(pairing)) / norm if pairing is not None else 0.0
-    sup_im = 0.0
-    svals = np.linspace(-s_max, s_max, grid)
+    drifts = [(bj.diff("t"), float(x)) for bj, x in zip(field.b, xi0) if x != 0]
+    profiles = []  # c_1..c_{order+1} of the series with data x_j: its shift profile
     for j in range(1, field.n_x + 1):
-        series = series_coefficients(field, (Poly.var(vars, f"x{j}"),), order + 1)
-        coeff_vals = [
-            poly_complex_fn(series.coeffs[k + 1][0])(*mesh) for k in range(order + 1)
-        ]
-        for s in svals:
-            acc = np.zeros(mesh[0].shape, dtype=complex)
-            for k, vals in enumerate(coeff_vals):
-                acc = acc + vals * s**k
+        series = series_coefficients(field, (Poly.var(vars, f"x{j}"),), _SMALL_ORDER + 1)
+        profiles.append([c for (c,) in series.coeffs[1:]])
+    polys = [p for p, _ in drifts] + [c for cs in profiles for c in cs]
+    axes = [np.linspace(-_SMALL_BOX, _SMALL_BOX, _SMALL_GRID) for _ in vars]
+    values = grid_values_fn(axes, max_degrees(polys, len(vars)))
+    pairing = sum(values(p).real * x for p, x in drifts)
+    rho = float(np.min(pairing)) / norm if drifts else 0.0
+    sup_im = 0.0
+    for coeffs in profiles:
+        coeff_vals = [values(c) for c in coeffs]
+        for s in np.linspace(-_SMALL_S, _SMALL_S, _SMALL_GRID):
+            acc = sum(vals * s**k for k, vals in enumerate(coeff_vals))
             sup_im = max(sup_im, float(np.max(np.abs(acc.imag))))
     lhs = 1.5 * float(kappa) * (1.0 + sup_im)
     return SmallnessReport(lhs < rho / 16.0, lhs, rho, sup_im)

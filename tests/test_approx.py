@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,15 +14,12 @@ from involucalc.approx import (
     assemble_evaluator,
     _derivative_multiindices,
     _multiindex_derivatives,
-    chi_derivative_sup,
     chi_derivative_sups,
     chi_derivatives,
     chi_float,
-    chi_prime_float,
     field_vars,
-    grid_sup_fn,
+    grid_values_fn,
     max_degrees,
-    poly_complex_fn,
     select_cutoff_plan,
     series_coefficients,
     shift_jet_check,
@@ -37,6 +35,24 @@ def mizohata_field():
 def V(name, power=1):
     vars = field_vars(1)
     return Poly.var(vars, name, power)
+
+
+def poly_complex_fn(p: Poly):
+    """Oracle evaluator over numpy arrays, one array per variable in order:
+    every term of p filled into an array of the broadcast shape, in term
+    order, with each power recomputed per term."""
+
+    def f(*arrays):
+        total = np.zeros(np.broadcast(*arrays).shape, dtype=complex)
+        for e, c in p.terms.items():
+            term = np.full(total.shape, complex(c))
+            for arr, k in zip(arrays, e):
+                if k:
+                    term = term * arr**k
+            total = total + term
+        return total
+
+    return f
 
 
 # -- exact series ----------------------------------------------------------------
@@ -147,19 +163,17 @@ def test_chi_derivatives_match_finite_differences():
         fd2 = (chi_float(u0 + h) - 2 * chi_float(u0) + chi_float(u0 - h)) / h**2
         assert abs(d[1] - fd1) < 1e-5 * max(1.0, abs(d[1]))
         assert abs(d[2] - fd2) < 1e-3 * max(1.0, abs(d[2]))
-        assert abs(chi_prime_float(u0) - d[1]) < 1e-12 * max(1.0, abs(d[1]))
 
 
 def test_chi_prime_is_odd():
-    us = np.linspace(-1.2, 1.2, 41)
-    assert np.allclose(chi_prime_float(us), -chi_prime_float(-us))
+    for u in np.linspace(-1.2, 1.2, 41).tolist():
+        assert chi_derivatives(u, 1)[1] == -chi_derivatives(-u, 1)[1]
 
 
 def test_chi_derivative_sup_grows():
-    s1 = chi_derivative_sup(1)
-    s4 = chi_derivative_sup(4)
-    assert s1 > 1.0
-    assert s4 > s1
+    sups = chi_derivative_sups(4)
+    assert sups[1] > 1.0
+    assert sups[4] > sups[1]
 
 
 def test_chi_derivative_sups_match_per_order_loop():
@@ -169,26 +183,25 @@ def test_chi_derivative_sups_match_per_order_loop():
         max(abs(chi_derivatives(float(u), q)[q]) for u in us) for q in range(1, 9)
     ]
     assert chi_derivative_sups(8) == tuple(loop)
-    assert [chi_derivative_sup(q) for q in range(9)] == loop
 
 
-def test_poly_complex_fn_matches_term_by_term_evaluation():
-    # oracle: every power recomputed per term, in the same order
-    rng = random.Random(11)
-    vars = field_vars(2)
-    mesh = np.meshgrid(*[np.linspace(-1.0, 1.0, 7) for _ in vars], indexing="ij")
-    for _ in range(20):
-        p = rand_poly(rng, vars, max_degree=5, n_terms=8)
-        if p.is_zero():
-            continue
-        total = None
-        for e, c in p.terms.items():
-            term = np.full(mesh[0].shape, complex(c))
-            for arr, k in zip(mesh, e):
-                if k:
-                    term = term * arr**k
-            total = term if total is None else total + term
-        assert np.array_equal(poly_complex_fn(p)(*mesh), total)
+@pytest.mark.parametrize("nx", [1, 2])
+def test_grid_values_match_term_by_term_evaluation(nx):
+    # oracle: every term of p filled into a meshgrid array; the values come
+    # back in variable order, of size 1 along a variable p does not contain
+    rng = random.Random(11 + nx)
+    vars = field_vars(nx)
+    axes = [np.linspace(-1.0, 1.0, 7 + v) for v in range(len(vars))]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    polys = [rand_poly(rng, vars, max_degree=5, n_terms=8) for _ in range(20)]
+    polys += [Poly.zero(vars), Poly.one(vars), Poly.var(vars, "t", 3) - Poly.var(vars, "x1")]
+    values = grid_values_fn(axes, max_degrees(polys, len(vars)))
+    for p in polys:
+        got = values(p)
+        deg = max_degrees((p,), len(vars))
+        assert got.shape == tuple(len(ax) if d else 1 for ax, d in zip(axes, deg))
+        want = poly_complex_fn(p)(*mesh)
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_multiindex_derivatives_match_direct_differentiation():
@@ -199,7 +212,12 @@ def test_multiindex_derivatives_match_direct_differentiation():
     vars = field_vars(2)
     polys = tuple(rand_poly(rng, vars, max_degree=6, n_terms=10) for _ in range(2))
     got = list(_multiindex_derivatives(polys, vars, 4))
-    assert [alpha for alpha, _ in got] == _derivative_multiindices(len(vars), 4)
+    assert [alpha for alpha, _ in got] == list(_derivative_multiindices(len(vars), 4))
+    # the order: by total order, then lexicographic
+    for n_vars in (1, 2, 3, 4):
+        brute = [a for a in itertools.product(range(5), repeat=n_vars) if sum(a) <= 4]
+        want = sorted(brute, key=lambda a: (sum(a), a))
+        assert list(_derivative_multiindices(n_vars, 4)) == want
     for alpha, comps in got:
         for p, q in zip(polys, comps):
             for vi, times in enumerate(alpha):
@@ -225,10 +243,10 @@ def test_grid_sup_matches_poly_complex_fn(nx, grid):
     ]
     degrees = max_degrees(polys, len(vars))
     assert degrees[0] == 0
-    sup = grid_sup_fn(axes, degrees)
+    values = grid_values_fn(axes, degrees)
     for p in polys + [Poly.zero(vars), Poly.one(vars)]:
         want = float(np.max(np.abs(poly_complex_fn(p)(*mesh))))
-        assert abs(sup(p) - want) <= 1e-12 * want
+        assert abs(float(np.max(np.abs(values(p)))) - want) <= 1e-12 * want
 
 
 # -- plan selection ----------------------------------------------------------------------
@@ -324,7 +342,7 @@ def test_evaluator_restores_data_at_s_zero():
     xs = np.linspace(-1, 1, 7)
     ts = np.linspace(-1, 1, 7)
     X, T = np.meshgrid(xs, ts, indexing="ij")
-    (vals,) = ev.u((X, T), np.zeros_like(X))
+    (vals,) = ev.u((xs, ts), 0.0)
     assert np.allclose(vals, X**2)
 
 
@@ -333,8 +351,9 @@ def test_evaluator_constant_data():
     series = series_coefficients(f, (Poly.one(f.vars),), 3)
     plan = select_cutoff_plan(series, grid=9)
     ev = assemble_evaluator(series, plan)
-    (val,) = ev.u((np.array(0.3), np.array(0.1)), np.array(0.0))
-    assert abs(val - 1.0) < 1e-15
+    (val,) = ev.u(([0.3], [0.1]), 0.0)
+    assert val.shape == (1, 1)
+    assert abs(val[0, 0] - 1.0) < 1e-15
 
 
 def test_d1u_on_plateau_matches_exact_tail():
@@ -343,12 +362,10 @@ def test_d1u_on_plateau_matches_exact_tail():
     plan = select_cutoff_plan(series, grid=9)
     ev = assemble_evaluator(series, plan)
     s = plan.plateau * 0.5
-    x, t = np.array(0.7), np.array(-0.4)
-    (got,) = ev.d1u((x, t), np.array(s))
-    from involucalc.approx import poly_complex_fn
-
-    tail = poly_complex_fn(series.transverse_tail()[0])(x, t) * s**6
-    assert abs(got - tail) <= 1e-12 * max(1.0, abs(tail))
+    x, t = np.array([0.7, 0.2]), np.array([-0.4, 0.9, 1.0])
+    (got,) = ev.d1u((x, t), s)
+    tail = poly_complex_fn(series.transverse_tail()[0])(x[:, None], t[None, :]) * s**6
+    assert np.max(np.abs(got - tail)) <= 1e-12 * max(1.0, np.max(np.abs(tail)))
 
 
 def test_d1u_vanishes_identically_for_exact_solution():
@@ -358,10 +375,9 @@ def test_d1u_vanishes_identically_for_exact_solution():
     series = series_coefficients(f, (V("x1"),), 3)
     plan = select_cutoff_plan(series, grid=9)
     ev = assemble_evaluator(series, plan)
-    s = plan.plateau * np.array([0.5, 0.25, 0.125])
-    x, t = np.array(0.3), np.array(0.9)
-    (vals,) = ev.d1u((x, t), s)
-    assert np.max(np.abs(vals)) == 0.0
+    for s in plan.plateau * np.array([0.5, 0.25, 0.125]):
+        (vals,) = ev.d1u(([0.3], [0.9]), s)
+        assert np.max(np.abs(vals)) == 0.0
 
 
 def test_sampled_slope_of_d1u_is_series_order():
@@ -391,7 +407,8 @@ def test_tail_certificate_passes():
 
 def reference_tail_rows(ev, m_max, grid, s_samples):
     """Oracle: the tail certificate's rows with every derivative taken from
-    c_k itself and evaluated on the meshgrid once per (alpha, m, s)."""
+    c_k itself and evaluated on the meshgrid once per (alpha, m, s), for s
+    on the support |s| <= 1/R_k of the k-th term."""
     vars = ev.field.vars
     mesh = np.meshgrid(*[np.linspace(lo, hi, grid) for lo, hi in ev.plan.box], indexing="ij")
     rows = []
@@ -408,7 +425,7 @@ def reference_tail_rows(ev, m_max, grid, s_samples):
                         for _ in range(times):
                             p = p.diff(vars[vi])
                     comps.append(poly_complex_fn(p))
-                for s in np.linspace(-1.0, 1.0, s_samples):
+                for s in np.linspace(-1.0 / rk, 1.0 / rk, s_samples):
                     dchi = chi_derivatives(rk * float(s), m)
                     acc = 0.0
                     for q in range(m + 1):
@@ -432,13 +449,28 @@ def test_tail_certificate_matches_reference(power):
     series = series_coefficients(f, (V("x1", power),), 4)
     plan = select_cutoff_plan(series, grid=9)
     ev = assemble_evaluator(series, plan)
-    # s steps of 1/512 reach inside the supports |s| < 1 / R_k of the first terms
-    got = ev.tail_certificate(m_max=2, grid=5, s_samples=1025)[1]
-    want = reference_tail_rows(ev, 2, 5, 1025)
+    got = ev.tail_certificate(m_max=2, grid=5, s_samples=21)[1]
+    want = reference_tail_rows(ev, 2, 5, 21)
     assert [(k, b) for k, _, b in got] == [(k, b) for k, _, b in want]
     assert any(w for _, w, _ in want)
     for (_, w1, _), (_, w2, _) in zip(got, want):
         assert abs(w1 - w2) <= 1e-12 * w2
+
+
+@pytest.mark.parametrize(
+    "nx, power, order", [(1, 5, 6), (1, 5, 8), (2, 5, 6), (2, 5, 8), (1, 1, 8)]
+)
+def test_tail_certificate_samples_each_support(nx, power, order):
+    # R_k grows past s_samples / 2, so samples of [-1, 1] would leave only
+    # s = 0, where every row is 0, inside the support of the k-th cutoff
+    vars = field_vars(nx)
+    t = Poly.var(vars, "t")
+    field = NormalFormField(nx, tuple(-t for _ in range(nx)))
+    series = series_coefficients(field, (Poly.var(vars, "x1", power),), order)
+    ev = assemble_evaluator(series, select_cutoff_plan(series, grid=9))
+    ok, rows = ev.tail_certificate(m_max=2, grid=5, s_samples=11)
+    assert ok
+    assert any(w for _, w, _ in rows)
 
 
 def test_csv_export(tmp_path):
@@ -447,12 +479,15 @@ def test_csv_export(tmp_path):
     plan = select_cutoff_plan(series, grid=9)
     ev = assemble_evaluator(series, plan)
     xs = np.linspace(-1, 1, 3)
-    X, T = np.meshgrid(xs, xs, indexing="ij")
     path = tmp_path / "samples.csv"
-    ev.write_csv(path, (X, T), np.full_like(X, 0.25))
+    ev.write_csv(path, (xs, xs), 0.25)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x1,t,s,re_u1,im_u1"
     assert len(lines) == 10
+    # row order: the grid in meshgrid "ij" order, x1 slowest
+    assert [tuple(map(float, l.split(",")[:3])) for l in lines[1:4]] == [
+        (-1.0, -1.0, 0.25), (-1.0, 0.0, 0.25), (-1.0, 1.0, 0.25)
+    ]
 
 
 def test_plan_infeasible_on_overflowing_constants():

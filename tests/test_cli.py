@@ -136,6 +136,31 @@ def test_parse_error_float_overflow_position(block, col, message):
 
 
 @pytest.mark.parametrize(
+    "spec, col, message",
+    [
+        ("1:1" + "0" * 400 + ":7", 11, "number too large for a float"),
+        ("1:2:3", 13, "expected an integer from 4 to 64"),
+        ("1:2:65", 13, "expected an integer from 4 to 64"),
+        ("6/5:120:7:9", 18, "expected lo:hi:count"),
+        ("1/0:2:3", 11, "zero denominator"),
+        ("1::7", 11, "expected lo:hi:count"),
+        ("1:2", 12, "expected lo:hi:count"),
+        ("0:1:5", 9, "expected a positive number"),
+        ("2:1:5", 11, "expected hi > lo"),
+    ],
+    ids=["hi-401-digits", "count-3", "count-65", "four-fields", "zero-denominator",
+         "empty-hi", "no-count", "lo-zero", "hi-below-lo"],
+)
+def test_parse_error_radii_position(spec, col, message):
+    # a spec the scan would reject, or whose float overflows, fails at parse time
+    bad = "[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^2\n[fbi]\nradii = " + spec + "\n"
+    with pytest.raises(ParseError) as exc:
+        parse_structure(bad)
+    assert (exc.value.line, exc.value.col) == (6, col)
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize(
     "body, line, col",
     [
         ("[bundle]\nrank = 1\nsection =\n", 7, 10),
@@ -367,6 +392,12 @@ APPROX_FILE = MINIMAL_FILE + "[approx]\norder = 2\ngrid = 5\n"
         (MINIMAL_FILE + "[bundle]\nsection =\n", ["analyze"]),
         (MINIMAL_FILE + "[bundle]\nrank = 2\nsection = t1, , 1\n", ["analyze"]),
         ("[dims]\nnu = 0 d = 2 mu = 1\n[phi]\nt1^2\nt1^3\n[kernel]\n, t1\n", ["analyze"]),
+        (MINIMAL_FILE + "[fbi]\nradii = 1:1" + "0" * 400 + ":7\n", ["wavefront"]),
+        (MINIMAL_FILE + "[fbi]\nradii = 1:1" + "0" * 400 + ":7\n", ["analyze"]),
+        (MINIMAL_FILE, ["wavefront", "--radii", "1:1e400:7"]),
+        (MINIMAL_FILE + "[fbi]\nradii = 1:2:3\n", ["wavefront"]),
+        (MINIMAL_FILE + "[fbi]\nradii = 6/5:120:7:9\n", ["wavefront"]),
+        (MINIMAL_FILE + "[fbi]\nradii = 1/0:2:3\n", ["analyze"]),
     ],
     ids=[
         "double-caret",
@@ -430,6 +461,12 @@ APPROX_FILE = MINIMAL_FILE + "[approx]\norder = 2\ngrid = 5\n"
         "bundle-section-empty",
         "bundle-section-empty-group",
         "kernel-empty-group",
+        "fbi-radii-401-digits",
+        "fbi-radii-401-digits-analyze",
+        "option-radii-1e400",
+        "fbi-radii-count-3",
+        "fbi-radii-four-fields",
+        "fbi-radii-zero-denominator",
     ],
 )
 def test_cli_exit_code_on_parse_error(tmp_path, capsys, text, argv):

@@ -99,6 +99,23 @@ def test_scaled_window_profile():
     assert w[5] == 0.0
 
 
+@pytest.mark.parametrize("n", [255, 256])
+def test_sample_data_window_and_rank(n):
+    # oracle: the window evaluated on the meshgrid, bit for bit; the rank is
+    # the leading axis of what fn returns
+    data = sample_data(
+        lambda X, T: np.stack([X, T, X * T]), halfwidth=HW, n=n,
+        window_support=WSUP, window_plateau=WPLAT,
+    )
+    X, T = np.meshgrid(data.xs, data.ts, indexing="ij")
+    want = scaled_window(X, WPLAT * HW, WSUP * HW) * scaled_window(T, WPLAT * HW, WSUP * HW)
+    assert np.array_equal(data.window, want)
+    assert data.rank == 3 and np.array_equal(data.values[2], X * T)
+    for bad in (lambda X, T: X[:, :-1], lambda X, T: np.stack([[X]])):
+        with pytest.raises(DegenerateGrid):
+            sample_data(bad, halfwidth=HW, n=n)
+
+
 # -- the transform ------------------------------------------------------------------
 
 
