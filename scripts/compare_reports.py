@@ -37,6 +37,7 @@ RUNNER = "import sys; from involucalc.cli import main; sys.exit(main(sys.argv[1:
 _MINIMAL = "[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^2\n"
 _HUGE = "[fbi]\nhalfwidth = 1" + "0" * 189 + "\n"  # samples and kernels overflow to 0
 _NO_FLOAT = "1" + "0" * 400  # past the largest float
+_E300 = "1" + "0" * 300  # 1e300: a float, but 1e300 / 1e-300 is not
 # (name, structure file, command and options) of inputs that fail a report
 # section, a command option or the file grammar
 FAILING = [
@@ -71,6 +72,8 @@ FAILING = [
     ("fbi-radii-count-3", _MINIMAL + "[fbi]\ngrid = 64\nradii = 1:2:3\n", ["wavefront"]),
     ("fbi-radii-four-fields", _MINIMAL + "[fbi]\ngrid = 64\nradii = 6/5:120:7:9\n", ["wavefront"]),
     ("fbi-radii-zero-denominator", _MINIMAL + "[fbi]\ngrid = 64\nradii = 1/0:2:3\n", ["analyze"]),
+    ("fbi-radii-ratio-overflow", _MINIMAL + f"[fbi]\nradii = 1/{_E300}:{_E300}:7\n", ["wavefront"]),
+    ("option-radii-ratio-overflow", _MINIMAL, ["wavefront", "--radii", "1e-300:1e300:7"]),
 ]
 
 _APPROX = "[approx]\nnx = 2\norder = 8\nb = -t, -t\nu0 = 3/7*x1^5 + 2*x2\n"

@@ -840,6 +840,8 @@ def ratfun_jet(f: RatFun, order: int) -> Poly:
     """Taylor polynomial of f at the origin up to total degree ``order``.
 
     Raises DenominatorVanishesAtBase if the denominator vanishes at 0."""
+    if not f.powers:
+        return f.num.truncate(order)
     c0 = f.den.constant_term()
     if c0.is_zero():
         raise DenominatorVanishesAtBase("denominator vanishes at the base point")

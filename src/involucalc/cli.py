@@ -24,8 +24,8 @@ inside expressions):
     and mu by "dimension", and so on; [approx] also needs
     grid^(nx + 1) <= LIMITS["samples"].  The rationals box, delta, sigma,
     kappa and halfwidth must convert to a finite float, as must the lo and hi
-    of a radii spec lo:hi:count, which needs 0 < lo < hi and a count from 4
-    to LIMITS["radii"].
+    of a radii spec lo:hi:count, which needs 0 < lo < hi, a finite hi / lo
+    and a count from 4 to LIMITS["radii"].
 """
 
 from __future__ import annotations
@@ -622,8 +622,23 @@ def _parse_radii_spec(toks):
     lo, hi = _parse_real(lo_toks, positive=True), _parse_real(hi_toks, positive=True)
     if float(hi) <= float(lo):
         raise ParseError("expected hi > lo", hi_toks[0].line, hi_toks[0].col)
-    _parse_int(count_toks, 4, LIMITS["radii"])
+    count = _parse_int(count_toks, 4, LIMITS["radii"])
+    if _log_radii(float(lo), float(hi), count) is None:
+        raise ParseError(_RADII_OVERFLOW, toks[0].line, toks[0].col)
     return "".join(t.text for t in toks)
+
+
+_RADII_OVERFLOW = "hi / lo or a radius overflows a float"
+
+
+def _log_radii(lo: float, hi: float, count: int):
+    """count log-spaced radii from lo to hi, or None when hi / lo or one of
+    the radii is not a finite float."""
+    ratio = hi / lo
+    if not math.isfinite(ratio):
+        return None
+    radii = [lo * ratio ** (m / (count - 1)) for m in range(count)]
+    return radii if all(math.isfinite(r) for r in radii) else None
 
 
 # -- serialization -----------------------------------------------------------------------
@@ -796,7 +811,10 @@ def _parse_radii(spec: str):
         raise ModuleError("cli", f"bad radii spec {spec!r}: {e}")
     if not 4 <= count <= LIMITS["radii"] or lo <= 0 or hi <= lo:
         raise ModuleError("cli", f"radii spec needs 0 < lo < hi and count from 4 to {LIMITS['radii']}")
-    return [lo * (hi / lo) ** (m / (count - 1)) for m in range(count)]
+    radii = _log_radii(lo, hi, count)
+    if radii is None:
+        raise ModuleError("cli", f"bad radii spec {spec!r}: {_RADII_OVERFLOW}")
+    return radii
 
 
 def _effective_config(sf: StructureFile):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import ONE, Poly, RatFun, exact_rank, mul_truncated, ratfun_jet
+from .algebra import ONE, Poly, RatFun, mul_truncated, ratfun_jet
 from .config import DEFAULTS
 from .structure import (
     CotangentSection,
@@ -24,6 +24,7 @@ from .structure import (
     VectorFieldSym,
     build_frame,
     characteristic_form,
+    frame_jets,
 )
 
 
@@ -123,53 +124,36 @@ def _run_chain(sdef: StructureDef, start_vectors, target, k_max):
     """Shared chain driver: start_vectors is a list of tuples of RatFun (or
     Poly) components; iterates all frame words up to length k_max with jet
     deduplication.  Start jets have order k_max and each derivative costs one
-    order, so the level-k jets have order k_max - k."""
-    frame = build_frame(sdef)
-    frame_jets = []
-    for L in frame:
-        frame_jets.append(
-            {name: ratfun_jet(c, k_max) for name, c in L.coeffs.items()}
-        )
-    tracker = _SpanTracker()
-    entries = []
-    value_rows = []
-    frontier = []
-    for si, comp in enumerate(start_vectors):
-        jets = tuple(
-            ratfun_jet(RatFun.of(c, sdef.vars), k_max) for c in comp
-        )
-        if tracker.add(jets):
-            word = ()
-            values = tuple(j.constant_term() for j in jets)
-            entries.append((word, si, values))
-            value_rows.append(list(values))
-            frontier.append((word, si, jets))
-    dims = [exact_rank(value_rows) if value_rows else 0]
-    stabilized_at = None
-    for k in range(1, k_max + 1):
-        new_frontier = []
-        for word, si, jets in frontier:
-            for fi, fj in enumerate(frame_jets):
-                njets = _apply_field_jets(fj, jets, k_max - k)
-                if tracker.add(njets):
-                    nword = (fi,) + word
-                    values = tuple(j.constant_term() for j in njets)
-                    entries.append((nword, si, values))
-                    value_rows.append(list(values))
-                    new_frontier.append((nword, si, njets))
-        frontier = new_frontier
-        dims.append(exact_rank(value_rows) if value_rows else 0)
-        if not frontier:
+    order, so the level-k jets have order k_max - k.  A second tracker over
+    the kept entries' values keeps the span dimension at 0."""
+    fjets = frame_jets(sdef, k_max)
+    tracker, values_at_0 = _SpanTracker(), _SpanTracker()
+    entries, dims, stabilized_at = [], [], None
+    level = [
+        ((), si, tuple(ratfun_jet(RatFun.of(c, sdef.vars), k_max) for c in comp))
+        for si, comp in enumerate(start_vectors)
+    ]
+    for k in range(k_max + 1):
+        if k:
+            level = [
+                ((fi,) + word, si, _apply_field_jets(fj, jets, k_max - k))
+                for word, si, jets in frontier
+                for fi, fj in enumerate(fjets)
+            ]
+        frontier = []
+        for word, si, jets in level:
+            if tracker.add(jets):
+                values = tuple(j.constant_term() for j in jets)
+                entries.append((word, si, values))
+                values_at_0.add(Poly.const(sdef.vars, v) for v in values)
+                frontier.append((word, si, jets))
+        dims.append(values_at_0.dim)
+        if k and not frontier:
             stabilized_at = k
             break
     # pad: once the frontier is empty the dimension can never grow
-    while len(dims) <= k_max:
-        dims.append(dims[-1])
-    nondeg_order = None
-    for k, dim in enumerate(dims):
-        if dim == target:
-            nondeg_order = k
-            break
+    dims += [dims[-1]] * (k_max + 1 - len(dims))
+    nondeg_order = next((k for k, dim in enumerate(dims) if dim == target), None)
     return SpanChain(target, k_max, dims, entries, nondeg_order, stabilized_at)
 
 

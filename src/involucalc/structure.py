@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations
 
 from .algebra import (
     GaussRat,
     HermitianMatrix,
     I,
+    ONE,
     ZERO,
     HALF,
     Poly,
@@ -33,6 +34,7 @@ from .algebra import (
     det,
     exact_rank,
     hermitian_inertia,
+    ratfun_jet,
 )
 
 
@@ -118,6 +120,20 @@ class StructureDef:
             + [f"W{k}" for k in range(1, self.d + 1)]
         )
 
+    # Derived objects, built once per instance and freed with it, outside the
+    # fields equality and hashing read; jacobians, build_frame and frame_jets read them.
+    @cached_property
+    def _jacobians(self):
+        return _compute_jacobians(self)
+
+    @cached_property
+    def _frame(self):
+        return _compute_frame(self)
+
+    @cached_property
+    def _frame_jets(self):
+        return {}  # k_max -> frame jets of that order
+
 
 @dataclass(frozen=True)
 class PhiJacobians:
@@ -133,11 +149,10 @@ class PhiJacobians:
 
 
 def jacobians(sdef: StructureDef) -> PhiJacobians:
-    return _jacobians_cached(sdef)
+    return sdef._jacobians
 
 
-@lru_cache(maxsize=None)
-def _jacobians_cached(sdef: StructureDef) -> PhiJacobians:
+def _compute_jacobians(sdef: StructureDef) -> PhiJacobians:
     vars = sdef.vars
     d, nu, mu = sdef.d, sdef.nu, sdef.mu
     phi_x = [[sdef.phi[k].diff(f"x{j}") for j in range(1, nu + 1)] for k in range(d)]
@@ -249,37 +264,45 @@ class VectorFieldSym:
         return " + ".join(f"({c!r}) d/d{n}" for n, c in sorted(self.coeffs.items()))
 
 
-def build_frame(sdef: StructureDef) -> list:
+def build_frame(sdef: StructureDef) -> tuple:
     """The nu + mu spanning fields: zbar-type first, then t-type.
 
     Each field annihilates every first integral; the t-type fields use
     N_k = sum_l (tW_s^{-1})_{kl} d/ds_l."""
+    return sdef._frame
+
+
+def _compute_frame(sdef: StructureDef) -> tuple:
     jac = jacobians(sdef)
-    vars = sdef.vars
-    nu, d, mu = sdef.nu, sdef.d, sdef.mu
+    vars, d = sdef.vars, sdef.d
     zero = RatFun.of(Poly.zero(vars))
+    # each field's marker coefficients and the column of phi it corrects
+    specs = [
+        ({f"x{j}": HALF, f"y{j}": I * HALF}, [row[j - 1] for row in jac.phi_zbar])
+        for j in range(1, sdef.nu + 1)
+    ] + [({f"t{j}": ONE}, [row[j - 1] for row in jac.phi_t]) for j in range(1, sdef.mu + 1)]
     fields = []
-    # (tW_s^{-1})_{k,l} = (W_s^{-1})_{l,k}
-    for j in range(1, nu + 1):
-        coeffs = {
-            f"x{j}": RatFun.of(Poly.const(vars, HALF)),
-            f"y{j}": RatFun.of(Poly.const(vars, I * HALF)),
-        }
-        for ell in range(1, d + 1):
-            c = zero
-            for k in range(d):
-                c = c + RatFun.of(jac.phi_zbar[k][j - 1]) * jac.inv_w_s[ell - 1][k]
-            coeffs[f"s{ell}"] = c * (-I)
+    for markers, col in specs:
+        coeffs = {name: RatFun.of(Poly.const(vars, c)) for name, c in markers.items()}
+        # (tW_s^{-1})_{k,l} = (W_s^{-1})_{l,k}
+        for ell in range(d):
+            c = sum((RatFun.of(col[k]) * jac.inv_w_s[ell][k] for k in range(d)), zero)
+            coeffs[f"s{ell + 1}"] = c * (-I)
         fields.append(VectorFieldSym(vars, coeffs))
-    for j in range(1, mu + 1):
-        coeffs = {f"t{j}": RatFun.of(Poly.one(vars))}
-        for ell in range(1, d + 1):
-            c = zero
-            for k in range(d):
-                c = c + RatFun.of(jac.phi_t[k][j - 1]) * jac.inv_w_s[ell - 1][k]
-            coeffs[f"s{ell}"] = c * (-I)
-        fields.append(VectorFieldSym(vars, coeffs))
-    return fields
+    return tuple(fields)
+
+
+def frame_jets(sdef: StructureDef, k_max: int) -> tuple:
+    """Per frame field, its coefficients' Taylor jets of order ``k_max`` by
+    coordinate; built once per structure and order."""
+    if k_max not in sdef._frame_jets:
+        sdef._frame_jets[k_max] = _compute_frame_jets(sdef, k_max)
+    return sdef._frame_jets[k_max]
+
+
+def _compute_frame_jets(sdef: StructureDef, k_max: int) -> tuple:
+    frame = build_frame(sdef)
+    return tuple({name: ratfun_jet(c, k_max) for name, c in L.coeffs.items()} for L in frame)
 
 
 def expand_in_frame(sdef: StructureDef, field: VectorFieldSym, frame=None):
@@ -351,20 +374,6 @@ class CotangentSection:
                     out[v] = out[v] + self.cw[k] * RatFun.of(dphi) * I
         return out
 
-    def scale(self, c) -> "CotangentSection":
-        return CotangentSection(
-            self.sdef,
-            tuple(z * c for z in self.cz),
-            tuple(w * c for w in self.cw),
-        )
-
-    def add(self, other) -> "CotangentSection":
-        return CotangentSection(
-            self.sdef,
-            tuple(a + b for a, b in zip(self.cz, other.cz)),
-            tuple(a + b for a, b in zip(self.cw, other.cw)),
-        )
-
 
 @dataclass(frozen=True)
 class KernelVector:
@@ -384,16 +393,17 @@ class KernelVector:
                 raise KernelVerificationFailed("kernel vector entries must be real polynomials")
         jac = jacobians(self.sdef)
         for r in range(self.sdef.mu):
-            total = Poly.zero(self.sdef.vars)
-            for k in range(self.sdef.d):
-                total = total + b[k] * jac.phi_t[k][r]
-            if not total.is_zero():
+            if not _dot(b, jac.phi_t, r, self.sdef.vars).is_zero():
                 raise KernelVerificationFailed(
                     f"candidate does not annihilate column {r + 1} of phi_t"
                 )
 
     def is_zero(self):
         return all(p.is_zero() for p in self.b)
+
+    @cached_property
+    def _form(self):
+        return _compute_form(self)  # read it through characteristic_form
 
 
 def generic_rank_phi_t(sdef: StructureDef):
@@ -465,25 +475,24 @@ def kernel_vectors(sdef: StructureDef, user=None) -> list:
 
 
 def characteristic_form(sdef: StructureDef, kv: KernelVector) -> CotangentSection:
-    """The real annihilator one-form attached to a kernel vector:
-    components -2i*(b phi_z) on the dZ's and b(I + i phi_s) on the dW's."""
-    jac = jacobians(sdef)
-    vars = sdef.vars
-    nu, d = sdef.nu, sdef.d
-    cz = []
-    for j in range(nu):
-        acc = Poly.zero(vars)
-        for k in range(d):
-            acc = acc + kv.b[k] * jac.phi_z[k][j]
-        cz.append(RatFun.of(acc * GaussRat(0, -2)))
-    cw = []
-    for m in range(d):
-        acc = kv.b[m]
-        extra = Poly.zero(vars)
-        for k in range(d):
-            extra = extra + kv.b[k] * jac.phi_s[k][m]
-        cw.append(RatFun.of(acc + extra * I))
+    """The real annihilator one-form attached to a kernel vector of ``sdef``:
+    components -2i*(b phi_z) on the dZ's and b(I + i phi_s) on the dW's.
+    Built once per kernel vector."""
+    if kv.sdef != sdef:
+        raise StructureError("the kernel vector belongs to another structure")
+    return kv._form
+
+
+def _compute_form(kv: KernelVector) -> CotangentSection:
+    sdef, jac = kv.sdef, jacobians(kv.sdef)
+    cz = (RatFun.of(_dot(kv.b, jac.phi_z, j, sdef.vars) * GaussRat(0, -2)) for j in range(sdef.nu))
+    cw = (RatFun.of(kv.b[m] + _dot(kv.b, jac.phi_s, m, sdef.vars) * I) for m in range(sdef.d))
     return CotangentSection(sdef, tuple(cz), tuple(cw))
+
+
+def _dot(b, m, j, vars) -> Poly:
+    """sum_k b[k] m[k][j]: the row vector b times column j of m."""
+    return sum((bk * row[j] for bk, row in zip(b, m)), Poly.zero(vars))
 
 
 @dataclass(frozen=True)

@@ -147,9 +147,10 @@ def test_parse_error_float_overflow_position(block, col, message):
         ("1:2", 12, "expected lo:hi:count"),
         ("0:1:5", 9, "expected a positive number"),
         ("2:1:5", 11, "expected hi > lo"),
+        ("1/1" + "0" * 300 + ":1" + "0" * 300 + ":7", 9, "hi / lo or a radius overflows a float"),
     ],
     ids=["hi-401-digits", "count-3", "count-65", "four-fields", "zero-denominator",
-         "empty-hi", "no-count", "lo-zero", "hi-below-lo"],
+         "empty-hi", "no-count", "lo-zero", "hi-below-lo", "ratio-overflow"],
 )
 def test_parse_error_radii_position(spec, col, message):
     # a spec the scan would reject, or whose float overflows, fails at parse time
@@ -398,6 +399,8 @@ APPROX_FILE = MINIMAL_FILE + "[approx]\norder = 2\ngrid = 5\n"
         (MINIMAL_FILE + "[fbi]\nradii = 1:2:3\n", ["wavefront"]),
         (MINIMAL_FILE + "[fbi]\nradii = 6/5:120:7:9\n", ["wavefront"]),
         (MINIMAL_FILE + "[fbi]\nradii = 1/0:2:3\n", ["analyze"]),
+        (MINIMAL_FILE + "[fbi]\nradii = 1/1" + "0" * 300 + ":1" + "0" * 300 + ":7\n", ["wavefront"]),
+        (MINIMAL_FILE, ["wavefront", "--radii", "1e-300:1e300:7"]),
     ],
     ids=[
         "double-caret",
@@ -467,6 +470,8 @@ APPROX_FILE = MINIMAL_FILE + "[approx]\norder = 2\ngrid = 5\n"
         "fbi-radii-count-3",
         "fbi-radii-four-fields",
         "fbi-radii-zero-denominator",
+        "fbi-radii-ratio-overflow",
+        "option-radii-ratio-overflow",
     ],
 )
 def test_cli_exit_code_on_parse_error(tmp_path, capsys, text, argv):
@@ -790,3 +795,60 @@ def test_cli_wavefront_rejects_degenerate_samples(tmp_path, capsys, block, error
     assert code == 1
     assert err == f"[fbi] {error}\n"
     assert "direction 0" not in out
+
+
+def test_report_drops_its_structure_with_the_last_reference():
+    # the jacobians, frame, frame jets and characteristic forms are cached on
+    # the structure and its kernel vectors, not in a process-wide table
+    import gc
+    import weakref
+
+    sf = parse_structure(CROSSING_FILE)
+    report = run_report(sf, {"k_max": 4, "covectors": ["s1=1"]})
+    assert "nondegeneracy order: 2" in report.human_text()
+    ref = weakref.ref(sf.sdef)
+    del sf, report
+    gc.collect()
+    assert ref() is None
+
+
+def test_analyze_builds_each_derived_object_once(tmp_path, capsys, monkeypatch):
+    # levi, the two chains, loci, autosys and bundle all read the frame
+    from collections import Counter
+
+    from involucalc import structure
+    from involucalc.catalog import crossing_powers
+    from involucalc.cli import StructureFile
+
+    calls = Counter()
+
+    def counting(name, key):
+        builder = getattr(structure, name)
+
+        def counted(*args):
+            calls[(name, key(*args))] += 1
+            return builder(*args)
+
+        monkeypatch.setattr(structure, name, counted)
+
+    counting("_compute_jacobians", lambda sdef: None)
+    counting("_compute_frame", lambda sdef: None)
+    counting("_compute_frame_jets", lambda sdef, k_max: k_max)
+    counting("_compute_form", id)
+    f = tmp_path / "crossing.struct"
+    f.write_text(
+        serialize_structure(StructureFile(crossing_powers(1, 2)))
+        + "[candidate]\ns1 = 3*s1\ns2 = 2*s2\nt1 = t1\n"
+        + "[bundle]\nD 1 1 1 = t1\nsection = t1, 1\n"
+    )
+    code, out, err = run_cli(["analyze", str(f), "--covector", "s1=1", "--kmax", "5"], capsys)
+    assert (code, err) == (0, "")
+    for line in ("levi inertia", "nondegeneracy order: 2", "degeneracy locus: Yes",
+                 "candidate 1: Automorphism", "bundle: Flat"):
+        assert line in out
+    forms = [key for (name, key) in calls if name == "_compute_form"]
+    assert "kernel vectors: 2\n" in out and len(forms) == 2
+    assert calls == Counter(
+        {("_compute_jacobians", None): 1, ("_compute_frame", None): 1, ("_compute_frame_jets", 5): 1}
+        | {("_compute_form", key): 1 for key in forms}
+    )

@@ -6,6 +6,7 @@ from involucalc.algebra import GaussRat, Poly, RatFun, exact_rank, ratfun_jet
 from involucalc.catalog import (
     complex_structure,
     crossing_powers,
+    disk_times_line,
     disk_weighted_powers,
     flat_structure,
     monomial_structure,
@@ -361,6 +362,32 @@ def test_hull_dims_match_brute_force(sdef, kmax):
     kvs = kernel_vectors(sdef)
     chain = hull_chain(sdef, kvs, k_max=kmax)
     assert chain.dims[: kmax + 1] == brute_force_dims(sdef, kvs, kmax)
+
+
+CHAIN_CASES = {
+    **{f"mizohata-{nu}-{n}": (standard_mizohata(nu, n), 8) for n in (1, 2, 3) for nu in range(n + 1)},
+    "crossing-1-2": (crossing_powers(1, 2), 8),
+    "crossing-2-3": (crossing_powers(2, 3), 8),
+    "three-quadrics": (three_quadrics(), 8),
+    "monomial-quadrics": (monomial_structure([(2, 0), (1, 1), (0, 2)]), 8),
+    "disk-weighted-1-2": (disk_weighted_powers(1, 2), 8),
+    "flat-1-1": (flat_structure(1, 1), 8),
+    "complex-1": (complex_structure(1), 8),
+    "disk-times-line": (disk_times_line(), 8),
+    **{f"s2-d{d}": (s2_structure(d), 3) for d in (2, 3, 4, 5)},
+}
+
+
+@pytest.mark.parametrize("sdef, k_max", list(CHAIN_CASES.values()), ids=list(CHAIN_CASES))
+def test_chain_dims_equal_the_rank_of_the_values_so_far(sdef, k_max):
+    # the chains keep the span dimension at 0 incrementally; exact_rank of
+    # every kept value row up to each level is the oracle
+    kvs = kernel_vectors(sdef)
+    hull = hull_chain(sdef, kvs, k_max=k_max)
+    for chain in (hull, kernel_chain(sdef, kvs, k_max=k_max, hull=hull)):
+        for k, dim in enumerate(chain.dims):
+            rows = [list(values) for word, _, values in chain.entries if len(word) <= k]
+            assert dim == (exact_rank(rows) if rows else 0)
 
 
 def test_hull_dims_match_brute_force_disk():
