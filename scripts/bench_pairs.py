@@ -12,9 +12,11 @@ is odd.  T defaults to ``run_seconds`` in the change's BENCHMARK.json.  With
 
 The file records the machine, every run's final JSON line, each end-to-end
 metric's median and quartiles per side, and how many pairs each side won
-(a tie counts for neither; "better" comes from BENCHMARK.json).  An existing
-file keeps its other workloads, so one file can hold several; the file is
-rewritten after every run."""
+(a tie counts for neither; "better" comes from BENCHMARK.json).  ``gain``
+marks a metric the change won in at least nine of ten pairs with a median
+better by more than the distance between the parent's quartiles.  An existing
+file keeps its other workloads, so one file can hold several; the file,
+with every workload's summary, is rewritten after every run."""
 
 from __future__ import annotations
 
@@ -118,6 +120,12 @@ def _summary(runs, better):
         row["change_wins"] = sum(d < 0 for d in diffs)
         row["parent_wins"] = sum(d > 0 for d in diffs)
         row["ties"] = sum(d == 0 for d in diffs)
+        par, cha = row["parent"], row["change"]
+        row["ratio_of_medians"] = cha["median"] / par["median"] if par["median"] else None
+        # a gain: the change wins 9 in 10 pairs, and its median is better by
+        # more than the distance between the parent's quartiles
+        row["gain"] = (row["change_wins"] >= 0.9 * len(pairs)
+                       and sign * (par["median"] - cha["median"]) > par["q3"] - par["q1"])
         out["metrics"][name] = row
     return out
 
@@ -159,7 +167,8 @@ def main(argv=None):
         doc["machine"].setdefault("perfbench", env)
         entry["runs"].append({"pair": pair, "side": side, "seed": seed, "trace": trace,
                               "ran": order, "result": result})
-        entry["summary"] = _summary(entry["runs"], better)
+        for e in doc["workloads"].values():  # the earlier workloads too
+            e["summary"] = _summary(e["runs"], better)
         out.write_text(json.dumps(doc, indent=1) + "\n")
         wall = result["metrics"].get("wall_s", {}).get("value")
         print(f"{args.workload} pair {pair} {side} ({order}, trace {trace}): wall_s {wall}", flush=True)

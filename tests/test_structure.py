@@ -225,6 +225,15 @@ def test_characteristic_form_flat():
     assert theta.cw[0] == RatFun.of(Poly.one(sdef.vars))
 
 
+def test_characteristic_form_is_read_from_its_kernel_vector():
+    sdef = crossing_powers(1, 2)
+    kv = _crossing_b(sdef, 1, 2)
+    # an equal structure reads the same cached form; another one is refused
+    assert characteristic_form(crossing_powers(1, 2), kv) is characteristic_form(sdef, kv)
+    with pytest.raises(StructureError):
+        characteristic_form(crossing_powers(1, 3), kv)
+
+
 def test_characteristic_form_disk_weighted():
     k, l = 1, 2
     sdef = disk_weighted_powers(k, l)
