@@ -2,19 +2,21 @@
 """Run the benchmark on two checkouts in alternating pairs and write one JSON file.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload W --pairs N \\
-        --seed S --out BENCH_<pr>.json [--seconds T] [--traced]
+        --seed S --out BENCH_<n>.json
 
 PARENT and CHANGE are the roots of two checkouts.  Pair i runs
 ``perfbench/run.py --workload W --seed S+i-1 --seconds T --trace 0`` from
 each side's own checkout, with identical arguments, the parent first when i
-is odd.  T defaults to ``run_seconds`` in the change's BENCHMARK.json.  With
-``--traced`` one ``--trace 1`` run per side at seed S follows the pairs.
+is odd; T is ``run_seconds`` in the change's BENCHMARK.json.  One
+``--trace 1`` run per side at seed S follows the pairs, for the per-layer
+rows.
 
 The file records the machine, every run's final JSON line, each end-to-end
 metric's median and quartiles per side, and how many pairs each side won
 (a tie counts for neither; "better" comes from BENCHMARK.json).  ``gain``
-marks a metric the change won in at least nine of ten pairs with a median
-better by more than the distance between the parent's quartiles.  An existing
+marks a metric that ran at least ten pairs, of which the change won nine in
+ten, with a median better by more than the distance between the parent's
+quartiles.  An existing
 file keeps its other workloads, so one file can hold several; the file,
 with every workload's summary, is rewritten after every run."""
 
@@ -122,9 +124,9 @@ def _summary(runs, better):
         row["ties"] = sum(d == 0 for d in diffs)
         par, cha = row["parent"], row["change"]
         row["ratio_of_medians"] = cha["median"] / par["median"] if par["median"] else None
-        # a gain: the change wins 9 in 10 pairs, and its median is better by
-        # more than the distance between the parent's quartiles
-        row["gain"] = (row["change_wins"] >= 0.9 * len(pairs)
+        # a gain: at least ten pairs, the change wins 9 in 10 of them, and its
+        # median is better by more than the distance between the parent's quartiles
+        row["gain"] = (len(pairs) >= 10 and row["change_wins"] >= 0.9 * len(pairs)
                        and sign * (par["median"] - cha["median"]) > par["q3"] - par["q1"])
         out["metrics"][name] = row
     return out
@@ -138,21 +140,19 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--out", required=True)
-    ap.add_argument("--seconds", type=float)
-    ap.add_argument("--traced", action="store_true")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     roots = {"parent": _checkout(args.parent), "change": _checkout(args.change)}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc["description"] = (
         "scripts/bench_pairs.py: perfbench/run.py --trace 0 in alternating parent/change "
         "pairs, the parent first in odd pairs, each side from its own checkout; pair i uses "
-        "seed S+i-1 on both sides"
+        "seed S+i-1 on both sides; then one --trace 1 run per side at seed S"
     )
     doc["machine"] = _machine()
     entry = doc.setdefault("workloads", {})[args.workload] = {
@@ -177,15 +177,14 @@ def main(argv=None):
         order = ("parent", "change") if i % 2 else ("change", "parent")
         for pos, side in enumerate(order):
             record(i, side, args.seed + i - 1, 0, ("first", "second")[pos])
-    if args.traced:
-        for side in ("parent", "change"):
-            record(None, side, args.seed, 1, "traced")
-        traced = {r["side"]: r["result"]["metrics"] for r in entry["runs"] if r["trace"] == 1}
-        entry["traced"] = {
-            name: {s: traced[s][name]["value"] for s in ("parent", "change")}
-            for name in traced["change"] if name in traced["parent"]
-        }
-        out.write_text(json.dumps(doc, indent=1) + "\n")
+    for side in ("parent", "change"):
+        record(None, side, args.seed, 1, "traced")
+    traced = {r["side"]: r["result"]["metrics"] for r in entry["runs"] if r["trace"] == 1}
+    entry["traced"] = {
+        name: {s: traced[s][name]["value"] for s in ("parent", "change")}
+        for name in traced["change"] if name in traced["parent"]
+    }
+    out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 
