@@ -74,13 +74,15 @@ FAILING = [
     ("fbi-radii-zero-denominator", _MINIMAL + "[fbi]\ngrid = 64\nradii = 1/0:2:3\n", ["analyze"]),
     ("fbi-radii-ratio-overflow", _MINIMAL + f"[fbi]\nradii = 1/{_E300}:{_E300}:7\n", ["wavefront"]),
     ("option-radii-ratio-overflow", _MINIMAL, ["wavefront", "--radii", "1e-300:1e300:7"]),
+    ("fbi-kappa-zero", _MINIMAL + "[fbi]\nkappa = 0\n", ["wavefront"]),
+    ("option-kappa-zero", _MINIMAL, ["wavefront", "--kappa", "0"]),
 ]
 
 _APPROX = "[approx]\nnx = 2\norder = 8\nb = -t, -t\nu0 = 3/7*x1^5 + 2*x2\n"
 _FBI = "[fbi]\ndata = boundary\ndelta = 1/20\ngrid = 128\ndirs = 4\n"
 # (name, structure file, command and options) of inputs that succeed on paths
-# the benchmark does not run: the machine report's 17-digit residual sup and
-# the CSV tables
+# the benchmark does not run: the machine report's 17-digit residual sup, the
+# CSV tables and the command-line overrides of the [approx] and [fbi] values
 UNBENCHED = [
     (
         "analyze-approx-fbi-machine",
@@ -88,6 +90,17 @@ UNBENCHED = [
         ["analyze", "--machine", "--csv", "csv_analyze"],
     ),
     ("approx-csv", _MINIMAL + _APPROX, ["approx", "--csv", "csv_approx"]),
+    (
+        "approx-overrides-csv",
+        _MINIMAL + _APPROX,
+        ["approx", "--order", "3", "--box", "0.5", "--grid", "9", "--csv", "csv_approx_overrides"],
+    ),
+    (
+        "wavefront-overrides-csv",
+        _MINIMAL + _FBI,
+        ["wavefront", "--kappa", "1", "--dirs", "4", "--radii", "2:200:4", "--covector", "s1=1",
+         "--csv", "csv_wavefront_overrides"],
+    ),
 ]
 
 

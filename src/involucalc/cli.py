@@ -23,9 +23,15 @@ inside expressions):
     Integers are bounded by LIMITS: exponents by "exponent", each of nu, d
     and mu by "dimension", and so on; [approx] also needs
     grid^(nx + 1) <= LIMITS["samples"].  The rationals box, delta, sigma,
-    kappa and halfwidth must convert to a finite float, as must the lo and hi
-    of a radii spec lo:hi:count, which needs 0 < lo < hi, a finite hi / lo
-    and a count from 4 to LIMITS["radii"].
+    kappa and halfwidth must convert to a finite float, and box, kappa and
+    halfwidth to a positive one, as must the lo and hi of a radii spec
+    lo:hi:count, which needs lo < hi, a finite hi / lo and a count from 4 to
+    LIMITS["radii"].
+
+ApproxBlock and FbiBlock hold the numeric settings, their defaults and the
+check of each key.  The approx and wavefront options (--order, --box, --grid,
+--kappa, --dirs, --radii) edit the parsed block; each value is held to the
+check of its file line, and a failure is a [cli] error naming the option.
 """
 
 from __future__ import annotations
@@ -33,9 +39,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from pathlib import Path
+from typing import ClassVar
 
 from .algebra import AlgebraError, GaussRat, Poly, RatFun, _deg_key
 from .approx import (
@@ -294,11 +301,19 @@ class BundleBlock:
 @dataclass
 class ApproxBlock:
     nx: int = 1
-    order: int = DEFAULTS.approx_order
+    order: int = 8  # truncation order of the approximate solution
     box: Fraction = Fraction(1)
-    grid: int = DEFAULTS.grid
+    grid: int = 33  # sampling resolution of the cutoff constants
     b: tuple = ()
     u0: tuple = ()
+    # the check of each numeric key (see _reason), for its file line and for
+    # the option that overrides it alike
+    CHECKS: ClassVar[dict] = {
+        "nx": (1, LIMITS["nx"]),
+        "order": (0, LIMITS["order"]),
+        "box": "positive",
+        "grid": (1, LIMITS["grid"]),
+    }
 
 
 @dataclass
@@ -306,11 +321,21 @@ class FbiBlock:
     data: str = "gaussian"
     delta: Fraction = Fraction(1, 10)
     sigma: Fraction = Fraction(3, 20)
-    kappa: Fraction = DEFAULTS.kappa
+    kappa: Fraction = Fraction(1, 4)  # Gaussian weight of the direction scan
     halfwidth: Fraction = Fraction(1, 2)
-    grid: int = DEFAULTS.scan_grid
-    dirs: int = DEFAULTS.n_dirs
-    radii: str = DEFAULTS.radii_spec
+    grid: int = 256  # direction-scan grid resolution per axis
+    dirs: int = 8
+    radii: str = "6/5:120:7"  # lo:hi:count, log spaced
+    # the radii of the spec, computed when it is checked (the default's here)
+    radius_grid: list = dc_field(default_factory=lambda: _parse_radii(FbiBlock.radii))
+    CHECKS: ClassVar[dict] = {
+        "delta": "real",
+        "sigma": "real",
+        "kappa": "positive",
+        "halfwidth": "positive",
+        "grid": (1, LIMITS["scan_grid"]),
+        "dirs": (1, LIMITS["dirs"]),
+    }
 
 
 @dataclass
@@ -437,7 +462,7 @@ def _parse_dims(lines, header_line):
             )
             if not ok:
                 raise ParseError("expected 'nu = <int>' style entries", toks[i].line, toks[i].col)
-            vals[toks[i].text] = _parse_int(toks[i + 2 : i + 3], 0, LIMITS["dimension"])
+            vals[toks[i].text] = _parse_value(toks[i + 2 : i + 3], (0, LIMITS["dimension"]))
             i += 3
     for key in ("nu", "d", "mu"):
         if key not in vals:
@@ -470,38 +495,44 @@ def _parse_fraction(toks):
     return Fraction(-num if neg else num, den)
 
 
-def _bounds(minimum, maximum):
-    return f">= {minimum}" if maximum is None else f"from {minimum} to {maximum}"
-
-
-def _parse_int(toks, minimum, maximum=None):
-    """A single integer literal in [minimum, maximum]."""
-    value = int(toks[0].text) if len(toks) == 1 and toks[0].kind == "NUMBER" else None
-    if value is None or value < minimum or (maximum is not None and value > maximum):
-        raise ParseError(
-            f"expected an integer {_bounds(minimum, maximum)}", toks[0].line, toks[0].col
-        )
-    return value
-
-
-def _parse_real(toks, positive=False):
-    """A rational literal that converts to a finite float, as the numerics
-    read it, and whose float is greater than zero when ``positive``."""
-    value = _parse_fraction(toks)
-    if positive and value <= 0:
-        raise ParseError("expected a positive number", toks[0].line, toks[0].col)
-    if not _is_finite(value):
-        raise ParseError("number too large for a float", toks[0].line, toks[0].col)
-    if positive and float(value) == 0:
-        raise ParseError("number too small for a float", toks[0].line, toks[0].col)
-    return value
-
-
-def _is_finite(value: Fraction) -> bool:
+def _reason(check, value):
+    """Why ``value`` fails ``check``, or None.  A check is an integer's
+    (minimum, maximum), with maximum None for no bound and a value None for
+    one that is not an integer, or "real" or "positive" for a number the
+    numerics read as a float: finite, and greater than zero when positive."""
+    if isinstance(check, tuple):
+        minimum, maximum = check
+        if value is None or value < minimum or (maximum is not None and value > maximum):
+            bounds = f">= {minimum}" if maximum is None else f"from {minimum} to {maximum}"
+            return f"expected an integer {bounds}"
+        return None
+    positive = check == "positive"
+    if positive and not value > 0:
+        return "expected a positive number"
     try:
-        return math.isfinite(float(value))
+        as_float = float(value)
     except OverflowError:
-        return False
+        as_float = math.inf
+    if not math.isfinite(as_float):
+        return "number too large for a float"
+    if positive and as_float == 0:
+        return "number too small for a float"
+    return None
+
+
+def _int_literal(toks):
+    """The integer of a single integer literal, or None."""
+    return int(toks[0].text) if len(toks) == 1 and toks[0].kind == "NUMBER" else None
+
+
+def _parse_value(toks, check):
+    """The literal ``toks``, an integer when ``check`` is a range and a
+    rational otherwise, held to the check (see _reason)."""
+    value = _int_literal(toks) if isinstance(check, tuple) else _parse_fraction(toks)
+    reason = _reason(check, value)
+    if reason:
+        raise ParseError(reason, toks[0].line, toks[0].col)
+    return value
 
 
 def _parse_bundle(lines, vars, n_fields, default_rank):
@@ -516,18 +547,18 @@ def _parse_bundle(lines, vars, n_fields, default_rank):
         if head.kind != "NAME":
             raise ParseError("expected a bundle directive", head.line, head.col)
         if head.text == "rank":
-            block.rank = _parse_int(_parse_assignment(toks)[1], 1, LIMITS["rank"])
+            block.rank = _parse_value(_parse_assignment(toks)[1], (1, LIMITS["rank"]))
         elif head.text == "D":
             if len(toks) < 6 or toks[4].text != "=":
                 raise ParseError("expected 'D j a b = poly'", head.line, head.col)
-            j = _parse_int(toks[1:2], 1, n_fields)
-            a, b = _parse_int(toks[2:3], 1), _parse_int(toks[3:4], 1)
+            j = _parse_value(toks[1:2], (1, n_fields))
+            a, b = _parse_value(toks[2:3], (1, None)), _parse_value(toks[3:4], (1, None))
             fiber_indices += toks[2:4]
             block.d_entries[(j, a, b)] = parse_poly_tokens(toks[5:], vars)
         elif head.text == "lambda":
             if len(toks) < 5 or toks[3].text != "=":
                 raise ParseError("expected 'lambda a b = poly'", head.line, head.col)
-            a, b = _parse_int(toks[1:2], 1), _parse_int(toks[2:3], 1)
+            a, b = _parse_value(toks[1:2], (1, None)), _parse_value(toks[2:3], (1, None))
             fiber_indices += toks[1:3]
             block.lam_entries[(a, b)] = parse_poly_tokens(toks[4:], vars)
         elif head.text == "section":
@@ -537,7 +568,7 @@ def _parse_bundle(lines, vars, n_fields, default_rank):
             raise ParseError(f"unknown bundle directive {head.text!r}", head.line, head.col)
     rank = block.rank if block.rank is not None else default_rank
     for tok in fiber_indices:
-        _parse_int([tok], 1, rank)
+        _parse_value([tok], (1, rank))
     return block
 
 
@@ -549,19 +580,17 @@ def _parse_approx(lines):
         if not toks:
             continue
         name, rhs = _parse_assignment(toks)
-        if name in ("nx", "grid"):
-            setattr(block, name, _parse_int(rhs, 1, LIMITS[name]))
-            size_tok = rhs[0]
-        elif name == "order":
-            block.order = _parse_int(rhs, 0, LIMITS["order"])
-        elif name == "box":
-            block.box = _parse_real(rhs, positive=True)
+        if name in block.CHECKS:
+            setattr(block, name, _parse_value(rhs, block.CHECKS[name]))
+            if name in ("nx", "grid"):
+                size_tok = rhs[0]
         elif name in ("b", "u0"):
             pending.append((name, rhs))
         else:
             raise ParseError(f"unknown approx key {name!r}", toks[0].line, toks[0].col)
-    if block.grid ** (block.nx + 1) > LIMITS["samples"]:
-        raise ParseError(_samples_message(block.grid, block.nx), size_tok.line, size_tok.col)
+    reason = _samples_reason(block)
+    if reason:
+        raise ParseError(reason, size_tok.line, size_tok.col)
     vars = field_vars(block.nx)
     for name, rhs in pending:
         polys = tuple(parse_poly_tokens(g, vars) for g in _split_on_commas(rhs))
@@ -572,9 +601,12 @@ def _parse_approx(lines):
     return block
 
 
-def _samples_message(grid, nx):
+def _samples_reason(block):
+    """Why the [approx] block samples too many points, or None."""
+    if block.grid ** (block.nx + 1) <= LIMITS["samples"]:
+        return None
     return (
-        f"grid^(nx + 1) = {grid}^{nx + 1} exceeds the {LIMITS['samples']} "
+        f"grid^(nx + 1) = {block.grid}^{block.nx + 1} exceeds the {LIMITS['samples']} "
         "sample points the [approx] sampler allows"
     )
 
@@ -585,28 +617,21 @@ def _parse_fbi(lines):
         if not toks:
             continue
         name, rhs = _parse_assignment(toks)
-        if name == "data":
+        if name in block.CHECKS:
+            setattr(block, name, _parse_value(rhs, block.CHECKS[name]))
+        elif name == "data":
             if rhs[0].kind != "NAME" or rhs[0].text not in ("gaussian", "heaviside", "boundary"):
                 raise ParseError("data must be gaussian, heaviside, or boundary", rhs[0].line, rhs[0].col)
             block.data = rhs[0].text
-        elif name in ("delta", "sigma", "kappa"):
-            setattr(block, name, _parse_real(rhs))
-        elif name == "halfwidth":
-            block.halfwidth = _parse_real(rhs, positive=True)
-        elif name == "grid":
-            block.grid = _parse_int(rhs, 1, LIMITS["scan_grid"])
-        elif name == "dirs":
-            block.dirs = _parse_int(rhs, 1, LIMITS["dirs"])
         elif name == "radii":
-            block.radii = _parse_radii_spec(rhs)
+            block.radii, block.radius_grid = _parse_radii_spec(rhs)
         else:
             raise ParseError(f"unknown fbi key {name!r}", toks[0].line, toks[0].col)
     return block
 
 
 def _parse_radii_spec(toks):
-    """An [fbi] radii spec lo:hi:count, checked as _parse_radii reads it:
-    0 < lo < hi as floats and count from 4 to LIMITS["radii"]."""
+    """An [fbi] radii spec lo:hi:count: its text and its radii."""
     groups = [[]]
     for t in toks:
         if t.text == ":":
@@ -619,26 +644,35 @@ def _parse_radii_spec(toks):
         end = toks[-1]
         raise ParseError("expected lo:hi:count", end.line, end.col + len(end.text))
     lo_toks, hi_toks, count_toks = groups
-    lo, hi = _parse_real(lo_toks, positive=True), _parse_real(hi_toks, positive=True)
-    if float(hi) <= float(lo):
-        raise ParseError("expected hi > lo", hi_toks[0].line, hi_toks[0].col)
-    count = _parse_int(count_toks, 4, LIMITS["radii"])
-    if _log_radii(float(lo), float(hi), count) is None:
-        raise ParseError(_RADII_OVERFLOW, toks[0].line, toks[0].col)
-    return "".join(t.text for t in toks)
+    radii, part, reason = _radii(_parse_fraction(lo_toks), _parse_fraction(hi_toks), _int_literal(count_toks))
+    if reason:
+        tok = groups[part][0]
+        raise ParseError(reason, tok.line, tok.col)
+    return "".join(t.text for t in toks), radii
 
 
-_RADII_OVERFLOW = "hi / lo or a radius overflows a float"
-
-
-def _log_radii(lo: float, hi: float, count: int):
-    """count log-spaced radii from lo to hi, or None when hi / lo or one of
-    the radii is not a finite float."""
+def _radii(lo, hi, count):
+    """The count log-spaced radii from lo to hi of a spec lo:hi:count, as
+    ``(radii, None, None)``, or ``(None, part, reason)`` for the first check
+    the spec fails, part 0, 1 or 2 naming lo, hi or count.  lo and hi must be
+    positive numbers (see _reason) with lo < hi, count (None when it is not
+    an integer) from 4 to LIMITS["radii"], and hi / lo and every radius
+    finite floats (part 0 when not)."""
+    for part, value in enumerate((lo, hi)):
+        reason = _reason("positive", value)
+        if reason:
+            return None, part, reason
+    lo, hi = float(lo), float(hi)
+    if hi <= lo:
+        return None, 1, "expected hi > lo"
+    reason = _reason((4, LIMITS["radii"]), count)
+    if reason:
+        return None, 2, reason
     ratio = hi / lo
-    if not math.isfinite(ratio):
-        return None
     radii = [lo * ratio ** (m / (count - 1)) for m in range(count)]
-    return radii if all(math.isfinite(r) for r in radii) else None
+    if not all(math.isfinite(r) for r in radii):
+        return None, 0, "hi / lo or a radius overflows a float"
+    return radii, None, None
 
 
 # -- serialization -----------------------------------------------------------------------
@@ -743,7 +777,9 @@ class ModuleError(Exception):
 class Report:
     """The lines a report has emitted, the CSV files it wrote, one
     ``[module] message`` per failed section, and what earlier sections
-    computed for later ones (None until computed)."""
+    computed for later ones (None until computed).  The options are the
+    run's k_max, covectors, autosys flag and csv_dir; the numeric sections
+    read their settings from the file's blocks."""
 
     sf: StructureFile
     options: dict
@@ -773,14 +809,16 @@ def _option_fraction(text: str, what: str) -> Fraction:
         raise ModuleError("cli", f"bad {what} {text.strip()!r}: {e}")
 
 
-def _option_int(value, default, minimum, maximum, flag):
-    """An integer option, or ``default`` when it is absent; held to the
-    limits the file grammar enforces for the same setting."""
+def _override(block, key, value):
+    """Set ``key`` of an [approx] or [fbi] block to the value of the option
+    --key, held to the check of the key's file line; None leaves it."""
     if value is None:
-        return default
-    if value < minimum or (maximum is not None and value > maximum):
-        raise ModuleError("cli", f"{flag} must be {_bounds(minimum, maximum)}, got {value}")
-    return value
+        return
+    check = block.CHECKS[key]
+    reason = _reason(check, value)
+    if reason:
+        raise ModuleError("cli", f"--{key}: {reason}")
+    setattr(block, key, value if isinstance(check, tuple) else Fraction(value))
 
 
 def _parse_covector(spec: str, vars):
@@ -803,29 +841,17 @@ def _parse_covector(spec: str, vars):
 
 
 def _parse_radii(spec: str):
-    """count log-spaced radii from lo to hi, for a spec lo:hi:count."""
+    """The radii of a --radii spec lo:hi:count, whose lo and hi are what
+    Fraction reads, held to the check of a file's radii spec."""
     try:
         lo, hi, count = spec.split(":")
-        lo, hi, count = float(Fraction(lo)), float(Fraction(hi)), int(count)
-    except (ValueError, ZeroDivisionError, OverflowError) as e:
+        lo, hi, count = Fraction(lo), Fraction(hi), int(count)
+    except (ValueError, ZeroDivisionError) as e:
         raise ModuleError("cli", f"bad radii spec {spec!r}: {e}")
-    if not 4 <= count <= LIMITS["radii"] or lo <= 0 or hi <= lo:
-        raise ModuleError("cli", f"radii spec needs 0 < lo < hi and count from 4 to {LIMITS['radii']}")
-    radii = _log_radii(lo, hi, count)
-    if radii is None:
-        raise ModuleError("cli", f"bad radii spec {spec!r}: {_RADII_OVERFLOW}")
+    radii, _, reason = _radii(lo, hi, count)
+    if reason:
+        raise ModuleError("cli", f"--radii: {reason}")
     return radii
-
-
-def _effective_config(sf: StructureFile):
-    """DEFAULTS with the settings the file's [approx] and [fbi] blocks replace."""
-    config = DEFAULTS
-    if sf.approx is not None:
-        config = replace(config, grid=sf.approx.grid, approx_order=sf.approx.order)
-    if sf.fbi is not None:
-        f = sf.fbi
-        config = replace(config, kappa=f.kappa, scan_grid=f.grid, n_dirs=f.dirs, radii_spec=f.radii)
-    return config
 
 
 def _run_sections(report: Report, sections) -> Report:
@@ -856,9 +882,21 @@ def run_report(sf: StructureFile, options=None) -> Report:
     report = Report(sf, options)
     report.human += ["involucalc-report v1", "# configuration"]
     report.machine.append("report_version = 1")
-    for line in _effective_config(sf).header_lines():
-        report.human.append("#   " + line)
-        report.machine.append("config." + line.replace(" ", ""))
+    a, f = sf.approx or ApproxBlock(), sf.fbi or FbiBlock()
+    config = (
+        ("k_max", DEFAULTS.k_max),
+        ("kappa", f.kappa),
+        ("grid", a.grid),
+        ("scan_grid", f.grid),
+        ("smooth_slope", DEFAULTS.smooth_slope),
+        ("singular_slope", DEFAULTS.singular_slope),
+        ("approx_order", a.order),
+        ("n_dirs", f.dirs),
+        ("radii", f.radii),
+    )
+    for key, value in config:
+        report.human.append(f"#   {key} = {value}")
+        report.machine.append(f"config.{key}={value}")
     k_max = options["k_max"]
     report.emit(f"# options: k_max = {k_max}", "options.k_max", k_max)
     sdef = sf.sdef
@@ -1038,16 +1076,16 @@ def _csv(report, name, key, write):
     report.emit(f"  csv: {path}" if key else f"csv: {path}", key, path)
 
 
-def _approx_solution(block, order, box, grid):
-    """Cutoff plan and evaluator of the [approx] block's series at ``order``,
-    after checking that the series recursion residuals vanish."""
+def _approx_solution(block):
+    """Cutoff plan and evaluator of the [approx] block's series, after
+    checking that the series recursion residuals vanish."""
     vars = field_vars(block.nx)
     b = block.b or tuple(Poly.zero(vars) for _ in range(block.nx))
     u0 = block.u0 or (Poly.var(vars, "x1"),)
-    series = series_coefficients(NormalFormField(block.nx, b), u0, order)
+    series = series_coefficients(NormalFormField(block.nx, b), u0, block.order)
     if not all(p.is_zero() for res in series.recursion_residuals() for p in res):
         raise ValueError("series recursion residuals do not vanish")
-    plan = select_cutoff_plan(series, box_halfwidth=box, grid=grid)
+    plan = select_cutoff_plan(series, box_halfwidth=float(block.box), grid=block.grid)
     return plan, assemble_evaluator(series, plan)
 
 
@@ -1062,7 +1100,7 @@ def _approx(report):
     block = report.sf.approx
     if block is None:
         return
-    plan, ev = _approx_solution(block, block.order, float(block.box), block.grid)
+    plan, ev = _approx_solution(block)
     report.emit(
         f"approximate solution: order {block.order}, plateau radius {plan.plateau:.6g}",
         "approx.plateau",
@@ -1083,8 +1121,7 @@ def _approx(report):
 def _approx_scales(report):
     """The approx command's cutoff scales, with the residual sups at seven
     halvings of the plateau radius."""
-    o = report.options
-    plan, ev = _approx_solution(report.sf.approx, o["order"], o["box"], o["grid"])
+    plan, ev = _approx_solution(report.sf.approx)
     for k, (c, r) in enumerate(zip(plan.constants, plan.radii)):
         report.emit(f"R_{k} = {r}   (sampled constant {c:.6g})")
     report.emit(f"plateau radius = {plan.plateau:.6g}")
@@ -1105,14 +1142,14 @@ def _fbi_data_fn(block):
     return lambda X, T: 1.0 / (X + 1j * delta)
 
 
-def _fbi_scan(report, kappa, dirs, radii, csv_key):
+def _fbi_scan(report, csv_key):
     """Direction scan of the [fbi] block's sampled data: its direction lines
     and CSV table."""
     from .fbi import direction_scan, sample_data
 
     block = report.sf.fbi
     data = sample_data(_fbi_data_fn(block), float(block.halfwidth), block.grid, window_plateau=0.95 * 0.75)
-    scan = direction_scan(data, float(kappa), (0.0, 0.0), dirs, radii)
+    scan = direction_scan(data, float(block.kappa), (0.0, 0.0), block.dirs, block.radius_grid)
     for i, (xi_d, tau_d) in enumerate(scan.directions):
         report.emit(
             f"  direction {i} ({xi_d:+.4f}, {tau_d:+.4f}): slope {scan.slopes[i]:+.3f} "
@@ -1127,20 +1164,19 @@ def _fbi(report):
     block = report.sf.fbi
     if block is None:
         return
-    radii = _parse_radii(block.radii)
     report.emit(
         f"direction scan: data = {block.data}, kappa = {block.kappa}, "
         f"dirs = {block.dirs}",
         "fbi.data",
         block.data,
     )
-    _fbi_scan(report, block.kappa, block.dirs, radii, "fbi.csv")
+    _fbi_scan(report, "fbi.csv")
 
 
 def _wavefront_scan(report):
-    o = report.options
-    report.emit(f"scan: data = {report.sf.fbi.data}, kappa = {o['kappa']}, dirs = {o['dirs']}")
-    _fbi_scan(report, o["kappa"], o["dirs"], o["radii"], None)
+    block = report.sf.fbi
+    report.emit(f"scan: data = {block.data}, kappa = {block.kappa}, dirs = {block.dirs}")
+    _fbi_scan(report, None)
 
 
 def _normal_form(report):
@@ -1150,7 +1186,7 @@ def _normal_form(report):
 
     if not report.options["covectors"]:
         return
-    sdef, kappa = report.sf.sdef, report.options["kappa"]
+    sdef, kappa = report.sf.sdef, report.sf.fbi.kappa
     xi = _parse_covector(report.options["covectors"][0], sdef.vars)
     try:
         red = levi_to_normal_form(sdef, sdef.zero_point(), xi)
@@ -1212,8 +1248,11 @@ def cmd_analyze(args) -> int:
     """The analyze and autosys commands; autosys also lists the automorphism
     system."""
     sf = _load(args.file)
+    reason = _reason((0, LIMITS["kmax"]), args.kmax)
+    if reason:
+        raise ModuleError("cli", f"--kmax: {reason}")
     options = {
-        "k_max": _option_int(args.kmax, DEFAULTS.k_max, 0, LIMITS["kmax"], "--kmax"),
+        "k_max": args.kmax,
         "covectors": getattr(args, "covector", None) or [],
         "autosys": args.command == "autosys",
         "csv_dir": _csv_dir(args),
@@ -1231,39 +1270,32 @@ def cmd_approx(args) -> int:
     block = sf.approx
     if block is None:
         raise ModuleError("approx", "the file has no [approx] section")
-    order = _option_int(args.order, block.order, 0, LIMITS["order"], "--order")
-    if args.box is not None and not (args.box > 0 and math.isfinite(args.box)):
-        raise ModuleError("cli", f"--box must be a positive number, got {args.box}")
-    box = args.box if args.box is not None else float(block.box)
-    grid = _option_int(args.grid, block.grid, 1, LIMITS["grid"], "--grid")
-    if grid ** (block.nx + 1) > LIMITS["samples"]:
-        raise ModuleError("cli", _samples_message(grid, block.nx))
-    report = Report(sf, {"order": order, "box": box, "grid": grid, "csv_dir": _csv_dir(args)})
-    report.human += ["involucalc-report v1", f"# approx order {order}, box {box}, grid {grid}"]
+    for key in ("order", "box", "grid"):
+        _override(block, key, getattr(args, key))
+    reason = _samples_reason(block)
+    if reason:
+        raise ModuleError("cli", reason)
+    report = Report(sf, {"csv_dir": _csv_dir(args)})
+    report.human += [
+        "involucalc-report v1",
+        f"# approx order {block.order}, box {float(block.box)}, grid {block.grid}",
+    ]
     return _print(_run_sections(report, APPROX_SECTIONS))
 
 
 def cmd_wavefront(args) -> int:
     sf = _load(args.file)
-    if sf.fbi is None:
-        sf.fbi = FbiBlock()
-    kappa = _option_fraction(args.kappa, "kappa") if args.kappa else sf.fbi.kappa
-    if not _is_finite(kappa):
-        raise ModuleError("cli", "--kappa is too large for a float")
-    dirs = _option_int(args.dirs, sf.fbi.dirs, 1, LIMITS["dirs"], "--dirs")
-    spec = args.radii if args.radii else sf.fbi.radii
-    options = {
-        "covectors": args.covector or [],
-        "kappa": kappa,
-        "dirs": dirs,
-        "radii": _parse_radii(spec),
-        "csv_dir": _csv_dir(args),
-    }
-    report = Report(sf, options)
+    block = sf.fbi = sf.fbi or FbiBlock()
+    if args.kappa:
+        _override(block, "kappa", _option_fraction(args.kappa, "kappa"))
+    _override(block, "dirs", args.dirs)
+    if args.radii:
+        block.radii, block.radius_grid = args.radii, _parse_radii(args.radii)
+    report = Report(sf, {"covectors": args.covector or [], "csv_dir": _csv_dir(args)})
     report.human += [
         "involucalc-report v1",
-        f"# wavefront kappa {kappa}, dirs {dirs}, radii {spec}, grid {sf.fbi.grid}, "
-        f"halfwidth {sf.fbi.halfwidth}",
+        f"# wavefront kappa {block.kappa}, dirs {block.dirs}, radii {block.radii}, "
+        f"grid {block.grid}, halfwidth {block.halfwidth}",
     ]
     return _print(_run_sections(report, WAVEFRONT_SECTIONS))
 

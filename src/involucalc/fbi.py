@@ -21,9 +21,9 @@ Magnitudes are scanned along rays (xi, tau) = lambda * direction over a radius
 grid spanning at least two decades, and the fitted log-log slope classifies
 each direction: steep decay means microlocally smooth at (p, direction), flat
 decay flags a singular direction.  The classification thresholds are artifact
-choices stored in the scan configuration, not claims of the underlying
-regularity theorems; the theorem content enters through the exact drift sign
-condition, which the scans are correlated against.
+choices set in config.DEFAULTS, not claims of the underlying regularity
+theorems; the theorem content enters through the exact drift sign condition,
+which the scans are correlated against.
 
 Quadrature is composite Simpson per axis (with a 3/8 tail when the interval
 count is odd), which for these smooth, compactly supported integrands
@@ -194,19 +194,11 @@ INCONCLUSIVE = "Inconclusive"
 
 @dataclass
 class FbiScan:
-    kappa: float
-    basepoint: tuple
     directions: list  # unit covectors (xi, tau)
     radii: list
     magnitudes: list  # magnitudes[i][m] for direction i, radius m
     slopes: list  # fitted d log|F| / d log radius per direction
     labels: list  # Smooth / Singular / Inconclusive
-    smooth_threshold: float
-    singular_threshold: float
-    # aperture of the covector cone a Smooth verdict speaks for: decay at a
-    # scanned direction (xi, tau) extends to covectors within transverse
-    # ratio < cone_aperture of it
-    cone_aperture: float = 1.0 / math.sqrt(2.0)
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -241,8 +233,6 @@ def direction_scan(
     """Scan |F| over a circle of directions and a radius grid; classify each
     direction by the fitted log-log slope against DEFAULTS.smooth_slope and
     DEFAULTS.singular_slope."""
-    smooth_threshold = DEFAULTS.smooth_slope
-    singular_threshold = DEFAULTS.singular_slope
     radii = [float(r) for r in radii]
     if len(radii) < 4:
         raise FbiError("slope fits need at least 4 radii")
@@ -268,23 +258,13 @@ def direction_scan(
     for row in magnitudes:
         slope = fit_loglog_slope(radii, row)
         slopes.append(slope)
-        if slope <= -smooth_threshold:
+        if slope <= -DEFAULTS.smooth_slope:
             labels.append(SMOOTH)
-        elif slope >= singular_threshold:
+        elif slope >= DEFAULTS.singular_slope:
             labels.append(SINGULAR)
         else:
             labels.append(INCONCLUSIVE)
-    return FbiScan(
-        float(kappa),
-        tuple(float(b) for b in basepoint),
-        directions,
-        radii,
-        magnitudes,
-        slopes,
-        labels,
-        smooth_threshold,
-        singular_threshold,
-    )
+    return FbiScan(directions, radii, magnitudes, slopes, labels)
 
 
 # -- the exact side: sign condition and normal-form reduction ----------------------

@@ -86,7 +86,13 @@ def test_parse_error_zero_denominator_position():
 
 @pytest.mark.parametrize(
     "block, col",
-    [("[approx]\nbox = -1\n", 7), ("[approx]\nbox = 0\n", 7), ("[fbi]\nhalfwidth = 0\n", 13)],
+    [
+        ("[approx]\nbox = -1\n", 7),
+        ("[approx]\nbox = 0\n", 7),
+        ("[fbi]\nhalfwidth = 0\n", 13),
+        ("[fbi]\nkappa = 0\n", 9),
+        ("[fbi]\nkappa = -1\n", 9),
+    ],
 )
 def test_parse_error_nonpositive_width_position(block, col):
     bad = "[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^2\n" + block
@@ -401,6 +407,9 @@ APPROX_FILE = MINIMAL_FILE + "[approx]\norder = 2\ngrid = 5\n"
         (MINIMAL_FILE + "[fbi]\nradii = 1/0:2:3\n", ["analyze"]),
         (MINIMAL_FILE + "[fbi]\nradii = 1/1" + "0" * 300 + ":1" + "0" * 300 + ":7\n", ["wavefront"]),
         (MINIMAL_FILE, ["wavefront", "--radii", "1e-300:1e300:7"]),
+        (MINIMAL_FILE + "[fbi]\nkappa = 0\n", ["wavefront"]),
+        (MINIMAL_FILE + "[fbi]\nkappa = -1\n", ["analyze"]),
+        (MINIMAL_FILE, ["wavefront", "--kappa", "0"]),
     ],
     ids=[
         "double-caret",
@@ -472,6 +481,9 @@ APPROX_FILE = MINIMAL_FILE + "[approx]\norder = 2\ngrid = 5\n"
         "fbi-radii-zero-denominator",
         "fbi-radii-ratio-overflow",
         "option-radii-ratio-overflow",
+        "fbi-kappa-zero",
+        "fbi-kappa-negative-analyze",
+        "option-kappa-zero",
     ],
 )
 def test_cli_exit_code_on_parse_error(tmp_path, capsys, text, argv):
@@ -852,3 +864,165 @@ def test_analyze_builds_each_derived_object_once(tmp_path, capsys, monkeypatch):
         {("_compute_jacobians", None): 1, ("_compute_frame", None): 1, ("_compute_frame_jets", 5): 1}
         | {("_compute_form", key): 1 for key in forms}
     )
+
+
+
+# -- command-line overrides ------------------------------------------------------------
+
+APPROX_BASE = MINIMAL_FILE + "[approx]\nnx = 1\norder = 2\ngrid = 5\nb = -t\nu0 = x1^2\n"
+FBI_BASE = MINIMAL_FILE + "[fbi]\ndata = boundary\ndelta = 1/20\ngrid = 16\n"
+
+
+def run_file_and_option(tmp_path, capsys, argv, base, lines, options):
+    """(exit code, stdout, stderr, {name: text} of the CSV files) of the
+    command ``argv`` on ``base`` with the file ``lines`` appended, then on
+    ``base`` with the command-line ``options`` added; both runs write their
+    CSV files to the same directory, so the paths they print agree."""
+    f = tmp_path / "block.struct"
+    outdir = tmp_path / "csv"
+    results = []
+    for text, extra in ((base + lines, []), (base, options)):
+        f.write_text(text)
+        code, out, err = run_cli([argv[0], str(f), *argv[1:], *extra, "--csv", str(outdir)], capsys)
+        files = {}
+        if outdir.is_dir():
+            for path in sorted(outdir.iterdir()):
+                files[path.name] = path.read_text()
+                path.unlink()
+        results.append((code, out, err, files))
+    return results
+
+
+@pytest.mark.parametrize(
+    "argv, base, lines, options",
+    [
+        (["approx"], APPROX_BASE, "order = 3\nbox = 1/2\ngrid = 9\n", ["--order", "3", "--box", "0.5", "--grid", "9"]),
+        (
+            ["wavefront", "--covector", "s1=1"],
+            FBI_BASE,
+            "kappa = 1\ndirs = 4\nradii = 2:200:4\n",
+            ["--kappa", "1", "--dirs", "4", "--radii", "2:200:4"],
+        ),
+    ],
+    ids=["approx", "wavefront"],
+)
+def test_cli_option_is_a_file_line(tmp_path, capsys, argv, base, lines, options):
+    # an override edits the block: the same report, exit code and CSV table
+    # as the file line that sets the value
+    from_file, from_option = run_file_and_option(tmp_path, capsys, argv, base, lines, options)
+    assert from_file[0] == 0 and from_file[2] == "" and from_file[3]
+    assert from_option == from_file
+
+
+_BIG = "1" + "0" * 308  # 1e308, a finite float
+_HUGE = "1" + "0" * 309  # 1e309, past the largest float
+_TINY = "1/" + str(2**1074)  # the least positive float
+_MAX_FLOAT = str(int(1.7976931348623157e308))  # the largest float
+_RATIO_MAX = "1/100000000:1" + "0" * 300 + ":7"  # hi / lo = 1e308
+_RATIO_PAST = "1/1000000000:1" + "0" * 300 + ":7"  # hi / lo = 1e309
+
+
+@pytest.mark.parametrize(
+    "command, key, file_value, option_value, accepted",
+    [
+        ("approx", "order", "0", "0", True),
+        ("approx", "order", "16", "16", True),
+        ("approx", "order", "-1", "-1", False),
+        ("approx", "order", "17", "17", False),
+        ("approx", "grid", "1", "1", True),
+        ("approx", "grid", "65", "65", True),
+        ("approx", "grid", "0", "0", False),
+        ("approx", "grid", "66", "66", False),
+        ("approx", "box", _TINY, "5e-324", True),
+        ("approx", "box", _MAX_FLOAT, "1.7976931348623157e308", True),
+        ("approx", "box", "0", "0", False),
+        ("approx", "box", _HUGE, "1e309", False),
+        ("wavefront", "kappa", _TINY, _TINY, True),
+        ("wavefront", "kappa", _BIG, _BIG, True),
+        ("wavefront", "kappa", "0", "0", False),
+        ("wavefront", "kappa", "1/1" + "0" * 400, "1e-400", False),
+        ("wavefront", "kappa", _HUGE, _HUGE, False),
+        ("wavefront", "dirs", "1", "1", True),
+        ("wavefront", "dirs", "256", "256", True),
+        ("wavefront", "dirs", "0", "0", False),
+        ("wavefront", "dirs", "257", "257", False),
+        ("wavefront", "radii", "1:100:4", "1:100:4", True),
+        ("wavefront", "radii", "1:100:64", "1:100:64", True),
+        ("wavefront", "radii", "1:100:3", "1:100:3", False),
+        ("wavefront", "radii", "1:100:65", "1:100:65", False),
+        ("wavefront", "radii", "0:100:4", "0:100:4", False),
+        ("wavefront", "radii", "2:2:4", "2:2:4", False),
+        ("wavefront", "radii", _RATIO_MAX, _RATIO_MAX, True),
+        ("wavefront", "radii", _RATIO_PAST, _RATIO_PAST, False),
+    ],
+    ids=[
+        "order-0", "order-16", "order-minus-1", "order-17",
+        "grid-1", "grid-65", "grid-0", "grid-66",
+        "box-least-float", "box-largest-float", "box-0", "box-1e309",
+        "kappa-least-float", "kappa-1e308", "kappa-0", "kappa-1e-400", "kappa-1e309",
+        "dirs-1", "dirs-256", "dirs-0", "dirs-257",
+        "radii-count-4", "radii-count-64", "radii-count-3", "radii-count-65",
+        "radii-lo-0", "radii-hi-equals-lo", "radii-ratio-1e308", "radii-ratio-1e309",
+    ],
+)
+def test_cli_option_limits_are_the_file_limits(tmp_path, capsys, command, key, file_value, option_value, accepted):
+    # each setting an option overrides, at each limit and one past it: the
+    # file line and the option both pass the key's check, with the same
+    # report, or both fail it with the same reason
+    base = APPROX_BASE if command == "approx" else FBI_BASE
+    from_file, from_option = run_file_and_option(
+        tmp_path, capsys, [command], base, f"{key} = {file_value}\n", [f"--{key}", option_value]
+    )
+    if accepted:
+        assert not from_option[2].startswith("[cli] ")
+        assert from_option == from_file
+    else:
+        for code, out, err, files in (from_file, from_option):
+            assert (code, out, files) == (1, "", {}) and err.startswith("[cli] ") and err.count("\n") == 1
+        assert from_file[2].rsplit(": ", 1)[1] == from_option[2].rsplit(": ", 1)[1]
+
+
+# -- report paths ------------------------------------------------------------------------
+
+MIZOHATA_FILE = "[dims]\nnu = 0 d = 1 mu = 2\n[phi]\nt1^2/2 - t2^2/2\n"
+
+
+def test_roundtrip_all_sections():
+    text = (
+        MIZOHATA_FILE
+        + "[kernel]\nt1 + t2\n"
+        + "[candidate]\ns1 = s1\nt2 = 1/2*t1\n"
+        + "[bundle]\nrank = 1\nD 1 1 1 = t2\nD 2 1 1 = i*t1\nlambda 1 1 = 1 + t1\nsection = t1^2\n"
+        + "[approx]\nnx = 2\norder = 3\nbox = 1/2\ngrid = 9\nb = -t, x1*t\nu0 = x1 + x2\n"
+        + "[fbi]\ndata = boundary\ndelta = 1/40\nsigma = 1/5\nkappa = 1\nhalfwidth = 1/3\n"
+        + "grid = 64\ndirs = 4\nradii = 2:200:4\n"
+    )
+    sf = parse_structure(text)
+    out = serialize_structure(sf)
+    for header in ("[dims]", "[phi]", "[kernel]", "[candidate]", "[bundle]", "[approx]", "[fbi]"):
+        assert f"{header}\n" in out
+    sf2 = parse_structure(out)
+    assert serialize_structure(sf2) == out
+    assert (sf2.bundle.rank, sf2.bundle.d_entries, sf2.bundle.lam_entries, sf2.bundle.sections) == (
+        sf.bundle.rank, sf.bundle.d_entries, sf.bundle.lam_entries, sf.bundle.sections
+    )
+    assert sf2.approx == sf.approx
+    assert sf2.fbi == sf.fbi and sf2.fbi.radius_grid == pytest.approx([2.0, 9.283177667225558, 43.08869380063767, 200.0])
+
+
+def test_report_lines_of_failed_verdicts(tmp_path, capsys):
+    # a candidate that is not an automorphism, a bundle that is not flat and
+    # a lambda that is not an integrating frame
+    f = tmp_path / "mizohata.struct"
+    f.write_text(
+        MIZOHATA_FILE + "[candidate]\ns1 = s1\n[bundle]\nrank = 1\nD 1 1 1 = t2\nlambda 1 1 = 1 + t1\n"
+    )
+    code, out, err = run_cli(["analyze", str(f)], capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith(
+        "candidate 1: Not (first residual at ('W1', 1): -i*t1)\n"
+        "bundle: NotFlat (first failure at fields (1,2) entry (1,1))\n"
+        "integrating frame: Not\n"
+    )
+    code, out, err = run_cli(["analyze", str(f), "--machine"], capsys)
+    assert out.endswith("autosys.candidate1 = not\nbundle.flat = no\nbundle.integrating = no\n")
