@@ -76,13 +76,17 @@ FAILING = [
     ("option-radii-ratio-overflow", _MINIMAL, ["wavefront", "--radii", "1e-300:1e300:7"]),
     ("fbi-kappa-zero", _MINIMAL + "[fbi]\nkappa = 0\n", ["wavefront"]),
     ("option-kappa-zero", _MINIMAL, ["wavefront", "--kappa", "0"]),
+    ("option-kappa-empty", _MINIMAL, ["wavefront", "--kappa", ""]),
+    ("option-radii-empty", _MINIMAL, ["wavefront", "--radii", ""]),
 ]
 
 _APPROX = "[approx]\nnx = 2\norder = 8\nb = -t, -t\nu0 = 3/7*x1^5 + 2*x2\n"
 _FBI = "[fbi]\ndata = boundary\ndelta = 1/20\ngrid = 128\ndirs = 4\n"
 # (name, structure file, command and options) of inputs that succeed on paths
 # the benchmark does not run: the machine report's 17-digit residual sup, the
-# CSV tables and the command-line overrides of the [approx] and [fbi] values
+# CSV tables, the command-line overrides of the [approx] and [fbi] values, and
+# a degeneracy witness that comes from the mod-p screen (the structure's first
+# nonzero minor is no witness)
 UNBENCHED = [
     (
         "analyze-approx-fbi-machine",
@@ -100,6 +104,11 @@ UNBENCHED = [
         _MINIMAL + _FBI,
         ["wavefront", "--kappa", "1", "--dirs", "4", "--radii", "2:200:4", "--covector", "s1=1",
          "--csv", "csv_wavefront_overrides"],
+    ),
+    (
+        "degeneracy-witness-screened",
+        "[dims]\nnu = 0 d = 2 mu = 1\n[phi]\ns1*t1^2 + t1^3\ns2*t1^2 + t1^4 + s1*t1^3\n",
+        ["analyze", "--kmax", "4"],
     ),
 ]
 

@@ -424,6 +424,16 @@ class Poly:
             total = total + v
         return total
 
+    def residues(self, p, i_p) -> dict:
+        """{exponent tuple: coefficient mod the prime p}, with i sent to i_p,
+        a square root of -1 mod p; ZeroDivisionError when p divides the
+        denominator."""
+        if self._d % p == 0:
+            raise ZeroDivisionError("the prime divides a coefficient denominator")
+        inv = pow(self._d, -1, p)
+        shifts = _layout(len(self.vars))[1]
+        return {_unpack(e, shifts): (a + i_p * b) * inv % p for e, (a, b) in self._t.items()}
+
     def shift_divide(self, exps) -> "Poly":
         """Exact division by the monomial with exponent ``exps``; every term
         must be divisible."""
@@ -777,6 +787,15 @@ class RatFun:
         if not self.powers:
             return repr(self.num)
         return f"({self.num!r}) / ({self.den!r})"
+
+
+def common_denominator(fs):
+    """(nums, powers) with fs[k] = nums[k] / prod f^p over ``powers``, the
+    per-factor maximum of the fs' denominators, as a sum lifts its terms.
+    Each factor f in ``powers`` carries ``poly`` and, when it is a single
+    coordinate, that coordinate's position as ``coord`` (else None)."""
+    want = functools.reduce(lambda acc, f: _merge_powers(acc, f.powers, max), fs, ())
+    return [_lift(f.num, f.powers, want) for f in fs], want
 
 
 def _cancel_coordinates(num: Poly, powers):

@@ -1286,10 +1286,10 @@ def cmd_approx(args) -> int:
 def cmd_wavefront(args) -> int:
     sf = _load(args.file)
     block = sf.fbi = sf.fbi or FbiBlock()
-    if args.kappa:
+    if args.kappa is not None:
         _override(block, "kappa", _option_fraction(args.kappa, "kappa"))
     _override(block, "dirs", args.dirs)
-    if args.radii:
+    if args.radii is not None:
         block.radii, block.radius_grid = args.radii, _parse_radii(args.radii)
     report = Report(sf, {"covectors": args.covector or [], "csv_dir": _csv_dir(args)})
     report.human += [

@@ -410,6 +410,8 @@ APPROX_FILE = MINIMAL_FILE + "[approx]\norder = 2\ngrid = 5\n"
         (MINIMAL_FILE + "[fbi]\nkappa = 0\n", ["wavefront"]),
         (MINIMAL_FILE + "[fbi]\nkappa = -1\n", ["analyze"]),
         (MINIMAL_FILE, ["wavefront", "--kappa", "0"]),
+        (MINIMAL_FILE, ["wavefront", "--kappa", ""]),
+        (MINIMAL_FILE, ["wavefront", "--radii", ""]),
     ],
     ids=[
         "double-caret",
@@ -484,6 +486,8 @@ APPROX_FILE = MINIMAL_FILE + "[approx]\norder = 2\ngrid = 5\n"
         "fbi-kappa-zero",
         "fbi-kappa-negative-analyze",
         "option-kappa-zero",
+        "option-kappa-empty",
+        "option-radii-empty",
     ],
 )
 def test_cli_exit_code_on_parse_error(tmp_path, capsys, text, argv):

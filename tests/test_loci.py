@@ -1,9 +1,12 @@
 import random
-from itertools import permutations
+import time
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
-from involucalc.algebra import Poly
+from involucalc import loci
+from involucalc.algebra import GaussRat, Poly, RatFun, det
 from involucalc.catalog import (
     crossing_powers,
     disk_weighted_powers,
@@ -11,12 +14,14 @@ from involucalc.catalog import (
     monomial_structure,
     three_quadrics,
 )
+from involucalc.cli import main
 from involucalc.hull import apply_word, hull_chain
 from involucalc.loci import (
     NotMonomialTimesUnit,
     ZeroPolynomial,
     degeneracy_locus_check,
     exceptional_locus_check,
+    full_minor_search,
     hull_generator_rows,
     monomial_unit_factor,
     verify_witness,
@@ -210,3 +215,130 @@ def test_hull_rows_match_apply_word(name):
     for (word, si), comps in rows:
         expect = apply_word(sdef, thetas[si], word, frame=frame).components()
         assert all(a == b for a, b in zip(comps, expect))
+
+
+# -- the mod-p screen of the degeneracy search ----------------------------------------
+
+
+def exact_witness_subsets(rows, size):
+    """Every subset, in lexicographic order, whose exact minor is nonzero with
+    a denominator that is a unit at 0 and a monomial-times-unit numerator: the
+    exhaustive search the screen stands in for."""
+    found = []
+    for picked in combinations(range(len(rows)), size):
+        minor = det([list(rows[i][1]) for i in picked])
+        if minor.is_zero() or minor.den.constant_term().is_zero():
+            continue
+        try:
+            monomial_unit_factor(minor.num)
+        except NotMonomialTimesUnit:
+            continue
+        found.append(picked)
+    return found
+
+
+@pytest.mark.parametrize(
+    "name, subsets, witnesses",
+    [("disk", 455, 0), ("s2-d3", 220, 99), ("three-quadrics", 20, 17), ("monomial-6-5-3", 220, 168)],
+)
+def test_screen_passes_exactly_the_witness_subsets(name, subsets, witnesses):
+    sdef, k_max = {
+        "disk": (disk_weighted_powers(1, 2), 8),
+        "s2-d3": (s2_structure(3), 3),
+        "three-quadrics": (three_quadrics(), 8),
+        "monomial-6-5-3": (monomial_structure([(6,), (5,), (3,)]), 8),
+    }[name]
+    rows = hull_generator_rows(sdef, hull_chain(sdef, kernel_vectors(sdef), k_max=k_max))
+    size = sdef.nu + sdef.d
+    every = list(combinations(range(len(rows)), size))
+    expect = exact_witness_subsets(rows, size)
+    assert (len(every), len(expect)) == (subsets, witnesses)
+    assert loci._Screen(rows, size).passes(every) == expect
+
+
+def test_screened_witness_is_the_exact_search_witness(tmp_path, capsys, monkeypatch):
+    # minor 0 of the ten is nonzero and no witness, so subset 7, the first
+    # witness in lexicographic order, is found through the screen
+    f = tmp_path / "screened.struct"
+    f.write_text("[dims]\nnu = 0 d = 2 mu = 1\n[phi]\ns1*t1^2 + t1^3\ns2*t1^2 + t1^4 + s1*t1^3\n")
+    minors = []
+    monkeypatch.setattr(loci, "ratfun_det", lambda m: minors.append(m) or det(m))
+    assert main(["analyze", str(f), "--kmax", "4"]) == 0
+    assert (
+        "degeneracy locus: Yes (rows (((0, 0), 0), ((0, 0, 0), 0)), minor 144-288*i*t1^2-720*i*s1*t1"
+        "+7440*t1^4+5040*s1*t1^3+30048*i*t1^6+13104*i*s1*t1^5-56304*t1^8-10896*s1*t1^7"
+        "-50688*i*t1^10+18528*i*s1*t1^9+6048*t1^12-59808*s1*t1^11-33408*i*t1^14-73248*i*s1*t1^13"
+        "+34992*t1^16+50016*s1*t1^15+16416*i*t1^18+19824*i*s1*t1^17-3888*t1^20-4368*s1*t1^19"
+        "-480*i*t1^22-528*i*s1*t1^21+48*t1^24+48*s1*t1^23)"
+    ) in capsys.readouterr().out.splitlines()
+    assert len(minors) == 2
+
+
+def _crafted_rows(case):
+    """Four 2-entry rows over (t1, t2): minor (0, 1) is nonzero and no
+    witness, so the search hands the rest to the screen, and (2, 3) is the
+    only witness; row 2 or rows 2 and 3 defeat the screen."""
+    vars = ("t1", "t2")
+    t1, t2 = Poly.var(vars, "t1"), Poly.var(vars, "t2")
+    one, zero, q = Poly.one(vars), Poly.zero(vars), t1 * t1 + t2 * t2
+    head = [(q, zero), (zero, q)]
+    if case == "factor-vanishing-at-0":
+        # the exact minor of rows 2, 3 is -2: the factor t1 + t2 cancels out
+        tail = [(RatFun(one, t1 + t2), one), (one * 2, zero)]
+    elif case == "prime-divides-denominator":
+        tail = [(one * GaussRat(Fraction(1, loci.P)), zero), (zero, one)]
+    else:  # too many points: the degree bound is 2 * 4100
+        tail = [(one + t1 ** 4100, zero), (zero, one + t2 ** 4100)]
+    return [(k, tuple(RatFun.of(c) for c in row)) for k, row in enumerate(head + tail)]
+
+
+@pytest.mark.parametrize("case", ["factor-vanishing-at-0", "prime-divides-denominator", "too-many-points"])
+def test_screen_falls_back_to_the_exact_search(case):
+    rows = _crafted_rows(case)
+    every = list(combinations(range(4), 2))
+    assert loci._Screen(rows, 2).passes(every[1:]) is None
+    assert exact_witness_subsets(rows, 2) == [(2, 3)]
+    v = full_minor_search(rows, 2)
+    assert v.established and v.witness.rows == (2, 3)
+    assert v.witness.minor == det([list(rows[2][1]), list(rows[3][1])]).num
+    assert verify_witness(v)
+
+
+def test_locus_search_builds_only_the_rows_it_reads(monkeypatch):
+    sdef = s2_structure(5)
+    chain = hull_chain(sdef, kernel_vectors(sdef), k_max=3)
+    calls = []
+    real = loci.lie_derivative
+    monkeypatch.setattr(loci, "lie_derivative", lambda *a: calls.append(a) or real(*a))
+    assert degeneracy_locus_check(sdef, chain).established
+    built = len(calls)
+    rows = hull_generator_rows(sdef, chain)
+    assert len(rows) == 24 and len(calls) == built
+    first, again = list(rows), list(rows)  # a full iteration builds every row, once
+    derived = sum(1 for word, _, _ in chain.entries if word)
+    assert len(calls) - built == derived and built < derived
+    assert [key for key, _ in first] == [key for key, _ in again] == [(w, si) for w, si, _ in chain.entries]
+
+
+def test_disk_weighted_search_makes_at_most_two_exact_minors(monkeypatch):
+    sdef = disk_weighted_powers(1, 2)
+    chain = hull_chain(sdef, kernel_vectors(sdef), k_max=8)
+    minors = []
+    monkeypatch.setattr(loci, "ratfun_det", lambda m: minors.append(m) or det(m))
+    v = degeneracy_locus_check(sdef, chain)
+    assert not v.established and v.note == "no full minor of the hull generators factored"
+    assert len(minors) <= 2
+
+
+def test_s1_degeneracy_search_at_kmax_5_ends(tmp_path, capsys):
+    # 35,960 nonzero minors, none a witness: the exhaustive search ran for minutes
+    f = tmp_path / "s1.struct"
+    f.write_text(
+        "[dims]\nnu = 1 d = 3 mu = 2\n[phi]\nt1^3/3 + x1^2*t2^2 + s1*t1^2\n"
+        "t1^2*t2 + y1^2*t1^2\nt2^4 + x1*y1*t1*t2 + s2^2\n"
+    )
+    start = time.perf_counter()
+    assert main(["analyze", str(f), "--kmax", "5"]) == 0
+    assert time.perf_counter() - start < 15.0
+    out = capsys.readouterr().out.splitlines()
+    assert "degeneracy locus: NotEstablished (no full minor of the hull generators factored)" in out
