@@ -300,7 +300,7 @@ class _Screen:
         degs = [sum(sorted(col)[-self.size :]) for col in row_degs]  # of the minors
         if degs[0] + 1 >= MAX_POINTS:
             return None
-        coef = np.zeros((self.size, len(data), len(degs), max(row_degs[0]) + 1), np.int64)
+        coef = np.zeros((self.size, len(data), len(degs), max(a.shape[2] for a, _, _ in data)), np.int64)
         for i, (a, _, _) in enumerate(data):
             coef[:, i, :, : a.shape[2]] = a
         sub = idx[live]
@@ -359,53 +359,54 @@ def _row_residues(comps, point):
 
 def _det_mod_p(e):
     """Determinants mod P of the n x n matrices whose (i, j) entries are the
-    equal-shape arrays e[i][j], entries in [0, P): Laplace expansion along
-    the first two rows for n <= 4, elimination above."""
+    equal-shape arrays e[i][j], entries in [0, P), by fraction-free
+    elimination: step c replaces each row i > c by piv_c * row i minus
+    row i's entry in column c times row c, which scales the remaining block's
+    determinant by piv_c^(n-2-c) (Chio's condensation), so the last pivot is
+    the determinant times the product of those powers.  A zero pivot left
+    after the row swaps zeroes every row below it, and the last pivot with
+    them."""
     n = len(e)
-    if n == 1:
-        return e[0][0]
-
-    def minor(i, a, b):  # rows i, i + 1 and columns a, b
-        return (e[i][a] * e[i + 1][b] - e[i][b] * e[i + 1][a]) % P
-
-    if n == 2:
-        return minor(0, 0, 1)
-    if n <= 4:
-        total = 0
-        for a, b in combinations(range(n), 2):
-            rest = [c for c in range(n) if c not in (a, b)]
-            term = minor(0, a, b) * (e[2][rest[0]] if n == 3 else minor(2, *rest))
-            total = total - term if (a + b) % 2 == 0 else total + term
-        return total % P
     rows = [list(r) for r in e]
-    det = np.ones(e[0][0].shape, np.int64)
-    scale = np.ones_like(det)  # the product of the row scalings
-    for c in range(n):
-        for i in range(c + 1, n):  # a nonzero pivot, by swapping rows
-            swap = (rows[c][c] == 0) & (rows[i][c] != 0)
-            if swap.any():
+    flip = np.zeros(e[0][0].shape, bool)  # an odd number of row swaps
+    prefix = np.ones(e[0][0].shape, np.int64)  # piv_0 ... piv_c
+    scale = prefix  # the product of the powers of piv_0 ... piv_n-3
+    for c in range(n - 1):
+        if (rows[c][c] == 0).any():  # a nonzero pivot, by swapping rows
+            for i in range(c + 1, n):
+                swap = (rows[c][c] == 0) & (rows[i][c] != 0)
                 for j in range(c, n):
                     rows[c][j], rows[i][j] = (
                         np.where(swap, rows[i][j], rows[c][j]),
                         np.where(swap, rows[c][j], rows[i][j]),
                     )
-                det = np.where(swap, P - det, det)
+                flip ^= swap
         piv = rows[c][c]
-        det = det * piv % P
-        piv = np.where(piv == 0, 1, piv)
         for i in range(c + 1, n):
             f = rows[i][c]
             for j in range(c + 1, n):
                 rows[i][j] = (piv * rows[i][j] - f * rows[c][j]) % P
-            scale = scale * piv % P
-    inv = np.ones_like(scale)  # scale^(P - 2) by squaring
-    k = P - 2
-    while k:
-        if k & 1:
-            inv = inv * scale % P
-        scale = scale * scale % P
-        k >>= 1
-    return det * inv % P
+        if c < n - 2:
+            prefix = prefix * piv % P
+            scale = scale * prefix % P
+    last = np.where(flip, (P - rows[-1][-1]) % P, rows[-1][-1])
+    return last * _inverse_mod_p(np.where(scale == 0, 1, scale)) % P
+
+
+def _inverse_mod_p(x):
+    """1/x mod P of each entry of the nonempty array x, none of them 0, with
+    one ``pow`` (Montgomery's trick): the entries are multiplied in pairs up
+    a tree, the root is inverted, and on the way down the inverse of each
+    entry is its parent's inverse times its sibling."""
+    tree = [x.ravel()]
+    while tree[-1].size > 1:
+        if tree[-1].size % 2:
+            tree[-1] = np.append(tree[-1], 1)
+        tree.append(tree[-1][0::2] * tree[-1][1::2] % P)
+    inv = np.array([pow(int(tree[-1][0]), P - 2, P)], np.int64)
+    for level in reversed(tree[:-1]):
+        inv = np.repeat(inv[: level.size // 2], 2) * level.reshape(-1, 2)[:, ::-1].ravel() % P
+    return inv[: x.size].reshape(x.shape)
 
 
 @functools.lru_cache(maxsize=8)

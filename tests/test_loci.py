@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from involucalc import loci
@@ -220,12 +221,13 @@ def test_hull_rows_match_apply_word(name):
 # -- the mod-p screen of the degeneracy search ----------------------------------------
 
 
-def exact_witness_subsets(rows, size):
-    """Every subset, in lexicographic order, whose exact minor is nonzero with
-    a denominator that is a unit at 0 and a monomial-times-unit numerator: the
-    exhaustive search the screen stands in for."""
+def exact_witness_subsets(rows, size, subsets=None):
+    """Every subset (of ``subsets``, by default of all), in order, whose exact
+    minor is nonzero with a denominator that is a unit at 0 and a
+    monomial-times-unit numerator: the exhaustive search the screen stands in
+    for."""
     found = []
-    for picked in combinations(range(len(rows)), size):
+    for picked in subsets or combinations(range(len(rows)), size):
         minor = det([list(rows[i][1]) for i in picked])
         if minor.is_zero() or minor.den.constant_term().is_zero():
             continue
@@ -239,21 +241,62 @@ def exact_witness_subsets(rows, size):
 
 @pytest.mark.parametrize(
     "name, subsets, witnesses",
-    [("disk", 455, 0), ("s2-d3", 220, 99), ("three-quadrics", 20, 17), ("monomial-6-5-3", 220, 168)],
+    [
+        ("disk", 455, 0),
+        ("s2-d3", 220, 99),
+        ("three-quadrics", 20, 17),
+        ("monomial-6-5-3", 220, 168),
+        ("s2-d4", 3060, 309),
+        ("s2-d5-every-20th", 2126, 34),
+    ],
 )
 def test_screen_passes_exactly_the_witness_subsets(name, subsets, witnesses):
-    sdef, k_max = {
-        "disk": (disk_weighted_powers(1, 2), 8),
-        "s2-d3": (s2_structure(3), 3),
-        "three-quadrics": (three_quadrics(), 8),
-        "monomial-6-5-3": (monomial_structure([(6,), (5,), (3,)]), 8),
+    # minors of size 1 to 5: s2-d4 and s2-d5 reach sizes 4 and 5
+    sdef, k_max, step = {
+        "disk": (disk_weighted_powers(1, 2), 8, 1),
+        "s2-d3": (s2_structure(3), 3, 1),
+        "three-quadrics": (three_quadrics(), 8, 1),
+        "monomial-6-5-3": (monomial_structure([(6,), (5,), (3,)]), 8, 1),
+        "s2-d4": (s2_structure(4), 3, 1),
+        "s2-d5-every-20th": (s2_structure(5), 3, 20),
     }[name]
     rows = hull_generator_rows(sdef, hull_chain(sdef, kernel_vectors(sdef), k_max=k_max))
     size = sdef.nu + sdef.d
-    every = list(combinations(range(len(rows)), size))
-    expect = exact_witness_subsets(rows, size)
+    every = list(combinations(range(len(rows)), size))[::step]
+    expect = exact_witness_subsets(rows, size, every)
     assert (len(every), len(expect)) == (subsets, witnesses)
     assert loci._Screen(rows, size).passes(every) == expect
+
+
+def _exact_det_mod_p(m):
+    """The integer determinant of m by the Leibniz formula, mod P."""
+    n, total = len(m), 0
+    for perm in permutations(range(n)):
+        term = -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total % loci.P
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_det_mod_p_matches_the_exact_determinant(n):
+    rng = random.Random(n)
+    mats = [[[rng.randrange(loci.P) for _ in range(n)] for _ in range(n)] for _ in range(6)]
+    # small entries: zero pivots that need a row swap, and singular matrices
+    mats += [[[rng.choice((0, 0, 1, 2)) for _ in range(n)] for _ in range(n)] for _ in range(12)]
+    if n > 1:
+        dup = [row[:] for row in mats[0]]
+        dup[-1] = dup[0][:]  # two equal rows
+        scaled = [row[:] for row in mats[1]]
+        scaled[1] = [3 * x % loci.P for x in scaled[0]]  # singular mod P only
+        zero_col = [[0] + row[1:] for row in mats[2]]
+        mats += [dup, scaled, zero_col]
+    mats.append([[0] * n for _ in range(n)])
+    batched = [[np.array([m[i][j] for m in mats], np.int64) for j in range(n)] for i in range(n)]
+    expect = [_exact_det_mod_p(m) for m in mats]
+    assert loci._det_mod_p(batched).tolist() == expect
+    assert 0 in expect and any(expect)
 
 
 def test_screened_witness_is_the_exact_search_witness(tmp_path, capsys, monkeypatch):
