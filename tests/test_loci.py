@@ -297,6 +297,9 @@ def test_det_mod_p_matches_the_exact_determinant(n):
     expect = [_exact_det_mod_p(m) for m in mats]
     assert loci._det_mod_p(batched).tolist() == expect
     assert 0 in expect and any(expect)
+    # stage 2 passes (subsets, points) arrays: the same matrices in two columns
+    pairs = [[np.stack([x, x[::-1]], axis=1) for x in r] for r in batched]
+    assert loci._det_mod_p(pairs).tolist() == [list(p) for p in zip(expect, expect[::-1])]
 
 
 def test_screened_witness_is_the_exact_search_witness(tmp_path, capsys, monkeypatch):
