@@ -51,6 +51,7 @@ FAILING = [
     ("fbi-halfwidth-190-digits", _MINIMAL + _HUGE, ["wavefront"]),
     ("fbi-halfwidth-190-digits-analyze", _MINIMAL + _HUGE, ["analyze"]),
     ("fbi-boundary-pole", _MINIMAL + "[fbi]\ndata = boundary\ndelta = 0\ngrid = 65\n", ["wavefront"]),
+    ("fbi-boundary-pole-even-grid", _MINIMAL + "[fbi]\ndata = boundary\ndelta = 0\ngrid = 64\n", ["wavefront"]),
     (
         "bundle-lambda-index-above-rank",
         _MINIMAL + "[bundle]\nrank = 1\nlambda 1 1 = 1\nlambda 2 2 = 5\n",
@@ -85,8 +86,8 @@ _FBI = "[fbi]\ndata = boundary\ndelta = 1/20\ngrid = 128\ndirs = 4\n"
 # (name, structure file, command and options) of inputs that succeed on paths
 # the benchmark does not run: the machine report's 17-digit residual sup, the
 # CSV tables, the command-line overrides of the [approx] and [fbi] values, and
-# a degeneracy witness that comes from the mod-p screen (the structure's first
-# nonzero minor is no witness)
+# a degeneracy and an exceptional witness that come from the mod-p screen (the
+# structure's first nonzero minor is no witness)
 UNBENCHED = [
     (
         "analyze-approx-fbi-machine",
@@ -110,6 +111,7 @@ UNBENCHED = [
         "[dims]\nnu = 0 d = 2 mu = 1\n[phi]\ns1*t1^2 + t1^3\ns2*t1^2 + t1^4 + s1*t1^3\n",
         ["analyze", "--kmax", "4"],
     ),
+    ("exceptional-witness-screened", "[dims]\nnu = 0 d = 2 mu = 1\n[phi]\ns1*t1^2 + t1^3\nt1^2/2\n", ["analyze"]),
 ]
 
 

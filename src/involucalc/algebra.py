@@ -883,13 +883,11 @@ def _as_gauss_matrix(rows):
     return [[GaussRat.of(x) for x in row] for row in rows]
 
 
-def gauss_jordan(m) -> list:
-    """Reduce the list-of-rows matrix ``m`` in place to reduced row echelon
-    form over a field (entries need ``is_zero`` and the field operations);
-    returns the pivot columns in order."""
-    pivots = []
+def exact_rank(rows) -> int:
+    """Rank over the complex rationals by exact Gaussian elimination."""
+    m = _as_gauss_matrix(rows)
+    rank = 0
     for col in range(len(m[0]) if m else 0):
-        rank = len(pivots)
         if rank == len(m):
             break
         pr = next((r for r in range(rank, len(m)) if not m[r][col].is_zero()), None)
@@ -897,18 +895,12 @@ def gauss_jordan(m) -> list:
             continue
         m[rank], m[pr] = m[pr], m[rank]
         pv = m[rank][col]
-        m[rank] = [x / pv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and not m[r][col].is_zero():
-                f = m[r][col]
+        for r in range(rank + 1, len(m)):
+            if not m[r][col].is_zero():
+                f = m[r][col] / pv
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-    return pivots
-
-
-def exact_rank(rows) -> int:
-    """Rank over the complex rationals by exact Gaussian elimination."""
-    return len(gauss_jordan(_as_gauss_matrix(rows)))
+        rank += 1
+    return rank
 
 
 class HermitianMatrix:
@@ -931,9 +923,6 @@ class HermitianMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianMatrix is immutable")
-
-    def inertia(self):
-        return hermitian_inertia(self)
 
 
 def hermitian_inertia(h: HermitianMatrix):

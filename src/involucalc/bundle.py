@@ -1,4 +1,4 @@
-"""Flat partial connections over an involutive base frame.
+"""Flat partial connections over a commuting base frame.
 
 Conventions.  A bundle of rank r over a base frame L_1..L_n stores one r x r
 matrix per frame field with entries
@@ -9,10 +9,11 @@ so that for a section with component row vector eta the derivative components
 are L_j eta + eta . D_j, a solution satisfies L_j eta = -eta . D_j, and a
 matrix Lambda of solution rows satisfies L_j Lambda = -Lambda D_j.
 
-Structure constants [L_j, L_k] = sum_l C^l_{jk} L_l are computed exactly from
-the base frame at construction, and the curvature identity
+The base fields commute pairwise, as the frame of ``build_frame`` does (the
+standard normal form of a locally integrable structure); this is checked at
+construction, and the curvature identity
 
-    L_j D_k - L_k D_j + D_k D_j - D_j D_k = sum_l C^l_{jk} D_l
+    L_j D_k - L_k D_j + D_k D_j - D_j D_k = 0
 
 is checked; bundles are flat by admission."""
 
@@ -25,7 +26,6 @@ from .algebra import (
     Poly,
     RatFun,
     exact_rank,
-    gauss_jordan,
     ratfun_det,
     ratfun_matrix_inverse,
 )
@@ -101,31 +101,12 @@ def _mtranspose(a):
     return _mat(list(zip(*a)))
 
 
-def expand_in_span(fields, target):
-    """Solve target = sum_i c_i fields[i] exactly over the rational functions.
-
-    Raises BundleError when the target is not in the span."""
-    vars = target.vars
-    coords = sorted(set(target.coeffs).union(*(set(f.coeffs) for f in fields)))
-    n = len(fields)
-    rows = [
-        [f.coeff(c) for f in fields] + [target.coeff(c)] for c in coords
-    ]
-    pivots = gauss_jordan(rows)
-    if pivots and pivots[-1] == n:
-        raise BundleError("vector field is not in the span of the frame")
-    coeffs = [_zero(vars) for _ in range(n)]
-    for r, col in enumerate(pivots):
-        coeffs[col] = rows[r][n]
-    return coeffs
-
-
 class VBundle:
-    """Rank-r bundle with a flat partial connection over a base frame."""
+    """Rank-r bundle with a flat partial connection over a commuting base frame."""
 
-    __slots__ = ("vars", "base", "labels", "rank", "D", "C", "flat")
+    __slots__ = ("vars", "base", "rank", "D", "flat")
 
-    def __init__(self, base, D, labels=None, require_flat=True):
+    def __init__(self, base, D, require_flat=True):
         base = tuple(base)
         if not base:
             raise BundleError("base frame must be nonempty")
@@ -141,35 +122,17 @@ class VBundle:
                 raise BundleError("connection matrices must be square of equal size")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "D", D)
-        if labels is None:
-            labels = tuple(f"w{a}" for a in range(1, rank + 1))
-        object.__setattr__(self, "labels", tuple(labels))
-        n = len(base)
-        C = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                if k <= j:
-                    row.append(None)
-                    continue
-                row.append(expand_in_span(list(base), base[j].bracket(base[k])))
-            C.append(row)
-        object.__setattr__(self, "C", C)
+        for j in range(len(base)):
+            for k in range(j + 1, len(base)):
+                if not base[j].bracket(base[k]).is_zero():
+                    raise BundleError(f"base fields L{j + 1} and L{k + 1} do not commute")
         verdict = flatness_check(self)
-        object.__setattr__(self, "flat", verdict.flat)
-        if require_flat and not verdict.flat:
+        object.__setattr__(self, "flat", verdict)
+        if require_flat and not verdict:
             raise NotFlat(f"curvature identity fails at {verdict.failure[:4]}")
 
     def __setattr__(self, name, value):
         raise AttributeError("VBundle is immutable")
-
-    def structure_coeffs(self, j, k):
-        """Coefficients of [L_j, L_k] in the frame (antisymmetric in j, k)."""
-        if j == k:
-            return [_zero(self.vars) for _ in self.base]
-        if j < k:
-            return list(self.C[j][k])
-        return [c * GaussRat(-1) for c in self.C[k][j]]
 
     def same_base(self, other) -> bool:
         return len(self.base) == len(other.base) and all(
@@ -177,22 +140,16 @@ class VBundle:
         )
 
     @classmethod
-    def trivial(cls, base, rank, labels=None):
+    def trivial(cls, base, rank):
         base = tuple(base)
         vars = base[0].vars
-        return cls(base, [_mzero(rank, vars) for _ in base], labels)
+        return cls(base, [_mzero(rank, vars) for _ in base])
 
 
 def canonical_annihilator_bundle(sdef: StructureDef) -> VBundle:
     """The annihilator bundle in the first-integral coframe: the canonical
     derivative acts componentwise there, so all connection matrices vanish."""
-    base = build_frame(sdef)
-    rank = sdef.nu + sdef.d
-    labels = tuple(
-        [f"dZ{j}" for j in range(1, sdef.nu + 1)]
-        + [f"dW{k}" for k in range(1, sdef.d + 1)]
-    )
-    return VBundle.trivial(base, rank, labels)
+    return VBundle.trivial(build_frame(sdef), sdef.nu + sdef.d)
 
 
 @dataclass(frozen=True)
@@ -213,16 +170,11 @@ def flatness_check(b: VBundle) -> FlatnessVerdict:
                 _madd(_mapply(b.base[j], b.D[k]), _mmul(b.D[k], b.D[j])),
                 _madd(_mapply(b.base[k], b.D[j]), _mmul(b.D[j], b.D[k])),
             )
-            rhs = _mzero(b.rank, b.vars)
-            for l, c in enumerate(b.structure_coeffs(j, k)):
-                if not c.is_zero():
-                    rhs = _madd(rhs, _mscale(b.D[l], c))
-            res = _msub(lhs, rhs)
             for alpha in range(b.rank):
                 for beta in range(b.rank):
-                    if not res[alpha][beta].is_zero():
+                    if not lhs[alpha][beta].is_zero():
                         return FlatnessVerdict(
-                            False, (j + 1, k + 1, alpha + 1, beta + 1, res[alpha][beta])
+                            False, (j + 1, k + 1, alpha + 1, beta + 1, lhs[alpha][beta])
                         )
     return FlatnessVerdict(True)
 
@@ -237,7 +189,7 @@ def frame_change(b: VBundle, T) -> VBundle:
     newD = []
     for L, Dj in zip(b.base, b.D):
         newD.append(_mmul(_madd(_mapply(L, T), _mmul(T, Dj)), Tinv))
-    return VBundle(b.base, newD, b.labels)
+    return VBundle(b.base, newD)
 
 
 def transform_section(b: VBundle, T, eta):
@@ -250,7 +202,7 @@ def transform_section(b: VBundle, T, eta):
 def dual_bundle(b: VBundle) -> VBundle:
     """Dual connection matrices are minus the transposes."""
     newD = [_mscale(_mtranspose(Dj), GaussRat(-1)) for Dj in b.D]
-    return VBundle(b.base, newD, tuple(l + "*" for l in b.labels))
+    return VBundle(b.base, newD)
 
 
 def tensor_bundle(b: VBundle, b2: VBundle) -> VBundle:
@@ -271,8 +223,7 @@ def tensor_bundle(b: VBundle, b2: VBundle) -> VBundle:
                 for dd in range(r2):
                     m[row][a * r2 + dd] = m[row][a * r2 + dd] + Ej[g][dd]
         newD.append(_mat(m))
-    labels = tuple(f"{x}(x){y}" for x in b.labels for y in b2.labels)
-    return VBundle(b.base, newD, labels)
+    return VBundle(b.base, newD)
 
 
 def hom_bundle(b: VBundle, b2: VBundle) -> VBundle:
@@ -377,24 +328,13 @@ def lifted_generators(b: VBundle):
 
 
 def lifted_bracket_closure(b: VBundle) -> bool:
-    """[G_i, G_j] must re-expand over the lifted frame with the base structure
-    constants; exact check via the flatness identity."""
-    gens, ext = lifted_generators(b)
+    """The lifts of the commuting base fields must commute, [G_i, G_j] = 0;
+    exact check via the flatness identity."""
+    gens, _ = lifted_generators(b)
     n = len(b.base)
-    for i in range(n):
-        for j in range(i + 1, n):
-            br = gens[i].bracket(gens[j])
-            for l, c in enumerate(b.structure_coeffs(i, j)):
-                if not c.is_zero():
-                    br = br - gens[l].scale_ratfun(_lift_ratfun(c, ext))
-            if not br.is_zero():
-                return False
-    # lifts commute with the fiber fields: coefficients are wbar-free
-    for i in range(n):
-        for alpha in range(n, n + b.rank):
-            if not gens[i].bracket(gens[alpha]).is_zero():
-                return False
-    return True
+    # the lifts pairwise, and each lift against the fiber fields d/dwbar, with
+    # which it commutes as its coefficients are wbar-free
+    return all(gens[i].bracket(gens[j]).is_zero() for i in range(n) for j in range(i + 1, len(gens)))
 
 
 def lifted_rank_at(b: VBundle, base_point, fiber_point) -> int:

@@ -55,7 +55,6 @@ from .approx import (
 from .autosys import RealVectorFieldSym, check_candidate, generate_system
 from .bundle import (
     VBundle,
-    flatness_check,
     is_integrating_frame,
     is_solution_section,
 )
@@ -1038,8 +1037,8 @@ def _bundle(report):
     for (j, a, b), p in block.d_entries.items():
         D[j - 1][a - 1][b - 1] = RatFun.of(p)
     bundle = VBundle(base, D, require_flat=False)
-    verdict = flatness_check(bundle)
-    if verdict.flat:
+    verdict = bundle.flat
+    if verdict:
         report.emit("bundle: Flat", "bundle.flat", "yes")
     else:
         j, k, a, b, _ = verdict.failure
@@ -1139,6 +1138,10 @@ def _fbi_data_fn(block):
     if block.data == "heaviside":
         return lambda X, T: (X >= 0).astype(float) + 0 * T
     delta = float(block.delta)
+    if delta == 0.0:  # 1/x has its pole on the grid or not, by the grid's parity
+        from .fbi import FbiError
+
+        raise FbiError("boundary data needs a nonzero delta")
     return lambda X, T: 1.0 / (X + 1j * delta)
 
 

@@ -6,17 +6,19 @@ the condition fails.  Minors are enumerated in lexicographic order on the
 row/column index tuples and the first success wins, so verdicts are
 deterministic.
 
-The degeneracy search computes each minor exactly, as a RatFun determinant,
-until the first nonzero minor that is not a witness.  From there on it
-computes exactly only the minors that pass a screen mod the prime
-P = 33,554,393 (P = 1 mod 4, with i sent to I_P = 33,479,089) at one fixed
-point whose coordinates are drawn from ``random.Random(POINT_SEED)`` (see
-``_Screen``).  A witness minor of degree at most D is screened out only if
-the point is a root of one of at most (coordinates + 2) nonzero polynomials
-of degree at most D, probability at most (coordinates + 2) * D / P for a
-random point, or if P divides a coefficient the screen reads.  That can turn
-a Yes into a later witness or a NotEstablished, never the reverse: every Yes
-is still an exact minor, factored exactly."""
+Both checks search the full minors of a matrix, phi_t or the hull
+generators' coefficient rows, with ``full_minor_search``.  It computes each
+minor exactly, as a RatFun determinant, until the first nonzero minor that
+is not a witness.  From there on it computes exactly only the minors that
+pass a screen mod the prime P = 33,554,393 (P = 1 mod 4, with i sent to
+I_P = 33,479,089) at one fixed point whose coordinates are drawn from
+``random.Random(POINT_SEED)`` (see ``_Screen``).  A witness minor of degree
+at most D is screened out only if the point is a root of one of at most
+(coordinates + 2) nonzero polynomials of degree at most D, probability at
+most (coordinates + 2) * D / P for a random point, or if P divides a
+coefficient the screen reads.  That can turn a Yes into a later witness or a
+NotEstablished, never the reverse: every Yes is still an exact minor,
+factored exactly."""
 
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .algebra import Poly, common_denominator, det, ratfun_det
+from .algebra import Poly, RatFun, common_denominator, ratfun_det
 from .hull import SpanChain, lie_derivative
 from .structure import StructureDef, build_frame, jacobians
 
@@ -87,7 +89,8 @@ class LocusVerdict:
 
 def exceptional_locus_check(sdef: StructureDef) -> LocusVerdict:
     """Sufficient criterion for a normal-crossing exceptional locus: some
-    mu x mu minor of phi_t factors as monomial times unit."""
+    mu x mu minor of phi_t factors as monomial times unit (see
+    ``full_minor_search``; the rows of phi_t are labelled 1..d)."""
     mu, d = sdef.mu, sdef.d
     if mu == 0:
         return LocusVerdict(True, None, "mu = 0: trivially normal crossing")
@@ -95,23 +98,11 @@ def exceptional_locus_check(sdef: StructureDef) -> LocusVerdict:
         return LocusVerdict(
             False, None, "phi_t has fewer rows than columns; no full minors"
         )
-    jac = jacobians(sdef)
-    cols = tuple(range(mu))
-    for rows in combinations(range(d), mu):
-        sub = [[jac.phi_t[r][c] for c in cols] for r in rows]
-        minor = det(sub)
-        if minor.is_zero():
-            continue
-        try:
-            factor = monomial_unit_factor(minor)
-        except NotMonomialTimesUnit:
-            continue
-        return LocusVerdict(
-            True,
-            LocusWitness(
-                tuple(r + 1 for r in rows), tuple(c + 1 for c in cols), minor, factor
-            ),
-        )
+    phi_t = jacobians(sdef).phi_t
+    rows = [(r + 1, tuple(RatFun.of(x) for x in phi_t[r])) for r in range(d)]
+    verdict = full_minor_search(rows, mu)
+    if verdict.established:
+        return verdict
     return LocusVerdict(False, None, "no full minor of phi_t factored")
 
 
@@ -446,14 +437,3 @@ def _orders(y):
         todo, vals = todo[~hit], vals[~hit]
     return out.reshape(y.shape[:-1])
 
-
-def verify_witness(v: LocusVerdict) -> bool:
-    """Re-check a Yes verdict: the recorded factorization must reassemble the
-    recorded minor exactly."""
-    if not v.established or v.witness is None:
-        return v.established and v.witness is None
-    w = v.witness
-    return (
-        w.factor.reassemble() == w.minor
-        and not w.factor.unit.constant_term().is_zero()
-    )

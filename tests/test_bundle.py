@@ -6,6 +6,7 @@ import pytest
 from involucalc.algebra import GaussRat, Poly, RatFun
 from involucalc.bundle import (
     BaseFrameMismatch,
+    BundleError,
     NotInvertible,
     NotInvertibleAtBase,
     VBundle,
@@ -29,12 +30,33 @@ from involucalc.catalog import (
     standard_mizohata,
     three_quadrics,
 )
-from involucalc.structure import build_frame, kernel_vectors, characteristic_form
-from conftest import rand_flat_bundle, rand_invertible_matrix, rand_poly
+from involucalc.structure import VectorFieldSym, build_frame, kernel_vectors, characteristic_form
+from conftest import rand_flat_bundle, rand_invertible_matrix, rand_poly, s2_structure
+from test_acceptance import all_fixtures
 
 
 def mizohata_base():
     return build_frame(standard_mizohata(1, 2))
+
+
+# -- the commuting base frame -----------------------------------------------------
+
+
+def test_structure_frames_commute():
+    # bundles rely on it: every frame they are built over commutes
+    for sdef in all_fixtures() + [s2_structure(3)]:
+        frame = build_frame(sdef)
+        for j in range(len(frame)):
+            for k in range(j + 1, len(frame)):
+                assert frame[j].bracket(frame[k]).is_zero()
+
+
+def test_non_commuting_base_is_rejected():
+    # [d/dt1, t1 d/ds1] = d/ds1
+    vars = ("s1", "t1")
+    base = [VectorFieldSym(vars, {"t1": Poly.one(vars)}), VectorFieldSym(vars, {"s1": Poly.var(vars, "t1")})]
+    with pytest.raises(BundleError, match="base fields L1 and L2 do not commute"):
+        VBundle.trivial(base, 1)
 
 
 # -- flatness ------------------------------------------------------------------

@@ -794,10 +794,11 @@ def test_cli_wavefront_bad_covector_still_scans(tmp_path, capsys):
         # samples and kernels overflow to 0 on so wide a box
         ("halfwidth = 100000000000000000000\n", "every transform magnitude in direction 0 is zero"),
         ("halfwidth = 1" + "0" * 189 + "\n", "every transform magnitude in direction 0 is zero"),
-        # the odd grid samples 1/(x + i delta) at its pole x = 0
-        ("data = boundary\ndelta = 0\ngrid = 65\n", "non-finite transform magnitude in the scan"),
+        # 1/x has its pole x = 0 on the odd grid only; both are errors
+        ("data = boundary\ndelta = 0\ngrid = 65\n", "boundary data needs a nonzero delta"),
+        ("data = boundary\ndelta = 0\ngrid = 64\n", "boundary data needs a nonzero delta"),
     ],
-    ids=["halfwidth-1e20", "halfwidth-190-digits", "boundary-pole"],
+    ids=["halfwidth-1e20", "halfwidth-190-digits", "boundary-pole", "boundary-pole-even-grid"],
 )
 def test_cli_wavefront_rejects_degenerate_samples(tmp_path, capsys, block, error):
     # an [fbi] error instead of a label for every direction, and numpy warns
