@@ -5,9 +5,10 @@
         --seed S --out BENCH_<n>.json
 
 PARENT and CHANGE are the roots of two checkouts.  Pair i runs
-``perfbench/run.py --workload W --seed S+i-1 --seconds T --trace 0`` from
-each side's own checkout, with identical arguments, the parent first when i
-is odd; T is ``run_seconds`` in the change's BENCHMARK.json.  One
+``perfbench/run.py --workload W --seed S+i-1 --seconds T --trace 0`` from a
+fresh copy of each side's checkout (see ``_run``), with identical arguments,
+the parent first when i is odd; T is ``run_seconds`` in the change's
+BENCHMARK.json.  One
 ``--trace 1`` run per side at seed S follows the pairs, for the per-layer
 rows.
 
@@ -27,9 +28,11 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -76,10 +79,21 @@ def _machine():
 
 
 def _run(root, workload, seed, seconds, trace):
-    """The final JSON line of one benchmark run and its '# python' line."""
+    """The final JSON line of one benchmark run and its '# python' line.
+
+    The run starts from a fresh copy of the checkout without its
+    ``__pycache__`` directories, with PYTHONDONTWRITEBYTECODE=1, so that its
+    interpreters compile the checkout's modules, as in a fresh checkout,
+    whatever bytecode either checkout holds, stale or fresh; installed
+    packages still load theirs.  (An empty PYTHONPYCACHEPREFIX would hide
+    theirs too, and numpy's import would measure its compiler.)"""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    p = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=4 * seconds + 600)
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        copy = Path(tmp) / root.name
+        shutil.copytree(root, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".perfbench_work"))
+        p = subprocess.run(argv, cwd=copy, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+                           capture_output=True, text=True, timeout=4 * seconds + 600)
     lines = [line for line in p.stdout.splitlines() if line.strip()]
     if p.returncode != 0 or not lines:
         raise SystemExit(f"{' '.join(argv[1:])} in {root} exited {p.returncode}:\n{p.stderr[-2000:]}")
@@ -151,7 +165,8 @@ def main(argv=None):
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc["description"] = (
         "scripts/bench_pairs.py: perfbench/run.py --trace 0 in alternating parent/change "
-        "pairs, the parent first in odd pairs, each side from its own checkout; pair i uses "
+        "pairs, the parent first in odd pairs, each run from a fresh copy of its side's checkout "
+        "without __pycache__, under PYTHONDONTWRITEBYTECODE=1; pair i uses "
         "seed S+i-1 on both sides; then one --trace 1 run per side at seed S"
     )
     doc["machine"] = _machine()

@@ -299,6 +299,10 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._t
 
+    def term_count(self) -> int:
+        """The number of nonzero terms, without building ``terms``."""
+        return len(self._t)
+
     def constant_term(self) -> GaussRat:
         c = self._t.get(0)
         return ZERO if c is None else self._scalar(c)

@@ -21,7 +21,8 @@ inside expressions):
     and / by a nonzero constant), and parentheses.
 
     Integers are bounded by LIMITS: exponents by "exponent", each of nu, d
-    and mu by "dimension", and so on; [approx] also needs
+    and mu by "dimension", and so on; a ^ or * may expand to at most
+    LIMITS["terms"] terms, bounded before it is expanded; [approx] also needs
     grid^(nx + 1) <= LIMITS["samples"].  The rationals box, delta, sigma,
     kappa and halfwidth must convert to a finite float, and box, kappa and
     halfwidth to a positive one, as must the lo and hi of a radii spec
@@ -45,19 +46,6 @@ from pathlib import Path
 from typing import ClassVar
 
 from .algebra import AlgebraError, GaussRat, Poly, RatFun, _deg_key
-from .approx import (
-    NormalFormField,
-    assemble_evaluator,
-    field_vars,
-    select_cutoff_plan,
-    series_coefficients,
-)
-from .autosys import RealVectorFieldSym, check_candidate, generate_system
-from .bundle import (
-    VBundle,
-    is_integrating_frame,
-    is_solution_section,
-)
 from .config import DEFAULTS
 from .hull import SpanChain, hull_chain, kernel_chain
 from .loci import degeneracy_locus_check, exceptional_locus_check
@@ -78,11 +66,14 @@ from .structure import (
 # setting controls stays within about 15 s on a 2-core Xeon, although the
 # cofactor determinants of size d and rank are factorial: det and adjugate
 # of a dense 7 x 7 W_s take 1.1 s there, of an 8 x 8 one 11.6 s.
-# They bound single settings, not the whole run: the size of an expanded
-# polynomial is not limited.  The k_max limit also keeps every jet degree far
-# below the packed exponent field of algebra.Poly.
+# They bound single settings, not the whole run.  "terms" bounds each ^ and *
+# the parser expands; at the limit one expansion takes about 6 s there (the
+# worst case is a power of a 4- or 5-term sum), but later stages can still
+# grow polynomials.  The k_max limit also keeps every jet degree far below the
+# packed exponent field of algebra.Poly.
 LIMITS = {
     "exponent": 64,  # ^ in a polynomial
+    "terms": 30_000,  # the terms a ^ or * of the file grammar may expand to
     "dimension": 7,  # each of nu, d and mu
     "rank": 7,  # [bundle] rank
     "nx": 3,  # [approx] nx
@@ -211,6 +202,7 @@ class _ExprParser:
             self._next()
             q = self._unary()
             if t.text == "*":
+                _cap_terms(p.term_count() * q.term_count(), t)
                 p = p * q
             else:
                 if not q.is_constant() or q.constant_term().is_zero():
@@ -234,9 +226,13 @@ class _ExprParser:
             e = self._next()
             if e.kind != "NUMBER":
                 raise ParseError("exponent must be a nonnegative integer", e.line, e.col)
-            if int(e.text) > LIMITS["exponent"]:
+            n = int(e.text)
+            if n > LIMITS["exponent"]:
                 raise ParseError(f"exponent must be at most {LIMITS['exponent']}", e.line, e.col)
-            return p ** int(e.text)
+            terms = p.term_count()
+            # at most the number of monomials of degree n in the terms of p
+            _cap_terms(math.comb(terms + n - 1, n) if terms else 1, t)
+            return p ** n
         return p
 
     def _atom(self) -> Poly:
@@ -254,6 +250,15 @@ class _ExprParser:
             self._expect_op((")",))
             return p
         raise ParseError(f"unexpected token {t.text!r}", t.line, t.col)
+
+
+def _cap_terms(bound, tok):
+    """Refuse, at the operator ``tok``, an expansion that may have more
+    terms than LIMITS["terms"]: ``bound`` bounds the terms of its result."""
+    if bound > LIMITS["terms"]:
+        raise ParseError(
+            f"the expansion may have {bound} terms, more than the {LIMITS['terms']} allowed", tok.line, tok.col
+        )
 
 
 def parse_poly_tokens(toks, vars) -> Poly:
@@ -590,6 +595,8 @@ def _parse_approx(lines):
     reason = _samples_reason(block)
     if reason:
         raise ParseError(reason, size_tok.line, size_tok.col)
+    from .approx import field_vars
+
     vars = field_vars(block.nx)
     for name, rhs in pending:
         polys = tuple(parse_poly_tokens(g, vars) for g in _split_on_commas(rhs))
@@ -994,6 +1001,8 @@ def _autosys(report):
     listed = report.options.get("autosys")
     if not (listed or sf.candidates):
         return
+    from .autosys import RealVectorFieldSym, check_candidate, generate_system
+
     system = generate_system(sf.sdef)
     report.emit(
         f"automorphism system: {len(system.equations)} equations in "
@@ -1029,6 +1038,8 @@ def _bundle(report):
     block = report.sf.bundle
     if block is None:
         return
+    from .bundle import VBundle, is_integrating_frame, is_solution_section
+
     sdef = report.sf.sdef
     rank = block.rank if block.rank is not None else sdef.nu + sdef.d
     zero = RatFun.of(Poly.zero(sdef.vars))
@@ -1078,6 +1089,8 @@ def _csv(report, name, key, write):
 def _approx_solution(block):
     """Cutoff plan and evaluator of the [approx] block's series, after
     checking that the series recursion residuals vanish."""
+    from .approx import NormalFormField, assemble_evaluator, field_vars, select_cutoff_plan, series_coefficients
+
     vars = field_vars(block.nx)
     b = block.b or tuple(Poly.zero(vars) for _ in range(block.nx))
     u0 = block.u0 or (Poly.var(vars, "x1"),)

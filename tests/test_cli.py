@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import involucalc
 from involucalc.algebra import GaussRat, Poly
 from involucalc.cli import (
     DimensionMismatch,
@@ -191,6 +197,32 @@ def test_parse_error_dimension_limit_position():
         parse_structure("[dims]\nnu = 100 d = 1 mu = 1\n[phi]\nt1^2\n")
     assert (exc.value.line, exc.value.col) == (2, 6)
     assert "from 0 to 7" in str(exc.value)
+
+
+def test_parse_error_expansion_past_the_term_cap():
+    # comb(5 + 40 - 1, 40) = 135,751 possible terms: refused before the
+    # expansion, which ran for more than 20 s
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse_structure("[dims]\nnu = 1 d = 1 mu = 1\n[phi]\n(x1+y1+s1+t1+1)^40 - 1 - 40*(x1+y1+s1+t1)\n")
+    assert time.perf_counter() - start < 15.0
+    assert (exc.value.line, exc.value.col) == (4, 16)
+    assert "135751 terms" in str(exc.value)
+
+
+def test_product_term_cap_is_inclusive():
+    # 150 x 200 distinct monomials whose products are all distinct (t3^2 and
+    # up, so that phi vanishes to second order at 0)
+    assert 150 * 200 == LIMITS["terms"]
+    p = "+".join(f"t1^{i % 10}*t2^{i // 10}" for i in range(150))
+    q = "+".join(f"t3^{j % 20 + 2}*t4^{j // 20}" for j in range(200))
+    head = "[dims]\nnu = 0 d = 1 mu = 4\n[phi]\n"
+    sf = parse_structure(f"{head}({p})*({q})\n")
+    assert len(sf.sdef.phi[0].terms) == LIMITS["terms"]
+    with pytest.raises(ParseError) as exc:
+        parse_structure(f"{head}({p}+t1^11)*({q})\n")
+    assert (exc.value.line, exc.value.col) == (4, len(p) + 9)
+    assert f"30200 terms, more than the {LIMITS['terms']}" in str(exc.value)
 
 
 def test_grammar_limits_admit_their_bounds():
@@ -1031,3 +1063,37 @@ def test_report_lines_of_failed_verdicts(tmp_path, capsys):
     )
     code, out, err = run_cli(["analyze", str(f), "--machine"], capsys)
     assert out.endswith("autosys.candidate1 = not\nbundle.flat = no\nbundle.integrating = no\n")
+
+
+# the modules an analyze loads only when a section or the screen reaches them
+LAZY_MODULES = ("numpy", "involucalc.approx", "involucalc.fbi", "involucalc.autosys", "involucalc.bundle",
+                "involucalc.screen")
+
+
+@pytest.mark.parametrize(
+    "text, argv, loaded",
+    [
+        (MIZOHATA_FILE, ["analyze", "--covector", "s1=1"], []),
+        (MIZOHATA_FILE + "[candidate]\ns1 = s1\n[bundle]\nrank = 1\nD 1 1 1 = t2\n", ["analyze"],
+         ["involucalc.autosys", "involucalc.bundle"]),
+        # the degeneracy search screens its minors after the first nonzero one
+        ("[dims]\nnu = 0 d = 2 mu = 1\n[phi]\ns1*t1^2 + t1^3\ns2*t1^2 + t1^4 + s1*t1^3\n", ["analyze", "--kmax", "4"],
+         ["involucalc.screen", "numpy"]),
+        (MINIMAL_FILE + "[fbi]\ngrid = 64\ndirs = 2\nradii = 1:100:5\n", ["wavefront"],
+         ["involucalc.approx", "involucalc.fbi", "numpy"]),
+    ],
+    ids=["mizohata", "candidate-and-bundle", "screened", "wavefront"],
+)
+def test_cli_loads_only_the_modules_a_command_reaches(tmp_path, capsys, text, argv, loaded):
+    f = tmp_path / "lazy.struct"
+    f.write_text(text)
+    argv = [argv[0], str(f), *argv[1:]]
+    code = (
+        "import sys\nfrom involucalc.cli import main\ncode = main(sys.argv[1:])\n"
+        f"print(*sorted(m for m in {LAZY_MODULES!r} if m in sys.modules), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(involucalc.__file__).parents[1])}
+    fresh = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert fresh.stderr.splitlines()[-1].split() == loaded
+    assert (fresh.returncode, fresh.stdout) == run_cli(argv, capsys)[:2]

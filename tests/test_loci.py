@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -6,7 +7,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from involucalc import loci
+from involucalc import loci, screen
 from involucalc.algebra import GaussRat, Poly, RatFun, det
 from involucalc.catalog import (
     crossing_powers,
@@ -108,13 +109,20 @@ def test_exceptional_three_quadrics():
     assert verify_witness(v)
 
 
-def test_exceptional_disk_weighted_not_established():
+@pytest.fixture
+def no_screen(monkeypatch):
+    """Make an import of the screen module fail."""
+    monkeypatch.setitem(sys.modules, "involucalc.screen", None)
+
+
+def test_exceptional_disk_weighted_not_established(no_screen):
+    # one 1 x 1 minor is left after the first nonzero one: tried exactly
     v = exceptional_locus_check(disk_weighted_powers(1, 2))
     assert not v.established
 
 
-def test_exceptional_zero_row_only():
-    # phi_t identically zero: no nonzero minor
+def test_exceptional_zero_row_only(no_screen):
+    # phi_t identically zero: no nonzero minor, and none left to screen
     sdef = flat_structure(1, 1)
     v = exceptional_locus_check(sdef)
     assert not v.established
@@ -285,7 +293,7 @@ def test_screen_passes_exactly_the_witness_subsets(name, subsets, witnesses):
     every = list(combinations(range(len(rows)), size))[::step]
     expect = exact_witness_subsets(rows, size, every)
     assert (len(every), len(expect)) == (subsets, witnesses)
-    assert loci._Screen(rows, size).passes(every) == expect
+    assert screen._Screen(rows, size).passes(every) == expect
 
 
 def _exact_det_mod_p(m):
@@ -296,30 +304,30 @@ def _exact_det_mod_p(m):
         for i, j in enumerate(perm):
             term *= m[i][j]
         total += term
-    return total % loci.P
+    return total % screen.P
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_det_mod_p_matches_the_exact_determinant(n):
     rng = random.Random(n)
-    mats = [[[rng.randrange(loci.P) for _ in range(n)] for _ in range(n)] for _ in range(6)]
+    mats = [[[rng.randrange(screen.P) for _ in range(n)] for _ in range(n)] for _ in range(6)]
     # small entries: zero pivots that need a row swap, and singular matrices
     mats += [[[rng.choice((0, 0, 1, 2)) for _ in range(n)] for _ in range(n)] for _ in range(12)]
     if n > 1:
         dup = [row[:] for row in mats[0]]
         dup[-1] = dup[0][:]  # two equal rows
         scaled = [row[:] for row in mats[1]]
-        scaled[1] = [3 * x % loci.P for x in scaled[0]]  # singular mod P only
+        scaled[1] = [3 * x % screen.P for x in scaled[0]]  # singular mod P only
         zero_col = [[0] + row[1:] for row in mats[2]]
         mats += [dup, scaled, zero_col]
     mats.append([[0] * n for _ in range(n)])
     batched = [[np.array([m[i][j] for m in mats], np.int64) for j in range(n)] for i in range(n)]
     expect = [_exact_det_mod_p(m) for m in mats]
-    assert loci._det_mod_p(batched).tolist() == expect
+    assert screen._det_mod_p(batched).tolist() == expect
     assert 0 in expect and any(expect)
     # stage 2 passes (subsets, points) arrays: the same matrices in two columns
     pairs = [[np.stack([x, x[::-1]], axis=1) for x in r] for r in batched]
-    assert loci._det_mod_p(pairs).tolist() == [list(p) for p in zip(expect, expect[::-1])]
+    assert screen._det_mod_p(pairs).tolist() == [list(p) for p in zip(expect, expect[::-1])]
 
 
 def test_screened_witness_is_the_exact_search_witness(tmp_path, capsys, monkeypatch):
@@ -352,7 +360,7 @@ def _crafted_rows(case):
         # the exact minor of rows 2, 3 is -2: the factor t1 + t2 cancels out
         tail = [(RatFun(one, t1 + t2), one), (one * 2, zero)]
     elif case == "prime-divides-denominator":
-        tail = [(one * GaussRat(Fraction(1, loci.P)), zero), (zero, one)]
+        tail = [(one * GaussRat(Fraction(1, screen.P)), zero), (zero, one)]
     else:  # too many points: the degree bound is 2 * 4100
         tail = [(one + t1 ** 4100, zero), (zero, one + t2 ** 4100)]
     return [(k, tuple(RatFun.of(c) for c in row)) for k, row in enumerate(head + tail)]
@@ -362,7 +370,7 @@ def _crafted_rows(case):
 def test_screen_falls_back_to_the_exact_search(case):
     rows = _crafted_rows(case)
     every = list(combinations(range(4), 2))
-    assert loci._Screen(rows, 2).passes(every[1:]) is None
+    assert screen._Screen(rows, 2).passes(every[1:]) is None
     assert exact_witness_subsets(rows, 2) == [(2, 3)]
     v = full_minor_search(rows, 2)
     assert v.established and v.witness.rows == (2, 3)
