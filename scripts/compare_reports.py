@@ -17,22 +17,34 @@ interpreter in the same scratch directory, so paths echoed in a report agree.  I
 standard output, standard error, exit code or CSV files differ are printed with a
 unified diff; inputs that exceed their time limit under either tree (the
 benchmark's cap, or TIMEOUT_S for inputs it does not cap) are listed as not
-compared.  The exit code is 1 if any input differs."""
+compared.
+Then every compared input runs once more under CHANGE_SRC, all of them in
+order through one ``involucalc.cli.main`` in a single interpreter and the
+same scratch directory, as the benchmark and library callers run it; an
+input whose result there differs from its fresh CHANGE_SRC run is printed
+the same way, since state that one call leaves for the next shows only
+there.  The exit code is 1 if any input differs in either pass."""
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import difflib
+import io
+import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 TIMEOUT_S = 120.0  # per run, for inputs without a cap of their own
 RUNNER = "import sys; from involucalc.cli import main; sys.exit(main(sys.argv[1:]))"
+# runs _run_all on the argv lists given as JSON on stdin, in one interpreter
+IN_PROCESS_RUNNER = f"import sys; sys.path.insert(0, {str(HERE)!r}); import compare_reports; compare_reports._run_all()"
 
 _MINIMAL = "[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^2\n"
 _HUGE = "[fbi]\nhalfwidth = 1" + "0" * 189 + "\n"  # samples and kernels overflow to 0
@@ -133,12 +145,25 @@ def _src_dir(path):
     raise SystemExit(f"no involucalc package under {path}")
 
 
+def _csv_dir(argv, cwd):
+    """The command's --csv directory under ``cwd``, emptied, or None."""
+    if "--csv" not in argv:
+        return None
+    csv_dir = Path(cwd) / argv[argv.index("--csv") + 1]
+    shutil.rmtree(csv_dir, ignore_errors=True)
+    return csv_dir
+
+
+def _csv_files(csv_dir):
+    if csv_dir is None or not csv_dir.is_dir():
+        return {}
+    return {f.name: f.read_text() for f in sorted(csv_dir.iterdir())}
+
+
 def _run(src, argv, cwd, timeout):
     """(exit code, stdout, stderr, {name: text} of the files written under
     its --csv directory) of one command, or None on a timeout."""
-    csv_dir = Path(cwd) / argv[argv.index("--csv") + 1] if "--csv" in argv else None
-    if csv_dir is not None:
-        shutil.rmtree(csv_dir, ignore_errors=True)
+    csv_dir = _csv_dir(argv, cwd)
     env = dict(os.environ, PYTHONPATH=str(src))
     try:
         p = subprocess.run(
@@ -147,19 +172,62 @@ def _run(src, argv, cwd, timeout):
         )
     except subprocess.TimeoutExpired:
         return None
-    files = {}
-    if csv_dir is not None and csv_dir.is_dir():
-        files = {f.name: f.read_text() for f in sorted(csv_dir.iterdir())}
-    return p.returncode, p.stdout, p.stderr, files
+    return p.returncode, p.stdout, p.stderr, _csv_files(csv_dir)
 
 
-def _diff(name, a, b):
+def _run_all():
+    """Run each argv list of the JSON list on stdin through one
+    ``involucalc.cli.main``, in order, in the working directory; write the
+    JSON list of their results, each as ``_run`` gives it."""
+    from involucalc.cli import main
+
+    results = []
+    for argv in json.load(sys.stdin):
+        csv_dir = _csv_dir(argv, ".")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # an argparse error
+                code = e.code
+            except Exception:  # as an uncaught error ends a fresh run
+                traceback.print_exc()
+                code = 1
+        results.append((code, out.getvalue(), err.getvalue(), _csv_files(csv_dir)))
+    json.dump(results, sys.stdout)
+
+
+def _run_in_process(src, argvs, cwd, timeout):
+    """The results of ``argvs`` run in order in one interpreter, or None on
+    a timeout."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    try:
+        p = subprocess.run(
+            [sys.executable, "-c", IN_PROCESS_RUNNER], input=json.dumps(argvs),
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout, check=True,
+        )
+    except subprocess.TimeoutExpired:
+        return None
+    return [tuple(r) for r in json.loads(p.stdout)]
+
+
+def _diff(name, a, b, sides):
     return "".join(
         difflib.unified_diff(
             a.splitlines(keepends=True), b.splitlines(keepends=True),
-            f"parent/{name}", f"change/{name}",
+            f"{sides[0]}/{name}", f"{sides[1]}/{name}",
         )
     )
+
+
+def _print_difference(label, argv, results, sides=("parent", "change")):
+    (rc0, out0, err0, files0), (rc1, out1, err1, files1) = results
+    print(f"== {label}: {' '.join(argv)}")
+    if rc0 != rc1:
+        print(f"exit code {rc0} -> {rc1}")
+    print(_diff("stdout", out0, out1, sides) + _diff("stderr", err0, err1, sides), end="")
+    for name in sorted(files0.keys() | files1.keys()):
+        print(_diff(name, files0.get(name, ""), files1.get(name, ""), sides), end="")
 
 
 def main(argv=None):
@@ -172,6 +240,8 @@ def main(argv=None):
     workloads = _load_workloads(trees[1])
     compared = differ = 0
     skipped = []
+    fresh = []  # (label, argv, result under CHANGE_SRC) of each compared input
+    budget = 0.0  # the in-process pass's time limit, the sum of theirs
     with tempfile.TemporaryDirectory(prefix="compare_reports_") as tmp:
         for wl, make_inputs in workloads.items():
             for inp in make_inputs(args.seed):
@@ -185,20 +255,25 @@ def main(argv=None):
                     skipped.append(f"{label} (over {limit:g} s under {side})")
                     continue
                 compared += 1
-                if results[0] == results[1]:
-                    continue
-                (rc0, out0, err0, files0), (rc1, out1, err1, files1) = results
-                differ += 1
-                print(f"== {label}: {' '.join(inp.argv(path.name))}")
-                if rc0 != rc1:
-                    print(f"exit code {rc0} -> {rc1}")
-                print(_diff("stdout", out0, out1) + _diff("stderr", err0, err1), end="")
-                for name in sorted(files0.keys() | files1.keys()):
-                    print(_diff(name, files0.get(name, ""), files1.get(name, "")), end="")
+                fresh.append((label, inp.argv(path.name), results[1]))
+                budget += limit
+                if results[0] != results[1]:
+                    differ += 1
+                    _print_difference(label, inp.argv(path.name), results)
+        in_process = _run_in_process(trees[1], [argv for _, argv, _ in fresh], tmp, budget)
+        leaked = 0
+        for (label, argv, result), shared in zip(fresh, in_process or ()):
+            if shared != result:
+                leaked += 1
+                _print_difference(label, argv, (result, shared), ("fresh", "in-process"))
     print(f"# seed {args.seed}: {compared} inputs compared, {differ} differ")
+    if in_process is None:
+        print("# in process: not compared (over the sum of the time limits)")
+    else:
+        print(f"# in process: {len(fresh)} inputs run in one interpreter, {leaked} differ from their fresh runs")
     for line in skipped:
         print(f"# not compared: {line}")
-    return 1 if differ else 0
+    return 1 if differ or leaked or in_process is None else 0
 
 
 if __name__ == "__main__":

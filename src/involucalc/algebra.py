@@ -370,16 +370,14 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """self^n by n multiplications with self, which for a sparse
+        multivariate base cost less than squaring the intermediate powers
+        (R. Fateman, Stud. Appl. Math. 53, 1974)."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = Poly.one(self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
+        for _ in range(n):
+            result = self * result  # the short base in mul_truncated's outer loop
         return result
 
     def __eq__(self, other):

@@ -33,6 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import GaussRat, Poly
+from .structure import field_vars
 
 
 class ApproxError(Exception):
@@ -41,10 +42,6 @@ class ApproxError(Exception):
 
 class PlanInfeasible(ApproxError):
     pass
-
-
-def field_vars(n_x: int) -> tuple:
-    return tuple(f"x{j}" for j in range(1, n_x + 1)) + ("t",)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ check of its file line, and a failure is a [cli] error naming the option.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -55,6 +56,7 @@ from .structure import (
     build_frame,
     characteristic_dim,
     characteristic_form,
+    field_vars,
     kernel_vectors,
     levi_form,
     structure_vars,
@@ -67,10 +69,10 @@ from .structure import (
 # cofactor determinants of size d and rank are factorial: det and adjugate
 # of a dense 7 x 7 W_s take 1.1 s there, of an 8 x 8 one 11.6 s.
 # They bound single settings, not the whole run.  "terms" bounds each ^ and *
-# the parser expands; at the limit one expansion takes about 6 s there (the
-# worst case is a power of a 4- or 5-term sum), but later stages can still
-# grow polynomials.  The k_max limit also keeps every jet degree far below the
-# packed exponent field of algebra.Poly.
+# the parser expands; at the limit one expansion takes about 1.5 s there (the
+# worst case measured is a power of a 4-term sum with 12-digit coefficients),
+# but later stages can still grow polynomials.  The k_max limit also keeps
+# every jet degree far below the packed exponent field of algebra.Poly.
 LIMITS = {
     "exponent": 64,  # ^ in a polynomial
     "terms": 30_000,  # the terms a ^ or * of the file grammar may expand to
@@ -595,8 +597,6 @@ def _parse_approx(lines):
     reason = _samples_reason(block)
     if reason:
         raise ParseError(reason, size_tok.line, size_tok.col)
-    from .approx import field_vars
-
     vars = field_vars(block.nx)
     for name, rhs in pending:
         polys = tuple(parse_poly_tokens(g, vars) for g in _split_on_commas(rhs))
@@ -1089,7 +1089,7 @@ def _csv(report, name, key, write):
 def _approx_solution(block):
     """Cutoff plan and evaluator of the [approx] block's series, after
     checking that the series recursion residuals vanish."""
-    from .approx import NormalFormField, assemble_evaluator, field_vars, select_cutoff_plan, series_coefficients
+    from .approx import NormalFormField, assemble_evaluator, select_cutoff_plan, series_coefficients
 
     vars = field_vars(block.nx)
     b = block.b or tuple(Poly.zero(vars) for _ in range(block.nx))
@@ -1316,14 +1316,17 @@ def cmd_wavefront(args) -> int:
     return _print(_run_sections(report, WAVEFRONT_SECTIONS))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one."""
     ap = argparse.ArgumentParser(
         prog="involucalc",
         description="Analyze locally integrable structures given by polynomial first integrals.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, kmax=False, covector=False, csv=False, machine=False):
+    def command(name, help, kmax=False, covector=False, csv=False, machine=False):
         p = sub.add_parser(name, help=help)
         p.add_argument("file", help="structure definition file")
         if kmax:
@@ -1334,22 +1337,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--csv", help="directory for CSV/report artifacts")
         if machine:
             p.add_argument("--machine", action="store_true", help="machine-readable output")
-        p.set_defaults(func=func)
         return p
 
-    command(
-        "analyze", cmd_analyze, "full symbolic analysis report",
-        kmax=True, covector=True, csv=True, machine=True,
-    )
-    command(
-        "autosys", cmd_analyze, "emit the automorphism system and candidate verdicts",
-        kmax=True, machine=True,
-    )
-    p = command("approx", cmd_approx, "build an approximate solution and its certificate", csv=True)
+    command("analyze", "full symbolic analysis report", kmax=True, covector=True, csv=True, machine=True)
+    command("autosys", "emit the automorphism system and candidate verdicts", kmax=True, machine=True)
+    p = command("approx", "build an approximate solution and its certificate", csv=True)
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--box", type=float, default=None)
     p.add_argument("--grid", type=int, default=None)
-    p = command("wavefront", cmd_wavefront, "direction scan of sampled data", covector=True, csv=True)
+    p = command("wavefront", "direction scan of sampled data", covector=True, csv=True)
     p.add_argument("--kappa", default=None)
     p.add_argument("--dirs", type=int, default=None)
     p.add_argument("--radii", default=None, help="lo:hi:count, log spaced")
@@ -1357,10 +1353,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up on each call, so that a rebound cmd_* is the one called
+    run = {"analyze": cmd_analyze, "autosys": cmd_analyze, "approx": cmd_approx, "wavefront": cmd_wavefront}
     try:
-        return args.func(args)
+        return run[args.command](args)
     except (ParseError, DimensionMismatch, NonRealPhi, OSError, UnicodeDecodeError) as e:
         sys.stderr.write(f"[cli] {e}\n")
         return 1

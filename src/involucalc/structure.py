@@ -63,6 +63,11 @@ def structure_vars(nu: int, d: int, mu: int) -> tuple:
     )
 
 
+def field_vars(n_x: int) -> tuple:
+    """The variables (x1..xN, t) of an [approx] block's operator."""
+    return tuple(f"x{j}" for j in range(1, n_x + 1)) + ("t",)
+
+
 @dataclass(frozen=True)
 class StructureDef:
     """Dimensions and defining polynomials of a locally integrable structure."""

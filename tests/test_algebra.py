@@ -62,6 +62,16 @@ def test_poly_ring_axioms(p, q, r):
     assert p + q == q + p
 
 
+@given(polys(), st.integers(min_value=0, max_value=6))
+@settings(max_examples=40)
+def test_poly_power_is_the_product_of_its_factors(p, n):
+    product = Poly.one(p.vars)
+    for _ in range(n):
+        product = product * p
+    assert p**n == product
+    assert p ** (2 * n) == product * product
+
+
 def test_poly_diff_and_eval():
     vars = ("u", "v")
     p = P(vars, "u") * P(vars, "u") * 3 + P(vars, "v")

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import involucalc
+from involucalc import cli
 from involucalc.algebra import GaussRat, Poly
 from involucalc.cli import (
     DimensionMismatch,
@@ -208,6 +210,15 @@ def test_parse_error_expansion_past_the_term_cap():
     assert time.perf_counter() - start < 15.0
     assert (exc.value.line, exc.value.col) == (4, 16)
     assert "135751 terms" in str(exc.value)
+
+
+def test_admitted_power_near_the_term_cap_parses_within_seconds():
+    # comb(4 + 50 - 1, 50) = 23,426 terms, within the cap; squaring the
+    # intermediate powers took about 5 s
+    start = time.perf_counter()
+    sf = parse_structure("[dims]\nnu = 1 d = 1 mu = 1\n[phi]\n(x1+y1+s1+1)^50 - 1 - 50*(x1+y1+s1)\n")
+    assert time.perf_counter() - start < 3.0
+    assert len(sf.sdef.phi[0].terms) == 23426 - 4
 
 
 def test_product_term_cap_is_inclusive():
@@ -1081,8 +1092,10 @@ LAZY_MODULES = ("numpy", "involucalc.approx", "involucalc.fbi", "involucalc.auto
          ["involucalc.screen", "numpy"]),
         (MINIMAL_FILE + "[fbi]\ngrid = 64\ndirs = 2\nradii = 1:100:5\n", ["wavefront"],
          ["involucalc.approx", "involucalc.fbi", "numpy"]),
+        # the [approx] block is parsed, and the command refused before any section
+        (APPROX_FILE + "u0 = x1^2 + t\n", ["autosys", "--kmax", "21"], []),
     ],
-    ids=["mizohata", "candidate-and-bundle", "screened", "wavefront"],
+    ids=["mizohata", "candidate-and-bundle", "screened", "wavefront", "approx-block-parsed"],
 )
 def test_cli_loads_only_the_modules_a_command_reaches(tmp_path, capsys, text, argv, loaded):
     f = tmp_path / "lazy.struct"
@@ -1097,3 +1110,67 @@ def test_cli_loads_only_the_modules_a_command_reaches(tmp_path, capsys, text, ar
     fresh = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120)
     assert fresh.stderr.splitlines()[-1].split() == loaded
     assert (fresh.returncode, fresh.stdout) == run_cli(argv, capsys)[:2]
+
+
+def _run_fresh(argv):
+    """(exit code, stdout, stderr) of ``main(argv)`` in a fresh interpreter."""
+    code = "import sys\nfrom involucalc.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(involucalc.__file__).parents[1])}
+    p = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120)
+    return p.returncode, p.stdout, p.stderr
+
+
+def _run_in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as e:  # an argparse error
+        code = e.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_one_process_runs_a_command_sequence_as_fresh_interpreters_do(tmp_path, capsys):
+    # the parser is shared by every call: no option of one call may reach the next
+    f = tmp_path / "mixed.struct"
+    f.write_text(MIZOHATA_FILE + "[approx]\norder = 2\ngrid = 5\n[fbi]\ngrid = 64\ndirs = 2\nradii = 1:100:5\n")
+    f = str(f)
+    sequence = [
+        ["analyze", f, "--covector", "s1=1"],
+        ["analyze", f],
+        ["analyze", f, "--machine"],
+        ["autosys", f],
+        ["approx", f],
+        ["wavefront", f],
+        ["analyze", f, "--kmax", "eight"],
+        ["analyze", f],
+    ]
+    results = [_run_in_process(argv, capsys) for argv in sequence]
+    assert [r[0] for r in results] == [0, 0, 0, 0, 0, 0, 2, 0]
+    assert "levi inertia" in results[0][1] and "levi inertia" not in results[1][1]
+    assert results[-1] == results[1]
+    for argv, result in zip(sequence, results):
+        assert result == _run_fresh(argv), argv
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    cli.build_parser.cache_clear()
+    f = tmp_path / "mizohata.struct"
+    f.write_text(MIZOHATA_FILE)
+    assert run_cli(["analyze", str(f)], capsys)[0] == 0
+    once = len(built)
+    assert once > 0
+    assert run_cli(["autosys", str(f)], capsys)[0] == 0
+    assert len(built) == once
+
+
+def test_main_calls_the_command_function_bound_when_called(monkeypatch):
+    # a wrapper bound over cli.cmd_approx (as the benchmark's spans bind
+    # theirs) after the parser was built is the function main calls
+    cli.build_parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_approx", lambda args: calls.append(args.file) or 7)
+    assert main(["approx", "never-read.struct"]) == 7
+    assert calls == ["never-read.struct"]
