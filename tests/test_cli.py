@@ -348,7 +348,10 @@ def test_report_with_covector():
 
 
 def run_cli(argv, capsys):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as e:  # an argparse error
+        code = e.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -1076,6 +1079,15 @@ def test_report_lines_of_failed_verdicts(tmp_path, capsys):
     assert out.endswith("autosys.candidate1 = not\nbundle.flat = no\nbundle.integrating = no\n")
 
 
+def _run_fresh(argv, after=""):
+    """(exit code, stdout, stderr) of ``main(argv)`` in a fresh interpreter,
+    which runs the statements ``after`` once main returns."""
+    code = f"import sys\nfrom involucalc.cli import main\ncode = main(sys.argv[1:])\n{after}sys.exit(code)\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(involucalc.__file__).parents[1])}
+    p = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120)
+    return p.returncode, p.stdout, p.stderr
+
+
 # the modules an analyze loads only when a section or the screen reaches them
 LAZY_MODULES = ("numpy", "involucalc.approx", "involucalc.fbi", "involucalc.autosys", "involucalc.bundle",
                 "involucalc.screen")
@@ -1101,32 +1113,10 @@ def test_cli_loads_only_the_modules_a_command_reaches(tmp_path, capsys, text, ar
     f = tmp_path / "lazy.struct"
     f.write_text(text)
     argv = [argv[0], str(f), *argv[1:]]
-    code = (
-        "import sys\nfrom involucalc.cli import main\ncode = main(sys.argv[1:])\n"
-        f"print(*sorted(m for m in {LAZY_MODULES!r} if m in sys.modules), file=sys.stderr)\n"
-        "sys.exit(code)\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(involucalc.__file__).parents[1])}
-    fresh = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120)
-    assert fresh.stderr.splitlines()[-1].split() == loaded
-    assert (fresh.returncode, fresh.stdout) == run_cli(argv, capsys)[:2]
-
-
-def _run_fresh(argv):
-    """(exit code, stdout, stderr) of ``main(argv)`` in a fresh interpreter."""
-    code = "import sys\nfrom involucalc.cli import main\nsys.exit(main(sys.argv[1:]))\n"
-    env = {**os.environ, "PYTHONPATH": str(Path(involucalc.__file__).parents[1])}
-    p = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120)
-    return p.returncode, p.stdout, p.stderr
-
-
-def _run_in_process(argv, capsys):
-    try:
-        code = main(argv)
-    except SystemExit as e:  # an argparse error
-        code = e.code
-    out = capsys.readouterr()
-    return code, out.out, out.err
+    listed = f"print(*sorted(m for m in {LAZY_MODULES!r} if m in sys.modules), file=sys.stderr)\n"
+    code, out, err = _run_fresh(argv, listed)
+    assert err.splitlines()[-1].split() == loaded
+    assert (code, out) == run_cli(argv, capsys)[:2]
 
 
 def test_one_process_runs_a_command_sequence_as_fresh_interpreters_do(tmp_path, capsys):
@@ -1144,7 +1134,7 @@ def test_one_process_runs_a_command_sequence_as_fresh_interpreters_do(tmp_path, 
         ["analyze", f, "--kmax", "eight"],
         ["analyze", f],
     ]
-    results = [_run_in_process(argv, capsys) for argv in sequence]
+    results = [run_cli(argv, capsys) for argv in sequence]
     assert [r[0] for r in results] == [0, 0, 0, 0, 0, 0, 2, 0]
     assert "levi inertia" in results[0][1] and "levi inertia" not in results[1][1]
     assert results[-1] == results[1]
