@@ -205,6 +205,16 @@ def _gauss_int(c: GaussRat):
     return c.re.numerator * (d // dr), c.im.numerator * (d // di), d
 
 
+def _lowest_terms(t: dict, d: int):
+    """(t, d) with the common factor of ``d`` and every numerator divided out."""
+    if d != 1:
+        g = math.gcd(d, *itertools.chain.from_iterable(t.values()))
+        if g != 1:
+            d //= g
+            t = {e: (a // g, b // g) for e, (a, b) in t.items()}
+    return t, d
+
+
 class Poly:
     """Sparse multivariate polynomial over GaussRat with a fixed variable
     tuple.
@@ -245,12 +255,7 @@ class Poly:
     def _reduced(cls, vars, t, d) -> "Poly":
         """From packed terms without zeros, dividing out the common factor of
         ``d`` and the numerators."""
-        if d != 1:
-            g = math.gcd(d, *itertools.chain.from_iterable(t.values()))
-            if g != 1:
-                d //= g
-                t = {e: (a // g, b // g) for e, (a, b) in t.items()}
-        return cls._new(vars, t, d)
+        return cls._new(vars, *_lowest_terms(t, d))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -855,6 +860,103 @@ def mul_truncated(p: Poly, q: Poly, order=None) -> Poly:
                     continue
             res[e] = (re, im)
     return Poly._reduced(p.vars, res, p._d * q._d)
+
+
+def apply_field_truncated(coeffs: dict, p: Poly, order: int) -> Poly:
+    """sum over names of coeffs[name] * dp/dname without the terms of total
+    degree above ``order``, in one pass over the packed terms: each
+    coefficient's numerators are multiplied into one dict over the common
+    denominator p's times the lcm of the coefficients'."""
+    top, shifts, _ = _layout(len(p.vars))
+    lim = (min(order, _DEG_CAP - 1) + 1) << top
+    dc = math.lcm(*(c._d for c in coeffs.values()))
+    res = {}
+    get = res.get
+    for name, c in coeffs.items():
+        p._check(c)
+        s = shifts[p.vars.index(name)]
+        step = (1 << top) + (1 << s)
+        f = dc // c._d
+        for e1, (a, b) in p._t.items():
+            k = (e1 >> s) & _FMASK
+            if not k:
+                continue
+            e1 -= step
+            room = lim - e1
+            if room <= 0:
+                continue
+            k *= f
+            a, b = a * k, b * k
+            for e2, (x, y) in c._t.items():
+                if e2 >= room:
+                    continue
+                e = e1 + e2
+                re = a * x - b * y
+                im = a * y + b * x
+                old = get(e)
+                if old is not None:
+                    re += old[0]
+                    im += old[1]
+                    if not (re or im):
+                        del res[e]
+                        continue
+                res[e] = (re, im)
+    return Poly._reduced(p.vars, res, p._d * dc)
+
+
+# Packed rows: a tuple of polynomials over the same variables read as one
+# sparse vector over Q(i), {key: (re, im)} over one positive denominator in
+# lowest terms.  Key (position << width) + packed exponent orders the terms
+# by position first and then by the graded order, so the least key is the
+# trailing term of the first nonzero polynomial.
+
+
+def packed_row(polys):
+    """The polynomials as one packed row.  Each is in lowest terms, so the
+    row over the lcm of their denominators is too."""
+    polys = tuple(polys)
+    d = math.lcm(*(p._d for p in polys))
+    row = {}
+    for i, p in enumerate(polys):
+        base, f = i << (_FIELD * (len(p.vars) + 1)), d // p._d
+        for e, (a, b) in p._t.items():
+            row[base + e] = (a * f, b * f)
+    return row, d
+
+
+def constant_row(polys):
+    """The constant terms of the polynomials as a packed row keyed by position."""
+    cs = {i: (p._t[0], p._d) for i, p in enumerate(polys) if 0 in p._t}
+    d = math.lcm(*(k for _, k in cs.values()))
+    return _lowest_terms({i: (a * (d // k), b * (d // k)) for i, ((a, b), k) in cs.items()}, d)
+
+
+def scale_row_to_one(row: dict, key):
+    """The packed row (its numerators alone, since a denominator cancels)
+    divided by its entry at ``key``: times the conjugate of that entry, over
+    the entry's squared modulus."""
+    x, y = row[key]
+    return _lowest_terms({e: (a * x + b * y, b * x - a * y) for e, (a, b) in row.items()}, x * x + y * y)
+
+
+def eliminate(v: dict, dv: int, r: dict, dr: int, key):
+    """v - v[key] * r for packed rows v / dv and r / dr with r[key] = dr, as
+    (dr * v - v[key] * r) / (dv * dr) in lowest terms; the entry at ``key``
+    cancels."""
+    x, y = v[key]
+    res = dict(v) if dr == 1 else {e: (a * dr, b * dr) for e, (a, b) in v.items()}
+    get = res.get
+    for e, (a, b) in r.items():
+        re, im = -(a * x - b * y), -(a * y + b * x)
+        old = get(e)
+        if old is not None:
+            re += old[0]
+            im += old[1]
+            if not (re or im):
+                del res[e]
+                continue
+        res[e] = (re, im)
+    return _lowest_terms(res, dv * dr)
 
 
 def ratfun_jet(f: RatFun, order: int) -> Poly:

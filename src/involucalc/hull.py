@@ -16,7 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import ONE, Poly, RatFun, mul_truncated, ratfun_jet
+from .algebra import (
+    RatFun,
+    apply_field_truncated,
+    constant_row,
+    eliminate,
+    packed_row,
+    ratfun_jet,
+    scale_row_to_one,
+)
 from .config import DEFAULTS
 from .structure import (
     CotangentSection,
@@ -60,46 +68,36 @@ def apply_word(
 
 
 class _SpanTracker:
-    """Echelon table of jet tuples over constants.  A row is keyed by its
-    pivot (component, exponent): the trailing term of its first nonzero
-    component, where the row is scaled to 1.  Distinct pivots make the rows
-    independent, and reducing by least term decides membership in their
-    span exactly."""
+    """Echelon table of packed rows (see ``algebra.packed_row``) over
+    constants.  A row is keyed by its pivot, its least key, where it is
+    scaled to 1.  Distinct pivots make the rows independent, and reducing by
+    the least key decides membership in their span exactly."""
 
     def __init__(self):
-        self.rows = {}  # pivot -> tuple of Poly
+        self.rows = {}  # pivot -> (numerators, denominator)
 
     @property
     def dim(self):
         return len(self.rows)
 
-    def add(self, jets) -> bool:
-        """Store the tuple as a new row unless it is in the span."""
-        v = tuple(jets)
-        while True:
-            ci = next((i for i, j in enumerate(v) if not j.is_zero()), None)
-            if ci is None:
-                return False
-            e, c = v[ci].trailing_term()
-            row = self.rows.get((ci, e))
-            if row is None:
-                inv = ONE / c
-                self.rows[(ci, e)] = tuple(j * inv for j in v)
+    def add(self, row) -> bool:
+        """Store the packed row ``(numerators, denominator)`` as a new row
+        unless it is in the span."""
+        v, dv = row
+        while v:
+            k = min(v)
+            r = self.rows.get(k)
+            if r is None:
+                self.rows[k] = scale_row_to_one(v, k)
                 return True
-            # the least term of v grows strictly, so the loop ends
-            v = tuple(a if r.is_zero() else a - r * c for a, r in zip(v, row))
+            # the least key of v grows strictly, so the loop ends
+            v, dv = eliminate(v, dv, *r, k)
+        return False
 
 
 def _apply_field_jets(field_coeff_jets: dict, jets, order) -> tuple:
     """The field applied to jets of order ``order + 1``, exact to order ``order``."""
-    out = []
-    for j in jets:
-        acc = Poly.zero(j.vars)
-        for name, cj in field_coeff_jets.items():
-            term = mul_truncated(cj, j.diff(name), order)
-            acc = term if acc.is_zero() else acc + term
-        out.append(acc)
-    return tuple(out)
+    return tuple(apply_field_truncated(field_coeff_jets, j, order) for j in jets)
 
 
 @dataclass
@@ -142,10 +140,9 @@ def _run_chain(sdef: StructureDef, start_vectors, target, k_max):
             ]
         frontier = []
         for word, si, jets in level:
-            if tracker.add(jets):
-                values = tuple(j.constant_term() for j in jets)
-                entries.append((word, si, values))
-                values_at_0.add(Poly.const(sdef.vars, v) for v in values)
+            if tracker.add(packed_row(jets)):
+                entries.append((word, si, tuple(j.constant_term() for j in jets)))
+                values_at_0.add(constant_row(jets))
                 frontier.append((word, si, jets))
         dims.append(values_at_0.dim)
         if k and not frontier:

@@ -496,8 +496,12 @@ def _compute_form(kv: KernelVector) -> CotangentSection:
 
 
 def _dot(b, m, j, vars) -> Poly:
-    """sum_k b[k] m[k][j]: the row vector b times column j of m."""
-    return sum((bk * row[j] for bk, row in zip(b, m)), Poly.zero(vars))
+    """sum_k b[k] m[k][j]: the row vector b times column j of m, skipping
+    zero factors."""
+    return sum(
+        (bk * row[j] for bk, row in zip(b, m) if not (bk.is_zero() or row[j].is_zero())),
+        Poly.zero(vars),
+    )
 
 
 @dataclass(frozen=True)

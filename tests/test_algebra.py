@@ -15,6 +15,7 @@ from involucalc.algebra import (
     RatFun,
     DenominatorVanishesAtBase,
     adjugate,
+    apply_field_truncated,
     det,
     exact_rank,
     hermitian_inertia,
@@ -208,6 +209,38 @@ def test_ratfun_jet_denominator_vanishing():
 def test_jet_truncated_product(p, q):
     k = 2
     assert mul_truncated(p, q, k) == (p * q).truncate(k)
+
+
+@st.composite
+def fields_and_jets(draw):
+    """(coefficients by name, jet, order) over 2 to 4 coordinates; the jet's
+    numerators are scaled by 1/k so that its denominator is not 1."""
+    vars = ("u", "v", "w", "z")[: draw(st.integers(min_value=2, max_value=4))]
+    names = draw(st.lists(st.sampled_from(vars), min_size=1, max_size=len(vars), unique=True))
+    coeffs = {name: draw(polys(vars=vars, max_degree=2, max_terms=3)) for name in names}
+    scale = GaussRat(Fraction(1, draw(st.integers(min_value=2, max_value=7))))
+    jet = draw(polys(vars=vars, max_degree=4, max_terms=5)) * scale
+    return coeffs, jet, draw(st.integers(min_value=0, max_value=4))
+
+
+@given(fields_and_jets())
+@settings(max_examples=60)
+def test_apply_field_truncated_matches_diff_mul_add(case):
+    coeffs, jet, order = case
+    expected = Poly.zero(jet.vars)
+    for name, c in coeffs.items():
+        expected = expected + mul_truncated(c, jet.diff(name), order)
+    assert apply_field_truncated(coeffs, jet, order) == expected
+
+
+def test_apply_field_truncated_can_truncate_to_zero():
+    vars = ("u", "v")
+    u, v = P(vars, "u"), P(vars, "v")
+    jet = (u ** 3 + v ** 3 * GaussRat(0, 1)) * GaussRat(Fraction(1, 3))
+    coeffs = {"u": Poly.one(vars) * GaussRat(Fraction(1, 2)), "v": u}
+    got = apply_field_truncated(coeffs, jet, 1)
+    assert got.is_zero() and got == Poly.zero(vars)
+    assert apply_field_truncated(coeffs, jet, 2) == u * u * GaussRat(Fraction(1, 2))
 
 
 # -- the packed Poly kernel against exponent-tuple / GaussRat oracles ---------------

@@ -305,6 +305,9 @@ def test_hull_chain_undetermined_when_kmax_too_small():
 
 
 def test_span_tracker_matches_dense_rank():
+    from fractions import Fraction
+
+    from involucalc.algebra import packed_row
     from involucalc.hull import _SpanTracker
     from conftest import rand_gauss
 
@@ -312,22 +315,80 @@ def test_span_tracker_matches_dense_rank():
     vars = ("s1", "t1")
     exps = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     keys = [(0, e) for e in exps[:3]] + [(1, e) for e in exps]
+    # the components live over different denominators
+    scales = (GaussRat(Fraction(1, 9)), GaussRat(Fraction(2, 35)))
+    nonreal_leads = 0
     for _ in range(20):
         vectors = []
         tracker = _SpanTracker()
         added = 0
         for _ in range(10):
-            vec = {k: rand_gauss(rng) for k in keys if rng.random() < 0.5}
+            vec = {
+                (ci, e): rand_gauss(rng) * scales[ci]
+                for ci, e in keys
+                if rng.random() < 0.5
+            }
             vectors.append(vec)
             jets = tuple(
                 Poly(vars, {e: c for (cj, e), c in vec.items() if cj == ci})
                 for ci in range(2)
             )
-            if tracker.add(jets):
+            if tracker.add(packed_row(jets)):
                 added += 1
+            if vec:  # keys are in pivot order
+                nonreal_leads += not next(vec[k] for k in keys if k in vec).is_real()
             dense = [[v.get(k, GaussRat(0)) for k in keys] for v in vectors]
             assert added == exact_rank(dense)
             assert tracker.dim == added
+    assert nonreal_leads > 100
+
+
+def _recorded_trackers(monkeypatch):
+    import involucalc.hull as hull_mod
+
+    trackers = []
+
+    class Recording(hull_mod._SpanTracker):
+        def __init__(self):
+            super().__init__()
+            trackers.append(self)
+
+    monkeypatch.setattr(hull_mod, "_SpanTracker", Recording)
+    return trackers
+
+
+@pytest.mark.parametrize(
+    "sdef,k_max",
+    [(s2_structure(5), 4), (disk_weighted_powers(1, 2), 8), (three_quadrics(), 8)],
+    ids=["s2-d5", "disk", "threeq"],
+)
+def test_span_tracker_rows_stay_canonical(monkeypatch, sdef, k_max):
+    # every stored row is in lowest terms and scaled to 1 at its pivot
+    import math
+
+    trackers = _recorded_trackers(monkeypatch)
+    kvs = kernel_vectors(sdef)
+    kernel_chain(sdef, kvs, k_max=k_max, hull=hull_chain(sdef, kvs, k_max=k_max))
+    rows = [(k, row) for tr in trackers for k, row in tr.rows.items()]
+    assert len(trackers) == 4 and rows
+    for pivot, (t, d) in rows:
+        assert d > 0 and math.gcd(d, *(x for c in t.values() for x in c)) == 1
+        assert t[pivot] == (d, 0)
+        assert pivot == min(t)
+
+
+def test_s2_d5_chains_at_kmax_8_stay_fast():
+    # a tracker that multiplies rows by Gaussian pivots without dividing them
+    # back out grows Gaussian factors and takes seconds here
+    import time
+
+    sdef = s2_structure(5)
+    kvs = kernel_vectors(sdef)
+    t0 = time.perf_counter()
+    hull = hull_chain(sdef, kvs, k_max=8)
+    kernel_chain(sdef, kvs, k_max=8, hull=hull)
+    assert time.perf_counter() - t0 < 2.0
+    assert hull.nondeg_order == 2
 
 
 def brute_force_dims(sdef, kernel, k_max):
