@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import functools
 import random
-from itertools import islice
+from itertools import combinations, islice
+from math import comb
 
 import numpy as np
 
@@ -27,11 +28,13 @@ from .algebra import common_denominator
 P = 33_554_393  # prime, 1 mod 4
 I_P = 33_479_089  # I_P^2 = -1 mod P: the image of i
 # A product of two residues is below 2^50, so an int64 sum of fewer than
-# 2^13 of them is exact.
+# 2^13 of them is exact: the weighted values of the fewer than MAX_POINTS
+# points _orders sums, and the at most nu + d <= 14 Laplace terms of each
+# coordinate _minors_mod_p sums.
 MAX_POINTS = 1 << 13
 POINT_SEED = 1980  # the point's coordinates are drawn from random.Random(POINT_SEED)
 FIRST_CHUNK, MAX_CHUNK = 256, 4096  # subsets per screened chunk, doubling
-SLICE_BYTES = 4 << 20  # the stage-2 values of one slice of subsets
+SLICE_BYTES = 4 << 20  # the widest wedge of one stage-2 slice of subsets
 
 
 class _CannotScreen(Exception):
@@ -74,7 +77,8 @@ class _Screen:
       lam = 0..D, D the sum of the ``size`` largest row degrees along that
       direction, and the orders at lam = 0 are read off the values.
 
-    Each stage-2 direction passes through v at lam = 1, so none of them is
+    Both stages take their values of Delta from ``_minors_mod_p``.  Each
+    stage-2 direction passes through v at lam = 1, so none of them is
     identically 0 after stage 1.  The screen cannot run when a
     non-coordinate denominator factor vanishes at 0 (the exact minor can
     lose it), when P divides a coefficient denominator, or when the line
@@ -106,31 +110,29 @@ class _Screen:
             return None
         at = {k: i for i, k in enumerate(needed)}
         idx = np.array([[at[k] for k in picked] for picked in batch], np.intp)
-        grid = range(self.size)
         at_v = np.stack([a[:, 0].sum(axis=1) % P for a, _, _ in data])
-        live = np.flatnonzero(_det_mod_p([[at_v[idx[:, i], j] for j in grid] for i in grid]))
+        live = np.flatnonzero(_minors_mod_p(at_v, idx))
         if not live.size:
             return []
         row_degs = list(zip(*(d for _, _, d in data)))  # per direction
         degs = [sum(sorted(col)[-self.size :]) for col in row_degs]  # of the minors
         if degs[0] + 1 >= MAX_POINTS:
             return None
-        coef = np.zeros((self.size, len(data), len(degs), max(a.shape[2] for a, _, _ in data)), np.int64)
+        coef = np.zeros((len(data), self.size, len(degs), max(a.shape[2] for a, _, _ in data)), np.int64)
         for i, (a, _, _) in enumerate(data):
-            coef[:, i, :, : a.shape[2]] = a
+            coef[i, :, :, : a.shape[2]] = a
         sub = idx[live]
         ords = np.zeros((live.size, len(degs)), np.int64)
         for d in range(len(degs)):
             if not degs[d]:
                 continue
             lam = np.arange(degs[d] + 1, dtype=np.int64)
-            vals = np.zeros((self.size, len(data), lam.size), np.int64)
+            vals = np.zeros((len(data), self.size, lam.size), np.int64)
             for k in range(max(row_degs[d]), -1, -1):  # Horner in lam
                 vals = (vals * lam + coef[:, :, d, k, None]) % P
-            per = max(1, SLICE_BYTES // (self.size * self.size * lam.size * 8))
+            per = max(1, SLICE_BYTES // (comb(self.size, self.size // 2) * lam.size * 8))
             for lo in range(0, live.size, per):
-                part = sub[lo : lo + per]
-                ords[lo : lo + per, d] = _orders(_det_mod_p([[vals[j][part[:, i]] for j in grid] for i in grid]))
+                ords[lo : lo + per, d] = _orders(_minors_mod_p(vals, sub[lo : lo + per]))
         coord = np.stack([q for _, q, _ in data])[sub].sum(axis=1)
         ok = (ords[:, 0] == ords[:, 1:].sum(axis=1)) & (ords[:, 1:] >= coord).all(axis=1)
         return [batch[i] for i in live[ok]]
@@ -172,56 +174,48 @@ def _row_residues(comps, point):
     return a, coord, [max((k for k, u in enumerate(row) if u), default=0) for row in used]
 
 
-def _det_mod_p(e):
-    """Determinants mod P of the n x n matrices whose (i, j) entries are the
-    equal-shape arrays e[i][j], entries in [0, P), by fraction-free
-    elimination: step c replaces each row i > c by piv_c * row i minus
-    row i's entry in column c times row c, which scales the remaining block's
-    determinant by piv_c^(n-2-c) (Chio's condensation), so the last pivot is
-    the determinant times the product of those powers.  A zero pivot left
-    after the row swaps zeroes every row below it, and the last pivot with
-    them."""
-    n = len(e)
-    rows = [list(r) for r in e]
-    flip = np.zeros(e[0][0].shape, bool)  # an odd number of row swaps
-    prefix = np.ones(e[0][0].shape, np.int64)  # piv_0 ... piv_c
-    scale = prefix  # the product of the powers of piv_0 ... piv_n-3
-    for c in range(n - 1):
-        if (rows[c][c] == 0).any():  # a nonzero pivot, by swapping rows
-            for i in range(c + 1, n):
-                swap = (rows[c][c] == 0) & (rows[i][c] != 0)
-                for j in range(c, n):
-                    rows[c][j], rows[i][j] = (
-                        np.where(swap, rows[i][j], rows[c][j]),
-                        np.where(swap, rows[c][j], rows[i][j]),
-                    )
-                flip ^= swap
-        piv = rows[c][c]
-        for i in range(c + 1, n):
-            f = rows[i][c]
-            for j in range(c + 1, n):
-                rows[i][j] = (piv * rows[i][j] - f * rows[c][j]) % P
-        if c < n - 2:
-            prefix = prefix * piv % P
-            scale = scale * prefix % P
-    last = np.where(flip, (P - rows[-1][-1]) % P, rows[-1][-1])
-    return last * _inverse_mod_p(np.where(scale == 0, 1, scale)) % P
+@functools.lru_cache(maxsize=None)
+def _laplace(n, k):
+    """For each position t < k, over the k-subsets S of range(n) in
+    lexicographic order: the index of S without S[t] among the
+    (k-1)-subsets, and S[t]."""
+    below = {s: i for i, s in enumerate(combinations(range(n), k - 1))}
+    subsets = list(combinations(range(n), k))
+    return [
+        (np.array([below[s[:t] + s[t + 1 :]] for s in subsets]), np.array([s[t] for s in subsets]))
+        for t in range(k)
+    ]
 
 
-def _inverse_mod_p(x):
-    """1/x mod P of each entry of the nonempty array x, none of them 0, with
-    one ``pow`` (Montgomery's trick): the entries are multiplied in pairs up
-    a tree, the root is inverted, and on the way down the inverse of each
-    entry is its parent's inverse times its sibling."""
-    tree = [x.ravel()]
-    while tree[-1].size > 1:
-        if tree[-1].size % 2:
-            tree[-1] = np.append(tree[-1], 1)
-        tree.append(tree[-1][0::2] * tree[-1][1::2] % P)
-    inv = np.array([pow(int(tree[-1][0]), P - 2, P)], np.int64)
-    for level in reversed(tree[:-1]):
-        inv = np.repeat(inv[: level.size // 2], 2) * level.reshape(-1, 2)[:, ::-1].ravel() % P
-    return inv[: x.size].reshape(x.shape)
+def _minors_mod_p(m, idx):
+    """det m[idx[b]] mod P for each row b of idx (B x n), m of shape
+    (rows, n, ...) with entries in [0, P), without division (Rote, LNCS
+    2122, 2001).  The wedge of rows idx[b, :k] has one coordinate per
+    k-subset of the n columns, the minor on those columns; each is the
+    Laplace expansion along row k of the wedge of idx[b, :k-1], a signed
+    sum of k <= n products below 2^50.  A prefix is built once for each run
+    of equal idx[b, :k], so lexicographically ordered subsets share their
+    common prefixes; the result does not depend on the order.  The widest
+    wedge has C(n, n // 2) coordinates, which makes this slower than
+    elimination from n = 10 up; no size switch is kept, because a search
+    reaches the screen only after an exact minor of its size, which takes
+    factorial time at such a size."""
+    n = idx.shape[1]
+    flat = m.reshape(m.shape[0], n, -1)
+    wedge = np.ones((1, 1, flat.shape[2]), np.int64)
+    ids = np.zeros(len(idx), np.intp)  # the prefix of each subset
+    for k in range(1, n + 1):
+        start = np.ones(len(idx), bool)
+        start[1:] = (idx[1:, :k] != idx[:-1, :k]).any(axis=1)
+        first = np.flatnonzero(start)
+        parent, row = ids[first, None], flat[idx[first, k - 1]]
+        acc = 0
+        for t, (sub, col) in enumerate(_laplace(n, k)):
+            term = wedge[parent, sub] * row[:, col]
+            acc = acc - term if (k - 1 - t) % 2 else acc + term
+        wedge = acc % P
+        ids = np.cumsum(start) - 1
+    return wedge[ids, 0].reshape(idx.shape[:1] + m.shape[2:])
 
 
 @functools.lru_cache(maxsize=8)

@@ -308,10 +308,10 @@ def _exact_det_mod_p(m):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_det_mod_p_matches_the_exact_determinant(n):
+def test_minors_mod_p_match_the_exact_determinant(n):
     rng = random.Random(n)
     mats = [[[rng.randrange(screen.P) for _ in range(n)] for _ in range(n)] for _ in range(6)]
-    # small entries: zero pivots that need a row swap, and singular matrices
+    # small entries: zero pivots, and singular matrices
     mats += [[[rng.choice((0, 0, 1, 2)) for _ in range(n)] for _ in range(n)] for _ in range(12)]
     if n > 1:
         dup = [row[:] for row in mats[0]]
@@ -321,13 +321,22 @@ def test_det_mod_p_matches_the_exact_determinant(n):
         zero_col = [[0] + row[1:] for row in mats[2]]
         mats += [dup, scaled, zero_col]
     mats.append([[0] * n for _ in range(n)])
-    batched = [[np.array([m[i][j] for m in mats], np.int64) for j in range(n)] for i in range(n)]
+    stacked = np.array([row for m in mats for row in m], np.int64)
+    idx = np.arange(len(stacked)).reshape(len(mats), n)
     expect = [_exact_det_mod_p(m) for m in mats]
-    assert screen._det_mod_p(batched).tolist() == expect
+    assert screen._minors_mod_p(stacked, idx).tolist() == expect
     assert 0 in expect and any(expect)
-    # stage 2 passes (subsets, points) arrays: the same matrices in two columns
-    pairs = [[np.stack([x, x[::-1]], axis=1) for x in r] for r in batched]
-    assert screen._det_mod_p(pairs).tolist() == [list(p) for p in zip(expect, expect[::-1])]
+    # stage 2 passes values at several points: the same matrices at two
+    pairs = np.stack([stacked, stacked.reshape(len(mats), n, n)[::-1].reshape(-1, n)], axis=2)
+    assert screen._minors_mod_p(pairs, idx).tolist() == [list(p) for p in zip(expect, expect[::-1])]
+    # every n-subset of n + 3 rows, so that consecutive subsets share
+    # prefixes, then the same subsets shuffled, which share fewer
+    rows = [[rng.choice((0, 1, 2, rng.randrange(screen.P))) for _ in range(n)] for _ in range(n + 3)]
+    subsets = list(combinations(range(n + 3), n))
+    for _ in range(2):
+        got = screen._minors_mod_p(np.array(rows, np.int64), np.array(subsets, np.intp))
+        assert got.tolist() == [_exact_det_mod_p([rows[k] for k in s]) for s in subsets]
+        rng.shuffle(subsets)
 
 
 def test_screened_witness_is_the_exact_search_witness(tmp_path, capsys, monkeypatch):
