@@ -97,15 +97,17 @@ _APPROX = "[approx]\nnx = 2\norder = 8\nb = -t, -t\nu0 = 3/7*x1^5 + 2*x2\n"
 _FBI = "[fbi]\ndata = boundary\ndelta = 1/20\ngrid = 128\ndirs = 4\n"
 # (name, structure file, command and options) of inputs that succeed on paths
 # the benchmark does not run: the machine report's 17-digit residual sup, the
-# CSV tables, the command-line overrides of the [approx] and [fbi] values, and
-# a degeneracy and an exceptional witness that come from the mod-p screen (the
-# structure's first nonzero minor is no witness)
+# CSV tables, the command-line overrides of the [approx] and [fbi] values,
+# autosys on a file with [approx] and [fbi] blocks, and a degeneracy and an
+# exceptional witness that come from the mod-p screen (the structure's first
+# nonzero minor is no witness)
 UNBENCHED = [
     (
         "analyze-approx-fbi-machine",
         _MINIMAL + _APPROX + _FBI,
         ["analyze", "--machine", "--csv", "csv_analyze"],
     ),
+    ("autosys-approx-fbi", _MINIMAL + _APPROX + _FBI, ["autosys"]),
     ("approx-csv", _MINIMAL + _APPROX, ["approx", "--csv", "csv_approx"]),
     (
         "approx-overrides-csv",

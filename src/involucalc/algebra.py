@@ -139,12 +139,14 @@ class GaussRat:
         return complex(self.re) + 1j * complex(self.im)
 
     def __repr__(self):
+        """The number in the file grammar: 3/2, i, -2*i or (1-1/2*i)."""
         if self.im == 0:
             return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
         sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
+        im_txt = "i" if abs(self.im) == 1 else f"{abs(self.im)}*i"
+        if self.re == 0:
+            return im_txt if self.im > 0 else sign + im_txt
+        return f"({self.re}{sign}{im_txt})"
 
 
 ZERO = GaussRat(0)
@@ -153,18 +155,14 @@ I = GaussRat(0, 1)
 HALF = GaussRat(Fraction(1, 2))
 
 
-def _deg_key(exps):
-    # graded order: total degree first, then the exponent tuple itself
-    return (sum(exps), exps)
-
-
 # Packed exponents (Monagan and Pearce, "Polynomial division using dynamic
 # arrays, heaps, and packed exponent vectors", CASC 2007): the exponent tuple
 # of a term over n variables is one int of n + 1 fields of _FIELD bits, the
 # total degree in the top field and variable 0 next, so int order is the
-# graded order of _deg_key.  The top bit of each field is a guard: no total
-# degree reaches _DEG_CAP, so adding two keys never carries between fields,
-# and a borrow out of a field sets its guard bit.
+# graded order: total degree first, then the exponent tuple.  The top bit of
+# each field is a guard: no total degree reaches _DEG_CAP, so adding two keys
+# never carries between fields, and a borrow out of a field sets its guard
+# bit.
 _FIELD = 16
 _FMASK = (1 << _FIELD) - 1
 _DEG_CAP = 1 << (_FIELD - 1)
@@ -320,9 +318,6 @@ class Poly:
 
     def is_real(self) -> bool:
         return not any(b for _, b in self._t.values())
-
-    def coefficient(self, exps) -> GaussRat:
-        return self.terms.get(tuple(exps), ZERO)
 
     def _check(self, other):
         if self.vars != other.vars:
@@ -502,19 +497,29 @@ class Poly:
         return Poly(new_vars, res)
 
     def __repr__(self):
-        if not self.terms:
+        """The polynomial in the file grammar, its terms in graded order."""
+        if not self._t:
             return "0"
+        shifts = _layout(len(self.vars))[1]
         parts = []
-        for e in sorted(self.terms, key=_deg_key):
-            c = self.terms[e]
+        for key, c in sorted(self._t.items()):
             mono = "*".join(
-                f"{v}^{k}" if k > 1 else v for v, k in zip(self.vars, e) if k
+                f"{v}^{k}" if k > 1 else v for v, k in zip(self.vars, _unpack(key, shifts)) if k
             )
-            if mono:
-                parts.append(f"({c!r})*{mono}")
+            coeff = repr(self._scalar(c))
+            if not mono:
+                txt = coeff
+            elif coeff == "1":
+                txt = mono
+            elif coeff == "-1":
+                txt = f"-{mono}"
             else:
-                parts.append(f"({c!r})")
-        return " + ".join(parts)
+                txt = f"{coeff}*{mono}"
+            parts.append(txt)
+        out = parts[0]
+        for part in parts[1:]:
+            out += part if part.startswith("-") else "+" + part
+        return out
 
 
 class _Factor:
@@ -791,9 +796,8 @@ class RatFun:
         return self.num.constant_term() / d
 
     def __repr__(self):
-        if not self.powers:
-            return repr(self.num)
-        return f"({self.num!r}) / ({self.den!r})"
+        """num/den, each polynomial in the file grammar, or num alone."""
+        return f"{self.num}/{self.den}" if self.powers else repr(self.num)
 
 
 def common_denominator(fs):

@@ -46,7 +46,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import ClassVar
 
-from .algebra import AlgebraError, GaussRat, Poly, RatFun, _deg_key
+from .algebra import AlgebraError, GaussRat, Poly, RatFun
 from .config import DEFAULTS
 from .hull import SpanChain, hull_chain, kernel_chain
 from .loci import degeneracy_locus_check, exceptional_locus_check
@@ -684,66 +684,29 @@ def _radii(lo, hi, count):
 # -- serialization -----------------------------------------------------------------------
 
 
-def format_gauss(c: GaussRat) -> str:
-    if c.im == 0:
-        return str(c.re)
-    sign = "+" if c.im > 0 else "-"
-    im_txt = "i" if abs(c.im) == 1 else f"{abs(c.im)}*i"
-    if c.re == 0:
-        return im_txt if c.im > 0 else sign + im_txt
-    return f"({c.re}{sign}{im_txt})"
-
-
-def format_poly(p: Poly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for e in sorted(p.terms, key=_deg_key):
-        c = p.terms[e]
-        mono = "*".join(
-            f"{v}^{k}" if k > 1 else v for v, k in zip(p.vars, e) if k
-        )
-        coeff = format_gauss(c)
-        if mono:
-            if coeff == "1":
-                txt = mono
-            elif coeff == "-1":
-                txt = f"-{mono}"
-            else:
-                txt = f"{coeff}*{mono}"
-        else:
-            txt = coeff
-        parts.append(txt)
-    out = parts[0]
-    for part in parts[1:]:
-        out += part if part.startswith("-") else "+" + part
-    return out
-
-
 def serialize_structure(sf: StructureFile) -> str:
     lines = ["[dims]", f"nu = {sf.sdef.nu} d = {sf.sdef.d} mu = {sf.sdef.mu}"]
     if sf.sdef.d:
         lines.append("[phi]")
-        for p in sf.sdef.phi:
-            lines.append(format_poly(p))
+        lines += map(str, sf.sdef.phi)
     if sf.kernel is not None:
         lines.append("[kernel]")
         for b in sf.kernel:
-            lines.append(", ".join(format_poly(p) for p in b))
+            lines.append(", ".join(map(str, b)))
     for cand in sf.candidates:
         lines.append("[candidate]")
         for coord in sorted(cand):
-            lines.append(f"{coord} = {format_poly(cand[coord])}")
+            lines.append(f"{coord} = {cand[coord]}")
     if sf.bundle is not None:
         lines.append("[bundle]")
         if sf.bundle.rank is not None:
             lines.append(f"rank = {sf.bundle.rank}")
         for (j, a, b), p in sorted(sf.bundle.d_entries.items()):
-            lines.append(f"D {j} {a} {b} = {format_poly(p)}")
+            lines.append(f"D {j} {a} {b} = {p}")
         for (a, b), p in sorted(sf.bundle.lam_entries.items()):
-            lines.append(f"lambda {a} {b} = {format_poly(p)}")
+            lines.append(f"lambda {a} {b} = {p}")
         for sec in sf.bundle.sections:
-            lines.append("section = " + ", ".join(format_poly(p) for p in sec))
+            lines.append("section = " + ", ".join(map(str, sec)))
     if sf.approx is not None:
         a = sf.approx
         lines.append("[approx]")
@@ -752,9 +715,9 @@ def serialize_structure(sf: StructureFile) -> str:
         lines.append(f"box = {a.box}")
         lines.append(f"grid = {a.grid}")
         if a.b:
-            lines.append("b = " + ", ".join(format_poly(p) for p in a.b))
+            lines.append("b = " + ", ".join(map(str, a.b)))
         if a.u0:
-            lines.append("u0 = " + ", ".join(format_poly(p) for p in a.u0))
+            lines.append("u0 = " + ", ".join(map(str, a.u0)))
     if sf.fbi is not None:
         f = sf.fbi
         lines.append("[fbi]")
@@ -781,17 +744,15 @@ class ModuleError(Exception):
 
 @dataclass
 class Report:
-    """The lines a report has emitted, the CSV files it wrote, one
-    ``[module] message`` per failed section, and what earlier sections
-    computed for later ones (None until computed).  The options are the
-    run's k_max, covectors, autosys flag and csv_dir; the numeric sections
-    read their settings from the file's blocks."""
+    """The lines a report has emitted, one ``[module] message`` per failed
+    section, and what earlier sections computed for later ones (None until
+    computed).  The options are the run's k_max, covectors and csv_dir; the
+    numeric sections read their settings from the file's blocks."""
 
     sf: StructureFile
     options: dict
     human: list = dc_field(default_factory=list)
     machine: list = dc_field(default_factory=list)
-    csv_paths: list = dc_field(default_factory=list)
     errors: list = dc_field(default_factory=list)
     kvs: list | None = None  # kernel vectors
     chain: SpanChain | None = None  # hull chain
@@ -860,15 +821,19 @@ def _parse_radii(spec: str):
     return radii
 
 
-def _run_sections(report: Report, sections) -> Report:
-    """Run each ``(module, needs, section)`` into ``report``.  A section that
-    raises leaves no lines or CSV paths and records ``[module] message`` (a
-    ModuleError keeps its own tag); a later section is skipped when one of
-    the report attributes it needs is still unset."""
-    for module, needs, section in sections:
+def run_report(sf: StructureFile, options=None, command="analyze") -> Report:
+    """The report of ``command`` on ``sf``: the version line, then each
+    ``(module, needs, section)`` of COMMANDS[command].  A section that raises
+    leaves no lines and records ``[module] message`` (a ModuleError keeps its
+    own tag); a later section is skipped when one of the report attributes it
+    needs is still unset.  Deterministic for fixed input and options."""
+    options = {"k_max": DEFAULTS.k_max, "covectors": [], **(options or {})}
+    report = Report(sf, options)
+    report.emit("involucalc-report v1", "report_version", 1)
+    for module, needs, section in COMMANDS[command]:
         if any(getattr(report, name) is None for name in needs):
             continue
-        outputs = (report.human, report.machine, report.csv_paths)
+        outputs = (report.human, report.machine)
         marks = [len(out) for out in outputs]
         try:
             section(report)
@@ -879,15 +844,11 @@ def _run_sections(report: Report, sections) -> Report:
     return report
 
 
-def run_report(sf: StructureFile, options=None) -> Report:
-    """Analysis driver: the header, then the SECTIONS: characteristic
-    dimension, Levi data, kernel and characteristic forms, hull chains, locus
-    verdicts, candidate verdicts, bundle checks and the numeric blocks.
-    Deterministic for fixed input and options."""
-    options = {"k_max": DEFAULTS.k_max, "covectors": [], **(options or {})}
-    report = Report(sf, options)
-    report.human += ["involucalc-report v1", "# configuration"]
-    report.machine.append("report_version = 1")
+def _header(report):
+    """The analyze and autosys header: the configuration, the options and
+    the structure."""
+    sf = report.sf
+    report.human.append("# configuration")
     a, f = sf.approx or ApproxBlock(), sf.fbi or FbiBlock()
     config = (
         ("k_max", DEFAULTS.k_max),
@@ -903,7 +864,7 @@ def run_report(sf: StructureFile, options=None) -> Report:
     for key, value in config:
         report.human.append(f"#   {key} = {value}")
         report.machine.append(f"config.{key}={value}")
-    k_max = options["k_max"]
+    k_max = report.options["k_max"]
     report.emit(f"# options: k_max = {k_max}", "options.k_max", k_max)
     sdef = sf.sdef
     report.emit(
@@ -912,8 +873,7 @@ def run_report(sf: StructureFile, options=None) -> Report:
         f"{sdef.nu},{sdef.d},{sdef.mu}",
     )
     for k, p in enumerate(sdef.phi, start=1):
-        report.emit(f"phi_{k} = {format_poly(p)}", f"structure.phi{k}", format_poly(p))
-    return _run_sections(report, SECTIONS)
+        report.emit(f"phi_{k} = {p}", f"structure.phi{k}", p)
 
 
 def _chardim(report):
@@ -925,7 +885,7 @@ def _chardim(report):
 def _levi(report):
     sdef = report.sf.sdef
     for spec in report.options["covectors"]:
-        xi = spec if isinstance(spec, dict) else _parse_covector(spec, sdef.vars)
+        xi = _parse_covector(spec, sdef.vars)
         xi_txt = ",".join(f"{k}={v}" for k, v in sorted(xi.items()))
         rep = levi_form(sdef, sdef.zero_point(), xi)
         n_plus, n_minus, n_zero = rep.inertia
@@ -949,12 +909,11 @@ def _kernel(report):
     else:
         report.emit(f"kernel vectors: {len(kvs)}", "kernel.count", len(kvs))
         for i, kv in enumerate(kvs, start=1):
-            btxt = ", ".join(format_poly(p) for p in kv.b)
+            btxt = ", ".join(map(str, kv.b))
             report.emit(f"  b[{i}] = ({btxt})   [{kv.provenance}]", f"kernel.b{i}", btxt)
             theta = characteristic_form(sdef, kv)
-            parts = [format_poly(c.num) + ("/" + format_poly(c.den) if not c.is_polynomial() else "") for c in theta.components()]
             labels = sdef.integral_labels()
-            ttxt = " , ".join(f"d{l}: {t}" for l, t in zip(labels, parts))
+            ttxt = " , ".join(f"d{l}: {c}" for l, c in zip(labels, theta.components()))
             report.emit(f"  theta[{i}] = ({ttxt})", f"kernel.theta{i}", ttxt)
     report.kvs = kvs
 
@@ -987,18 +946,17 @@ def _loci(report):
     for name, verdict in (("exceptional", exc), ("degeneracy", deg)):
         if verdict.established:
             wtxt = "trivial" if verdict.witness is None else (
-                f"rows {verdict.witness.rows}, minor {format_poly(verdict.witness.minor)}"
+                f"rows {verdict.witness.rows}, minor {verdict.witness.minor}"
             )
             report.emit(f"{name} locus: Yes ({wtxt})", f"loci.{name}", "yes")
         else:
             report.emit(f"{name} locus: NotEstablished ({verdict.note})", f"loci.{name}", "not_established")
 
 
-def _autosys(report):
-    """The automorphism system's size, its equations for the autosys
-    command, and the candidate verdicts."""
+def _autosys(report, listed=False):
+    """The automorphism system's size, its equations when ``listed`` (the
+    autosys command), and the candidate verdicts."""
     sf = report.sf
-    listed = report.options.get("autosys")
     if not (listed or sf.candidates):
         return
     from .autosys import RealVectorFieldSym, check_candidate, generate_system
@@ -1016,7 +974,7 @@ def _autosys(report):
             u = f"u_{t.unknown}"
             if t.deriv is not None:
                 u = f"d{u}/d{t.deriv}"
-            terms.append(f"({format_poly(t.coeff)})*{u}")
+            terms.append(f"({t.coeff})*{u}")
         report.emit(
             f"  [{eq.integral}, L{eq.field_index}] " + " + ".join(terms) + " = 0",
             f"autosys.eq.{eq.integral}.L{eq.field_index}",
@@ -1030,7 +988,7 @@ def _autosys(report):
         else:
             tag, res = verdict.failure
             report.emit(
-                f"candidate {i}: Not (first residual at {tag}: {format_poly(res)})", f"autosys.candidate{i}", "not"
+                f"candidate {i}: Not (first residual at {tag}: {res})", f"autosys.candidate{i}", "not"
             )
 
 
@@ -1082,7 +1040,6 @@ def _csv(report, name, key, write):
         return
     path = Path(csv_dir) / name
     write(path)
-    report.csv_paths.append(str(path))
     report.emit(f"  csv: {path}" if key else f"csv: {path}", key, path)
 
 
@@ -1128,6 +1085,11 @@ def _approx(report):
         f"{sup:.17g}",
     )
     _csv(report, "approx_samples.csv", "approx.csv", lambda path: _approx_csv(plan, ev, path))
+
+
+def _approx_header(report):
+    block = report.sf.approx
+    report.emit(f"# approx order {block.order}, box {float(block.box)}, grid {block.grid}")
 
 
 def _approx_scales(report):
@@ -1189,6 +1151,14 @@ def _fbi(report):
     _fbi_scan(report, "fbi.csv")
 
 
+def _wavefront_header(report):
+    block = report.sf.fbi
+    report.emit(
+        f"# wavefront kappa {block.kappa}, dirs {block.dirs}, radii {block.radii}, "
+        f"grid {block.grid}, halfwidth {block.halfwidth}"
+    )
+
+
 def _wavefront_scan(report):
     block = report.sf.fbi
     report.emit(f"scan: data = {block.data}, kappa = {block.kappa}, dirs = {block.dirs}")
@@ -1221,20 +1191,25 @@ def _normal_form(report):
         report.emit(f"normal form: unavailable ({e})")
 
 
-# (module tag, Report attributes the section needs, section) in report order
-SECTIONS = (
+# the header and exact sections that analyze and autosys share
+_EXACT = (
+    ("cli", (), _header),
     ("structure", (), _chardim),
     ("structure", (), _levi),
     ("structure", (), _kernel),
     ("hull", ("kvs",), _hull),
     ("loci", ("chain",), _loci),
-    ("autosys", (), _autosys),
-    ("bundle", (), _bundle),
-    ("approx", (), _approx),
-    ("fbi", (), _fbi),
 )
-APPROX_SECTIONS = (("approx", (), _approx_scales),)
-WAVEFRONT_SECTIONS = (("structure", (), _normal_form), ("fbi", (), _wavefront_scan))
+# each command's (module tag, Report attributes the section needs, section)
+# in report order, its header first
+COMMANDS = {
+    "analyze": (
+        *_EXACT, ("autosys", (), _autosys), ("bundle", (), _bundle), ("approx", (), _approx), ("fbi", (), _fbi)
+    ),
+    "autosys": (*_EXACT, ("autosys", (), functools.partial(_autosys, listed=True)), ("bundle", (), _bundle)),
+    "approx": (("cli", (), _approx_header), ("approx", (), _approx_scales)),
+    "wavefront": (("cli", (), _wavefront_header), ("structure", (), _normal_form), ("fbi", (), _wavefront_scan)),
+}
 
 
 # -- subcommands --------------------------------------------------------------------------
@@ -1261,8 +1236,7 @@ def _print(report, machine=False) -> int:
 
 
 def cmd_analyze(args) -> int:
-    """The analyze and autosys commands; autosys also lists the automorphism
-    system."""
+    """The analyze and autosys commands."""
     sf = _load(args.file)
     reason = _reason((0, LIMITS["kmax"]), args.kmax)
     if reason:
@@ -1270,10 +1244,9 @@ def cmd_analyze(args) -> int:
     options = {
         "k_max": args.kmax,
         "covectors": getattr(args, "covector", None) or [],
-        "autosys": args.command == "autosys",
         "csv_dir": _csv_dir(args),
     }
-    report = run_report(sf, options)
+    report = run_report(sf, options, args.command)
     if options["csv_dir"] is not None:
         outdir = Path(options["csv_dir"])
         (outdir / "report.txt").write_text(report.human_text())
@@ -1291,12 +1264,7 @@ def cmd_approx(args) -> int:
     reason = _samples_reason(block)
     if reason:
         raise ModuleError("cli", reason)
-    report = Report(sf, {"csv_dir": _csv_dir(args)})
-    report.human += [
-        "involucalc-report v1",
-        f"# approx order {block.order}, box {float(block.box)}, grid {block.grid}",
-    ]
-    return _print(_run_sections(report, APPROX_SECTIONS))
+    return _print(run_report(sf, {"csv_dir": _csv_dir(args)}, "approx"))
 
 
 def cmd_wavefront(args) -> int:
@@ -1307,13 +1275,7 @@ def cmd_wavefront(args) -> int:
     _override(block, "dirs", args.dirs)
     if args.radii is not None:
         block.radii, block.radius_grid = args.radii, _parse_radii(args.radii)
-    report = Report(sf, {"covectors": args.covector or [], "csv_dir": _csv_dir(args)})
-    report.human += [
-        "involucalc-report v1",
-        f"# wavefront kappa {block.kappa}, dirs {block.dirs}, radii {block.radii}, "
-        f"grid {block.grid}, halfwidth {block.halfwidth}",
-    ]
-    return _print(_run_sections(report, WAVEFRONT_SECTIONS))
+    return _print(run_report(sf, {"covectors": args.covector or [], "csv_dir": _csv_dir(args)}, "wavefront"))
 
 
 @functools.cache

@@ -7,7 +7,9 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import involucalc
 from involucalc import cli
@@ -17,12 +19,15 @@ from involucalc.cli import (
     LIMITS,
     NonRealPhi,
     ParseError,
-    format_poly,
+    _tokenize_line,
     main,
+    parse_poly_tokens,
     parse_structure,
     run_report,
     serialize_structure,
 )
+
+from conftest import polys
 
 CROSSING_FILE = """
 # two first integrals over one t variable
@@ -275,11 +280,15 @@ def test_rational_and_complex_coefficients_roundtrip():
         + Poly.var(vars, "s1") * GaussRat(0, 1)
         + Poly.const(vars, Fraction(-7, 5))
     )
-    text = format_poly(p)
-    from involucalc.cli import _tokenize_line, parse_poly_tokens
-
-    q = parse_poly_tokens(_tokenize_line(text, 1), vars)
+    q = parse_poly_tokens(_tokenize_line(repr(p), 1), vars)
     assert q == p
+
+
+@given(st.one_of(polys(), polys(real=True)))
+@settings(max_examples=200)
+def test_printed_polynomials_parse_back(p):
+    # a polynomial prints itself in the file grammar
+    assert parse_poly_tokens(_tokenize_line(repr(p), 1), p.vars) == p
 
 
 def test_roundtrip_identity():
@@ -1106,8 +1115,10 @@ LAZY_MODULES = ("numpy", "involucalc.approx", "involucalc.fbi", "involucalc.auto
          ["involucalc.approx", "involucalc.fbi", "numpy"]),
         # the [approx] block is parsed, and the command refused before any section
         (APPROX_FILE + "u0 = x1^2 + t\n", ["autosys", "--kmax", "21"], []),
+        # autosys runs the exact sections only, whatever numeric blocks the file has
+        (APPROX_FILE + "[fbi]\ngrid = 64\ndirs = 2\nradii = 1:100:5\n", ["autosys"], ["involucalc.autosys"]),
     ],
-    ids=["mizohata", "candidate-and-bundle", "screened", "wavefront", "approx-block-parsed"],
+    ids=["mizohata", "candidate-and-bundle", "screened", "wavefront", "approx-block-parsed", "autosys-exact-only"],
 )
 def test_cli_loads_only_the_modules_a_command_reaches(tmp_path, capsys, text, argv, loaded):
     f = tmp_path / "lazy.struct"
@@ -1117,6 +1128,8 @@ def test_cli_loads_only_the_modules_a_command_reaches(tmp_path, capsys, text, ar
     code, out, err = _run_fresh(argv, listed)
     assert err.splitlines()[-1].split() == loaded
     assert (code, out) == run_cli(argv, capsys)[:2]
+    # no command here runs analyze's [approx] or [fbi] section
+    assert not any(line.startswith(("approximate solution", "direction scan")) for line in out.splitlines())
 
 
 def test_one_process_runs_a_command_sequence_as_fresh_interpreters_do(tmp_path, capsys):
