@@ -2,14 +2,16 @@
 
 Once the search has met a nonzero minor that is not a witness, it computes
 exactly only the minors that pass this screen: mod the prime P = 33,554,393
-(P = 1 mod 4, with i sent to I_P = 33,479,089) at one fixed point whose
+(P = 1 mod 4, with i sent to I_P = 33,479,089) at one fixed point v whose
 coordinates are drawn from ``random.Random(POINT_SEED)`` (see ``_Screen``).
-A witness minor of degree at most D is screened out only if the point is a
-root of one of at most (coordinates + 2) nonzero polynomials of degree at
-most D, probability at most (coordinates + 2) * D / P for a random point, or
-if P divides a coefficient the screen reads.  That can turn a Yes into a
-later witness or a NotEstablished, never the reverse: every Yes is still an
-exact minor, factored exactly.
+A witness minor, whose cleared determinant is Delta = x^alpha * u with
+u(0) = c_alpha != 0 and degree at most D, is screened out only if P divides
+c_alpha, whose image c_alpha * v^alpha is the coefficient the screen reads
+on the line through v, or if v is a root of u or, for some coordinate j, of
+u with x_j = 0: at most (coordinates + 1) polynomials of degree at most D,
+probability at most (coordinates + 1) * D / P for a random point.  A drop
+can turn a Yes into a later witness or a NotEstablished, never the reverse:
+every Yes is still an exact minor, factored exactly.
 
 This is the only module of the exact checks that uses numpy; ``loci`` imports
 it when a search has more than one subset left to screen."""
@@ -28,13 +30,12 @@ from .algebra import common_denominator
 P = 33_554_393  # prime, 1 mod 4
 I_P = 33_479_089  # I_P^2 = -1 mod P: the image of i
 # A product of two residues is below 2^50, so an int64 sum of fewer than
-# 2^13 of them is exact: the weighted values of the fewer than MAX_POINTS
-# points _orders sums, and the at most nu + d <= 14 Laplace terms of each
-# coordinate _minors_mod_p sums.
+# 2^13 of them is exact: each coefficient of a truncated product in
+# _minors_mod_p, of series of T < MAX_POINTS coefficients, the length cap.
 MAX_POINTS = 1 << 13
 POINT_SEED = 1980  # the point's coordinates are drawn from random.Random(POINT_SEED)
 FIRST_CHUNK, MAX_CHUNK = 256, 4096  # subsets per screened chunk, doubling
-SLICE_BYTES = 4 << 20  # the widest wedge of one stage-2 slice of subsets
+SLICE_BYTES = 4 << 20  # the widest temporary of _minors_mod_p on one slice of subsets
 
 
 class _CannotScreen(Exception):
@@ -65,24 +66,28 @@ class _Screen:
     minor of a subset is Delta / (U x^Q) with Delta the determinant of the
     cleared rows, U a product of factors that are units at the origin and
     x^Q the rows' coordinate factors.  The exact minor is a witness iff
-    Delta = x^alpha * unit with alpha >= Q, that is iff the order of Delta
-    at 0 along a line, its lowest total degree, equals the sum over
-    coordinates j of alpha_j, its order along the axis of x_j, and every
-    alpha_j >= Q_j.  The screen decides this for Delta mod P at the fixed
-    point v:
+    Delta = x^alpha * unit with alpha >= Q.  The screen decides this for
+    Delta mod P from its Taylor coefficients in lam on lines through the
+    fixed point v, each the first T coefficients of a determinant of power
+    series computed by ``_minors_mod_p``:
 
-    * stage 1: a subset whose Delta(v) is 0 is dropped;
-    * stage 2: Delta is evaluated on the line lam * v and on each axis
-      through v (x_j = lam * v_j, the other coordinates at v) at
-      lam = 0..D, D the sum of the ``size`` largest row degrees along that
-      direction, and the orders at lam = 0 are read off the values.
+    * a subset whose Delta(v) is 0 is dropped;
+    * on the axis of each coordinate x_j through v (x_j = lam * v_j, the
+      other coordinates at v), T doubles from 1 until a coefficient is
+      nonzero, at the latest at lam^D_j, D_j the sum of the ``size``
+      largest row degrees on the axis, as Delta(v) != 0 is its value at
+      lam = 1; its index is ord_j, and a subset with ord_j < Q_j is dropped;
+    * on the line lam * v, a subset passes iff the coefficient of
+      lam^sigma, sigma the sum of the ord_j, is nonzero (T is sigma + 1
+      rounded up to a power of two, so that few lengths occur).
 
-    Both stages take their values of Delta from ``_minors_mod_p``.  Each
-    stage-2 direction passes through v at lam = 1, so none of them is
-    identically 0 after stage 1.  The screen cannot run when a
-    non-coordinate denominator factor vanishes at 0 (the exact minor can
-    lose it), when P divides a coefficient denominator, or when the line
-    needs MAX_POINTS points or more."""
+    Off the roots the module docstring counts, ord_j is the least exponent
+    of x_j in Delta, so every monomial of Delta is a multiple of x^alpha
+    with alpha_j = ord_j, and the coefficient of lam^sigma is
+    c_alpha * v^alpha, nonzero iff Delta = x^alpha * unit.  The screen
+    cannot run when a non-coordinate denominator factor vanishes at 0 (the
+    exact minor can lose it), when P divides a coefficient denominator, or
+    when a series needs MAX_POINTS coefficients or more."""
 
     def __init__(self, rows, size):
         self.rows = rows
@@ -101,8 +106,8 @@ class _Screen:
         return got
 
     def passes(self, batch):
-        """The subsets of ``batch`` that pass both stages, in order, or None
-        if the screen cannot run on them."""
+        """The subsets of ``batch`` that pass the screen, in order, or None if
+        the screen cannot run on them."""
         needed = sorted({k for picked in batch for k in picked})
         try:
             data = [self._row(k) for k in needed]
@@ -110,38 +115,57 @@ class _Screen:
             return None
         at = {k: i for i, k in enumerate(needed)}
         idx = np.array([[at[k] for k in picked] for picked in batch], np.intp)
-        at_v = np.stack([a[:, 0].sum(axis=1) % P for a, _, _ in data])
-        live = np.flatnonzero(_minors_mod_p(at_v, idx))
+        at_v = np.stack([a[0].sum(axis=1) % P for a, _, _ in data])
+        live = np.flatnonzero(self._series(at_v[..., None], idx)[:, 0])
         if not live.size:
             return []
-        row_degs = list(zip(*(d for _, _, d in data)))  # per direction
-        degs = [sum(sorted(col)[-self.size :]) for col in row_degs]  # of the minors
-        if degs[0] + 1 >= MAX_POINTS:
+        degs = [sum(sorted(col)[-self.size :]) for col in zip(*(d for _, _, d in data))]  # of the minors
+        if max(degs) + 1 >= MAX_POINTS:
             return None
-        coef = np.zeros((len(data), self.size, len(degs), max(a.shape[2] for a, _, _ in data)), np.int64)
+        coef = np.zeros((len(degs), len(data), self.size, max(degs) + 1), np.int64)
         for i, (a, _, _) in enumerate(data):
-            coef[i, :, :, : a.shape[2]] = a
+            coef[:, i, :, : a.shape[2]] = a
         sub = idx[live]
-        ords = np.zeros((live.size, len(degs)), np.int64)
-        for d in range(len(degs)):
-            if not degs[d]:
-                continue
-            lam = np.arange(degs[d] + 1, dtype=np.int64)
-            vals = np.zeros((len(data), self.size, lam.size), np.int64)
-            for k in range(max(row_degs[d]), -1, -1):  # Horner in lam
-                vals = (vals * lam + coef[:, :, d, k, None]) % P
-            per = max(1, SLICE_BYTES // (comb(self.size, self.size // 2) * lam.size * 8))
-            for lo in range(0, live.size, per):
-                ords[lo : lo + per, d] = _orders(_minors_mod_p(vals, sub[lo : lo + per]))
+        moving = np.flatnonzero(degs[1:])  # on the other axes, Delta is Delta(v)
+        order = np.zeros((live.size, len(degs) - 1), np.int64)
+        order[:, moving] = -1  # until a coefficient is nonzero
+        # the pending (axis, subset) pairs, in one call: axis k's rows are stacked k-th
+        pk, ps = np.repeat(np.arange(moving.size), live.size), np.tile(np.arange(live.size), moving.size)
+        terms, top = 1, max(degs[1:])
+        while ps.size:
+            stacked = coef[1 + moving, :, :, :terms].reshape(-1, self.size, terms)
+            vals = self._series(stacked, sub[ps] + len(data) * pk[:, None]) != 0
+            hit = vals.any(axis=1)
+            order[ps[hit], moving[pk[hit]]] = vals[hit].argmax(axis=1)
+            pk, ps = pk[~hit], ps[~hit]
+            if terms > top:
+                break
+            terms = min(2 * terms, top + 1)
         coord = np.stack([q for _, q, _ in data])[sub].sum(axis=1)
-        ok = (ords[:, 0] == ords[:, 1:].sum(axis=1)) & (ords[:, 1:] >= coord).all(axis=1)
-        return [batch[i] for i in live[ok]]
+        sigma = order.sum(axis=1)
+        keep = np.flatnonzero((order >= coord).all(axis=1) & (sigma <= degs[0]))
+        sigma, ok, terms = sigma[keep], np.zeros(keep.size, bool), 1
+        while terms // 2 <= sigma.max(initial=-1):  # the line, for each sigma in [terms // 2, terms)
+            grp = np.flatnonzero((terms // 2 <= sigma) & (sigma < terms))
+            if grp.size:
+                line = self._series(coef[0, :, :, :terms], sub[keep[grp]])
+                ok[grp] = line[np.arange(grp.size), sigma[grp]] != 0
+            terms *= 2
+        return [batch[i] for i in live[keep[ok]]]
+
+    def _series(self, coef, sub):
+        """``_minors_mod_p(coef, sub)`` in slices of subsets whose Laplace
+        products, k * C(n, k) series per subset at level k, take at most
+        SLICE_BYTES."""
+        n = self.size
+        per = max(1, SLICE_BYTES // (n * comb(n - 1, (n - 1) // 2) * coef.shape[-1] * 8))
+        return np.concatenate([_minors_mod_p(coef, sub[lo : lo + per]) for lo in range(0, len(sub), per)])
 
 
 def _row_residues(comps, point):
     """(a, Q, degrees) of one row cleared over its denominator, mod P:
-    a[c, 0, k] is the coefficient of lam^k of entry c on the line lam * v,
-    a[c, 1 + j, k] that on the axis of x_j through v, Q the exponents of the
+    a[0, c, k] is the coefficient of lam^k of entry c on the line lam * v,
+    a[1 + j, c, k] that on the axis of x_j through v, Q the exponents of the
     denominator's coordinate factors, and degrees[d] the degree in lam of
     the row on direction d."""
     nums, powers = common_denominator(comps)
@@ -161,97 +185,64 @@ def _row_residues(comps, point):
     for j, v in enumerate(point.tolist()):
         for k in range(1, deg + 1):
             pw[j][k] = pw[j][k - 1] * v % P
-    a = [[[0] * (deg + 1) for _ in range(n + 1)] for _ in nums]
-    for entry, res in zip(a, residues):
+    a = [[[0] * (deg + 1) for _ in nums] for _ in range(n + 1)]
+    for c, res in enumerate(residues):
         for exps, r in res.items():
             for j, k in enumerate(exps):
                 r = r * pw[j][k] % P
-            entry[0][sum(exps)] += r
+            a[0][c][sum(exps)] += r
             for j, k in enumerate(exps):
-                entry[1 + j][k] += r
+                a[1 + j][c][k] += r
     a = np.array(a, np.int64) % P
-    used = a.any(axis=0).tolist()
-    return a, coord, [max((k for k, u in enumerate(row) if u), default=0) for row in used]
+    degrees = [max((k for k, u in enumerate(d) if u), default=0) for d in a.any(axis=1).tolist()]
+    return a[:, :, : max(degrees) + 1], coord, degrees
 
 
 @functools.lru_cache(maxsize=None)
 def _laplace(n, k):
-    """For each position t < k, over the k-subsets S of range(n) in
-    lexicographic order: the index of S without S[t] among the
-    (k-1)-subsets, and S[t]."""
+    """Two (k, C(n, k)) arrays over the k-subsets S of range(n) in
+    lexicographic order: at [t, s], the index of S without S[t] among the
+    (k-1)-subsets, and S[t], plus n where the Laplace sign (-1)^(k-1-t) is
+    negative."""
     below = {s: i for i, s in enumerate(combinations(range(n), k - 1))}
     subsets = list(combinations(range(n), k))
-    return [
-        (np.array([below[s[:t] + s[t + 1 :]] for s in subsets]), np.array([s[t] for s in subsets]))
-        for t in range(k)
-    ]
+    return (
+        np.array([[below[s[:t] + s[t + 1 :]] for s in subsets] for t in range(k)]),
+        np.array([[s[t] + n * ((k - 1 - t) % 2) for s in subsets] for t in range(k)]),
+    )
 
 
 def _minors_mod_p(m, idx):
     """det m[idx[b]] mod P for each row b of idx (B x n), m of shape
-    (rows, n, ...) with entries in [0, P), without division (Rote, LNCS
-    2122, 2001).  The wedge of rows idx[b, :k] has one coordinate per
-    k-subset of the n columns, the minor on those columns; each is the
-    Laplace expansion along row k of the wedge of idx[b, :k-1], a signed
-    sum of k <= n products below 2^50.  A prefix is built once for each run
-    of equal idx[b, :k], so lexicographically ordered subsets share their
-    common prefixes; the result does not depend on the order.  The widest
-    wedge has C(n, n // 2) coordinates, which makes this slower than
-    elimination from n = 10 up; no size switch is kept, because a search
-    reaches the screen only after an exact minor of its size, which takes
-    factorial time at such a size."""
+    (rows, n) or (rows, n, T) with entries in [0, P), without division
+    (Rote, LNCS 2122, 2001).  A trailing axis holds power series in lam
+    truncated at lam^T, as does the result's (Kaltofen, ISSAC 1992).  The
+    wedge of rows idx[b, :k] has one coordinate per k-subset of the n
+    columns, the minor on those columns; each is the Laplace expansion along
+    row k of the wedge of idx[b, :k-1], a sum of k <= n truncated products
+    reduced mod P, with a row entry negated mod P where the sign is
+    negative.  A prefix is built once for each run of equal
+    idx[b, :k], so lexicographically ordered subsets share their common
+    prefixes; the result does not depend on the order.  The widest wedge
+    has C(n, n // 2) coordinates, which makes this slower than elimination
+    from n = 10 up; no size switch is kept, because a search reaches the
+    screen only after an exact minor of its size, which takes factorial
+    time at such a size."""
     n = idx.shape[1]
-    flat = m.reshape(m.shape[0], n, -1)
-    wedge = np.ones((1, 1, flat.shape[2]), np.int64)
+    terms = m.shape[2] if m.ndim > 2 else 1
+    flat = m.reshape(m.shape[0], n, terms)
+    flat = np.concatenate([flat, (P - flat) % P], axis=1)  # the rows, then the rows negated
+    wedge = np.eye(1, terms, dtype=np.int64)[None]  # the series 1
     ids = np.zeros(len(idx), np.intp)  # the prefix of each subset
+    start = np.arange(len(idx)) == 0  # where a prefix starts
     for k in range(1, n + 1):
-        start = np.ones(len(idx), bool)
-        start[1:] = (idx[1:, :k] != idx[:-1, :k]).any(axis=1)
+        start[1:] |= idx[1:, k - 1] != idx[:-1, k - 1]
         first = np.flatnonzero(start)
-        parent, row = ids[first, None], flat[idx[first, k - 1]]
-        acc = 0
-        for t, (sub, col) in enumerate(_laplace(n, k)):
-            term = wedge[parent, sub] * row[:, col]
-            acc = acc - term if (k - 1 - t) % 2 else acc + term
-        wedge = acc % P
+        sub, col = _laplace(n, k)
+        a, b = wedge[ids[first, None, None], sub], flat[idx[first, k - 1, None, None], col]
+        term = a * b[..., :1]
+        for s in range(1, terms):
+            term[..., s:] += a[..., : terms - s] * b[..., s, None]
+        wedge = (term % P).sum(axis=1) % P
         ids = np.cumsum(start) - 1
-    return wedge[ids, 0].reshape(idx.shape[:1] + m.shape[2:])
-
-
-@functools.lru_cache(maxsize=8)
-def _factorials(points):
-    """k!, 1/k! for k < points and 1/k for 0 < k < points, mod P."""
-    fact = [1] * points
-    for k in range(1, points):
-        fact[k] = fact[k - 1] * k % P
-    inv_fact = [pow(fact[-1], P - 2, P)] * points
-    for k in range(points - 1, 0, -1):
-        inv_fact[k - 1] = inv_fact[k] * k % P
-    inv = [fact[k - 1] * inv_fact[k] % P for k in range(1, points)]
-    return np.array(fact, np.int64), np.array(inv_fact, np.int64), np.array(inv, np.int64)
-
-
-def _orders(y):
-    """Order at 0 of each polynomial of degree < L given by its values
-    y[..., l] at l = 0..L-1, mod P.  The lowest coefficients are peeled off
-    one at a time: while c_0..c_k-1 are 0, f / lam^k has degree < L - k, and
-    its values at 1..L-k give c_k as its value at 0."""
-    points = y.shape[-1]
-    flat = y.reshape(-1, points)
-    out = np.zeros(len(flat), np.int64)
-    todo = np.flatnonzero(flat[:, 0] == 0)
-    fact, inv_fact, inv = _factorials(points)
-    vals = flat[todo, 1:]
-    for k in range(1, points):
-        if not todo.size:
-            break
-        vals = vals * inv % P
-        n = points - k  # (-1)^(l-1) C(n, l), l = 1..n, carry values at 1..n to 0
-        weights = fact[n] * inv_fact[1 : n + 1] % P * inv_fact[n - 1 :: -1] % P
-        weights[1::2] = (P - weights[1::2]) % P
-        c = vals[:, :n] @ weights % P
-        hit = c != 0
-        out[todo[hit]] = k
-        todo, vals = todo[~hit], vals[~hit]
-    return out.reshape(y.shape[:-1])
-
+    return wedge[ids].reshape(idx.shape[:1] + m.shape[2:])

@@ -296,15 +296,20 @@ def test_screen_passes_exactly_the_witness_subsets(name, subsets, witnesses):
     assert screen._Screen(rows, size).passes(every) == expect
 
 
-def _exact_det_mod_p(m):
-    """The integer determinant of m by the Leibniz formula, mod P."""
-    n, total = len(m), 0
+def _exact_det_mod_p(m, terms=None):
+    """The integer determinant of m by the Leibniz formula, mod P; with
+    ``terms``, m's entries are coefficient lists of polynomials in lam, and
+    the result is the determinant's coefficients of lam^0..lam^(terms-1)."""
+    if terms is None:
+        return _exact_det_mod_p([[[x] for x in row] for row in m], 1)[0]
+    n, total = len(m), [0] * terms
     for perm in permutations(range(n)):
-        term = -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
+        term = [-1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1]
         for i, j in enumerate(perm):
-            term *= m[i][j]
-        total += term
-    return total % screen.P
+            e = m[i][j] + [0] * terms
+            term = [sum(term[s] * e[k - s] for s in range(min(k + 1, len(term)))) for k in range(terms)]
+        total = [x + y for x, y in zip(total, term)]
+    return [x % screen.P for x in total]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -326,9 +331,11 @@ def test_minors_mod_p_match_the_exact_determinant(n):
     expect = [_exact_det_mod_p(m) for m in mats]
     assert screen._minors_mod_p(stacked, idx).tolist() == expect
     assert 0 in expect and any(expect)
-    # stage 2 passes values at several points: the same matrices at two
-    pairs = np.stack([stacked, stacked.reshape(len(mats), n, n)[::-1].reshape(-1, n)], axis=2)
-    assert screen._minors_mod_p(pairs, idx).tolist() == [list(p) for p in zip(expect, expect[::-1])]
+    # a trailing axis holds lam-coefficients: det(A + lam*B + lam^2*C) up to lam^2,
+    # with B and C the matrices reversed and rotated by one
+    series = np.stack([stacked, stacked[::-1], np.roll(stacked, n, axis=0)], axis=2)
+    polys = series.reshape(len(mats), n, n, 3).tolist()
+    assert screen._minors_mod_p(series, idx).tolist() == [_exact_det_mod_p(m, terms=3) for m in polys]
     # every n-subset of n + 3 rows, so that consecutive subsets share
     # prefixes, then the same subsets shuffled, which share fewer
     rows = [[rng.choice((0, 1, 2, rng.randrange(screen.P))) for _ in range(n)] for _ in range(n + 3)]
@@ -385,6 +392,34 @@ def test_screen_falls_back_to_the_exact_search(case):
     assert v.established and v.witness.rows == (2, 3)
     assert v.witness.minor == det([list(rows[2][1]), list(rows[3][1])]).num
     assert verify_witness(v)
+
+
+def _coordinate_denominator_rows():
+    """Nine 2-entry rows over (t1, t2), rows 2 and 7 with 1/t1 and 1/t1^3."""
+    vars = ("t1", "t2")
+    t1, t2 = Poly.var(vars, "t1"), Poly.var(vars, "t2")
+    one, zero, q = Poly.one(vars), Poly.zero(vars), t1 * t1 + t2 * t2
+    rows = [(q, zero), (zero, q), (RatFun(one, t1), one), (one, one + t2), (t1**5, t2), (zero, one + t2)]
+    rows += [(zero, t1**2), (RatFun(one, t1**3), zero), (zero, t1**4)]
+    return [(k, tuple(RatFun.of(c) for c in row)) for k, row in enumerate(rows)]
+
+
+def test_screen_compares_axis_orders_with_coordinate_denominators(monkeypatch):
+    rows = _coordinate_denominator_rows()
+    t1 = Poly.var(("t1", "t2"), "t1")
+    minor = lambda *picked: det([list(rows[i][1]) for i in picked])  # noqa: E731
+    assert minor(2, 3).den == t1  # (1 + t2 - t1) / t1: the order 0 on the t1 axis is below Q = 1
+    assert (minor(2, 6).num, minor(7, 8).num) == (t1, t1)  # t1^2 / t1 and t1^4 / t1^3
+    every = list(combinations(range(len(rows)), 2))
+    expect = exact_witness_subsets(rows, 2, every)
+    assert (2, 3) not in expect and {(2, 6), (4, 5), (7, 8)} <= set(expect)
+    assert screen._Screen(rows, 2).passes(every) == expect
+    # Delta = t1^4 of (7, 8) is 0 to lam^3 on the t1 axis: T = 1, 2 and 4 read zeros
+    lengths = []
+    real = screen._minors_mod_p
+    monkeypatch.setattr(screen, "_minors_mod_p", lambda m, idx: lengths.append(m.shape[2]) or real(m, idx))
+    assert screen._Screen(rows, 2).passes([(7, 8)]) == [(7, 8)]
+    assert {1, 2, 4, 5} <= set(lengths)
 
 
 def test_locus_search_builds_only_the_rows_it_reads(monkeypatch):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import involucalc
+from involucalc.cli import parse_structure
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -29,3 +30,16 @@ def test_script_runs(tmp_path, script, args, expected):
     )
     assert (p.returncode, p.stderr) == (0, "")
     assert expected in p.stdout.splitlines()
+
+
+def test_sweep_files_are_seeded_and_parse(monkeypatch):
+    # the sweep's own runs take minutes; its generator is what a seed pins
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import sweep
+
+    files = sweep.structure_files(3, 12)
+    assert files == sweep.structure_files(3, 12) != sweep.structure_files(4, 12)
+    for text in files:
+        sdef = parse_structure(text).sdef
+        assert all(lo <= getattr(sdef, k) <= hi for k, (lo, hi) in sweep.DIMS.items())
+        assert len(sdef.phi) == sdef.d
