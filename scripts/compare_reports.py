@@ -98,9 +98,11 @@ _FBI = "[fbi]\ndata = boundary\ndelta = 1/20\ngrid = 128\ndirs = 4\n"
 # (name, structure file, command and options) of inputs that succeed on paths
 # the benchmark does not run: the machine report's 17-digit residual sup, the
 # CSV tables, the command-line overrides of the [approx] and [fbi] values,
-# autosys on a file with [approx] and [fbi] blocks, and a degeneracy and an
+# autosys on a file with [approx] and [fbi] blocks, a degeneracy and an
 # exceptional witness that come from the mod-p screen (the structure's first
-# nonzero minor is no witness)
+# nonzero minor is no witness), and three structures whose kernel chain stays
+# short of C^d where the hull chain reaches full span (files 48 and 51 of
+# sweep.py --seed 1 --count 60, and a two-line one whose phi_1 is free of t)
 UNBENCHED = [
     (
         "analyze-approx-fbi-machine",
@@ -126,6 +128,21 @@ UNBENCHED = [
         ["analyze", "--kmax", "4"],
     ),
     ("exceptional-witness-screened", "[dims]\nnu = 0 d = 2 mu = 1\n[phi]\ns1*t1^2 + t1^3\nt1^2/2\n", ["analyze"]),
+    (
+        "kernel-chain-short-t-free-phi1",
+        "[dims]\nnu = 0 d = 2 mu = 2\n[phi]\n-s2^2\n-s1*t1*t2 - 2*t2^3 - 5/4*s1*s2*t1*t2\n",
+        ["analyze"],
+    ),
+    (
+        "kernel-chain-short-sweep-48",
+        "[dims]\nnu = 1 d = 2 mu = 1\n[phi]\n(5/3)*s1^2*s2 + (2)*y1^2\n(1/2)*t1^3*y1\n",
+        ["analyze"],
+    ),
+    (
+        "kernel-chain-short-sweep-51",
+        "[dims]\nnu = 1 d = 2 mu = 2\n[phi]\n(-5)*t2*y1 + (5/2)*s2*x1*y1\n(-4/3)*t2*x1\n",
+        ["analyze"],
+    ),
 ]
 
 

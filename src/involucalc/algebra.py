@@ -912,7 +912,8 @@ def apply_field_truncated(coeffs: dict, p: Poly, order: int) -> Poly:
 # sparse vector over Q(i), {key: (re, im)} over one positive denominator in
 # lowest terms.  Key (position << width) + packed exponent orders the terms
 # by position first and then by the graded order, so the least key is the
-# trailing term of the first nonzero polynomial.
+# trailing term of the first nonzero polynomial.  A tuple of scalars is keyed
+# by position alone.
 
 
 def packed_row(polys):
@@ -928,39 +929,16 @@ def packed_row(polys):
     return row, d
 
 
-def constant_row(polys):
-    """The constant terms of the polynomials as a packed row keyed by position."""
-    cs = {i: (p._t[0], p._d) for i, p in enumerate(polys) if 0 in p._t}
-    d = math.lcm(*(k for _, k in cs.values()))
-    return _lowest_terms({i: (a * (d // k), b * (d // k)) for i, ((a, b), k) in cs.items()}, d)
-
-
-def scale_row_to_one(row: dict, key):
-    """The packed row (its numerators alone, since a denominator cancels)
-    divided by its entry at ``key``: times the conjugate of that entry, over
-    the entry's squared modulus."""
-    x, y = row[key]
-    return _lowest_terms({e: (a * x + b * y, b * x - a * y) for e, (a, b) in row.items()}, x * x + y * y)
-
-
-def eliminate(v: dict, dv: int, r: dict, dr: int, key):
-    """v - v[key] * r for packed rows v / dv and r / dr with r[key] = dr, as
-    (dr * v - v[key] * r) / (dv * dr) in lowest terms; the entry at ``key``
-    cancels."""
-    x, y = v[key]
-    res = dict(v) if dr == 1 else {e: (a * dr, b * dr) for e, (a, b) in v.items()}
-    get = res.get
-    for e, (a, b) in r.items():
-        re, im = -(a * x - b * y), -(a * y + b * x)
-        old = get(e)
-        if old is not None:
-            re += old[0]
-            im += old[1]
-            if not (re or im):
-                del res[e]
-                continue
-        res[e] = (re, im)
-    return _lowest_terms(res, dv * dr)
+def scalar_row(values):
+    """The scalars as a packed row.  Their parts are fractions in lowest
+    terms, so the row over the lcm of their denominators is too."""
+    values = [GaussRat.of(x) for x in values]
+    d = math.lcm(*(f.denominator for x in values for f in (x.re, x.im)))
+    return {
+        i: (x.re.numerator * (d // x.re.denominator), x.im.numerator * (d // x.im.denominator))
+        for i, x in enumerate(values)
+        if x.re or x.im
+    }, d
 
 
 def ratfun_jet(f: RatFun, order: int) -> Poly:
@@ -987,28 +965,68 @@ def ratfun_jet(f: RatFun, order: int) -> Poly:
 # -- exact linear algebra ---------------------------------------------------
 
 
-def _as_gauss_matrix(rows):
-    return [[GaussRat.of(x) for x in row] for row in rows]
+def _scale_row_to_one(row: dict, key):
+    """The packed row (its numerators alone, since a denominator cancels)
+    divided by its entry at ``key``: times the conjugate of that entry, over
+    the entry's squared modulus."""
+    x, y = row[key]
+    return _lowest_terms({e: (a * x + b * y, b * x - a * y) for e, (a, b) in row.items()}, x * x + y * y)
+
+
+def _eliminate(v: dict, dv: int, r: dict, dr: int, key):
+    """v - v[key] * r for packed rows v / dv and r / dr with r[key] = dr, as
+    (dr * v - v[key] * r) / (dv * dr) in lowest terms; the entry at ``key``
+    cancels."""
+    x, y = v[key]
+    res = dict(v) if dr == 1 else {e: (a * dr, b * dr) for e, (a, b) in v.items()}
+    get = res.get
+    for e, (a, b) in r.items():
+        re, im = -(a * x - b * y), -(a * y + b * x)
+        old = get(e)
+        if old is not None:
+            re += old[0]
+            im += old[1]
+            if not (re or im):
+                del res[e]
+                continue
+        res[e] = (re, im)
+    return _lowest_terms(res, dv * dr)
+
+
+class Echelon:
+    """Echelon table of packed rows over Q(i), the one elimination over it.
+    A row is keyed by its pivot, its least key, where it is scaled to 1.
+    Distinct pivots make the rows independent, and reducing by the least key
+    decides membership in their span exactly."""
+
+    def __init__(self):
+        self.rows = {}  # pivot -> (numerators, denominator)
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def add(self, row) -> bool:
+        """Store the packed row ``(numerators, denominator)`` as a new row
+        unless it is in the span."""
+        v, dv = row
+        while v:
+            k = min(v)
+            r = self.rows.get(k)
+            if r is None:
+                self.rows[k] = _scale_row_to_one(v, k)
+                return True
+            # the least key of v grows strictly, so the loop ends
+            v, dv = _eliminate(v, dv, *r, k)
+        return False
 
 
 def exact_rank(rows) -> int:
-    """Rank over the complex rationals by exact Gaussian elimination."""
-    m = _as_gauss_matrix(rows)
-    rank = 0
-    for col in range(len(m[0]) if m else 0):
-        if rank == len(m):
-            break
-        pr = next((r for r in range(rank, len(m)) if not m[r][col].is_zero()), None)
-        if pr is None:
-            continue
-        m[rank], m[pr] = m[pr], m[rank]
-        pv = m[rank][col]
-        for r in range(rank + 1, len(m)):
-            if not m[r][col].is_zero():
-                f = m[r][col] / pv
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+    """Rank over the complex rationals: the dimension of the rows' echelon."""
+    echelon = Echelon()
+    for row in rows:
+        echelon.add(scalar_row(row))
+    return echelon.dim
 
 
 class HermitianMatrix:
@@ -1017,7 +1035,7 @@ class HermitianMatrix:
     __slots__ = ("n", "entries")
 
     def __init__(self, entries):
-        entries = _as_gauss_matrix(entries)
+        entries = [[GaussRat.of(x) for x in row] for row in entries]
         n = len(entries)
         for row in entries:
             if len(row) != n:

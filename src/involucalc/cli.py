@@ -922,7 +922,7 @@ def _hull(report):
     sdef = report.sf.sdef
     k_max = report.options["k_max"]
     chain = hull_chain(sdef, report.kvs, k_max=k_max)
-    kchain = kernel_chain(sdef, report.kvs, k_max=k_max, hull=chain)
+    kchain = kernel_chain(sdef, report.kvs, k_max=k_max)
     report.emit("hull chain (level: span dimension at 0):")
     for k, dim in enumerate(chain.dims):
         report.emit(f"  {k}: {dim}", f"hull.dim{k}", dim)

@@ -16,15 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (
-    RatFun,
-    apply_field_truncated,
-    constant_row,
-    eliminate,
-    packed_row,
-    ratfun_jet,
-    scale_row_to_one,
-)
+from .algebra import Echelon, RatFun, apply_field_truncated, packed_row, ratfun_jet, scalar_row
 from .config import DEFAULTS
 from .structure import (
     CotangentSection,
@@ -34,10 +26,6 @@ from .structure import (
     characteristic_form,
     frame_jets,
 )
-
-
-class HullError(Exception):
-    """A chain invariant failed."""
 
 
 def lie_derivative(
@@ -67,34 +55,6 @@ def apply_word(
 # -- jet span bookkeeping -----------------------------------------------------
 
 
-class _SpanTracker:
-    """Echelon table of packed rows (see ``algebra.packed_row``) over
-    constants.  A row is keyed by its pivot, its least key, where it is
-    scaled to 1.  Distinct pivots make the rows independent, and reducing by
-    the least key decides membership in their span exactly."""
-
-    def __init__(self):
-        self.rows = {}  # pivot -> (numerators, denominator)
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def add(self, row) -> bool:
-        """Store the packed row ``(numerators, denominator)`` as a new row
-        unless it is in the span."""
-        v, dv = row
-        while v:
-            k = min(v)
-            r = self.rows.get(k)
-            if r is None:
-                self.rows[k] = scale_row_to_one(v, k)
-                return True
-            # the least key of v grows strictly, so the loop ends
-            v, dv = eliminate(v, dv, *r, k)
-        return False
-
-
 def _apply_field_jets(field_coeff_jets: dict, jets, order) -> tuple:
     """The field applied to jets of order ``order + 1``, exact to order ``order``."""
     return tuple(apply_field_truncated(field_coeff_jets, j, order) for j in jets)
@@ -111,25 +71,25 @@ class SpanChain:
     entries: list  # (word, start index, value tuple at 0) per kept generator
     nondeg_order: int | None  # least k with dims[k] == target, if attained
     stabilized_at: int | None  # level at which the jet frontier was exhausted
-    starts: tuple = ()  # what the chain was built from, by start index
+    starts: tuple  # what the chain was built from, by start index
 
     @property
     def nondegenerate(self) -> bool:
         return self.nondeg_order is not None
 
 
-def _run_chain(sdef: StructureDef, start_vectors, target, k_max):
-    """Shared chain driver: start_vectors is a list of tuples of RatFun (or
-    Poly) components; iterates all frame words up to length k_max with jet
-    deduplication.  Start jets have order k_max and each derivative costs one
-    order, so the level-k jets have order k_max - k.  A second tracker over
-    the kept entries' values keeps the span dimension at 0."""
+def _run_chain(sdef: StructureDef, starts, components, target, k_max):
+    """Shared chain driver: ``components`` gives each start as a tuple of
+    RatFun (or Poly) components; iterates all frame words up to length k_max
+    with jet deduplication.  Start jets have order k_max and each derivative
+    costs one order, so the level-k jets have order k_max - k.  A second
+    echelon over the kept entries' values keeps the span dimension at 0."""
     fjets = frame_jets(sdef, k_max)
-    tracker, values_at_0 = _SpanTracker(), _SpanTracker()
+    tracker, values_at_0 = Echelon(), Echelon()
     entries, dims, stabilized_at = [], [], None
     level = [
         ((), si, tuple(ratfun_jet(RatFun.of(c, sdef.vars), k_max) for c in comp))
-        for si, comp in enumerate(start_vectors)
+        for si, comp in enumerate(components)
     ]
     for k in range(k_max + 1):
         if k:
@@ -141,8 +101,9 @@ def _run_chain(sdef: StructureDef, start_vectors, target, k_max):
         frontier = []
         for word, si, jets in level:
             if tracker.add(packed_row(jets)):
-                entries.append((word, si, tuple(j.constant_term() for j in jets)))
-                values_at_0.add(constant_row(jets))
+                values = tuple(j.constant_term() for j in jets)
+                entries.append((word, si, values))
+                values_at_0.add(scalar_row(values))
                 frontier.append((word, si, jets))
         dims.append(values_at_0.dim)
         if k and not frontier:
@@ -151,35 +112,25 @@ def _run_chain(sdef: StructureDef, start_vectors, target, k_max):
     # pad: once the frontier is empty the dimension can never grow
     dims += [dims[-1]] * (k_max + 1 - len(dims))
     nondeg_order = next((k for k, dim in enumerate(dims) if dim == target), None)
-    return SpanChain(target, k_max, dims, entries, nondeg_order, stabilized_at)
+    return SpanChain(target, k_max, dims, entries, nondeg_order, stabilized_at, tuple(starts))
 
 
 def hull_chain(sdef: StructureDef, kernel, k_max=DEFAULTS.k_max) -> SpanChain:
     """Ascending chain of iterated derivatives of the characteristic forms;
     the structure is nondegenerate at 0 when the values at 0 span all of the
     annihilator fiber (dimension nu + d)."""
-    thetas = tuple(characteristic_form(sdef, kv) for kv in kernel)
-    chain = _run_chain(sdef, [th.components() for th in thetas], sdef.nu + sdef.d, k_max)
-    chain.starts = thetas
-    return chain
+    thetas = [characteristic_form(sdef, kv) for kv in kernel]
+    return _run_chain(sdef, thetas, [th.components() for th in thetas], sdef.nu + sdef.d, k_max)
 
 
-def kernel_chain(sdef: StructureDef, kernel, k_max=DEFAULTS.k_max, hull=None) -> SpanChain:
+def kernel_chain(sdef: StructureDef, kernel, k_max=DEFAULTS.k_max) -> SpanChain:
     """Chain on the kernel rows alone (values in C^d).
 
-    When the hull chain reaches full span at level k, this chain must reach
-    C^d by the same level (necessary condition); pass ``hull`` to have that
-    checked."""
-    starts = tuple(kv.b for kv in kernel)
-    chain = _run_chain(sdef, starts, sdef.d, k_max)
-    chain.starts = starts
-    if hull is not None and hull.nondeg_order is not None:
-        k = hull.nondeg_order
-        if chain.dims[min(k, len(chain.dims) - 1)] != sdef.d:
-            raise HullError(
-                "hull chain reached full span but the kernel chain did not"
-            )
-    return chain
+    It need not reach C^d where the hull chain reaches full span: theta's dW
+    part is b (I + i phi_s), whose iterates at 0 carry derivatives of phi_s
+    that this chain, iterating b alone, does not see."""
+    starts = [kv.b for kv in kernel]
+    return _run_chain(sdef, starts, starts, sdef.d, k_max)
 
 
 def word_value_at_origin(sdef: StructureDef, omega: CotangentSection, word, frame=None):

@@ -67,6 +67,27 @@ def rand_poly(rng: random.Random, vars, max_degree=2, n_terms=3, real=False) -> 
     return Poly(vars, terms)
 
 
+def gauss_rank(rows) -> int:
+    """Rank over the complex rationals by Gaussian elimination on GaussRat
+    entries (oracle for the packed-row echelon)."""
+    m = [[GaussRat.of(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        if rank == len(m):
+            break
+        pr = next((r for r in range(rank, len(m)) if not m[r][col].is_zero()), None)
+        if pr is None:
+            continue
+        m[rank], m[pr] = m[pr], m[rank]
+        pv = m[rank][col]
+        for r in range(rank + 1, len(m)):
+            if not m[r][col].is_zero():
+                f = m[r][col] / pv
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
 def rand_unit_triangular(rng: random.Random, r, vars, upper=True, real=False):
     from involucalc.algebra import RatFun as _RatFun, Poly as _Poly
 

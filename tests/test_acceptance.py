@@ -196,7 +196,6 @@ def test_acceptance_4_nondegeneracy_orders():
     ok = ok and fchain.dims[8] == 3
     hull = hull_chain(sdef, [kv], k_max=8)
     ok = ok and hull.nondegenerate
-    kernel_chain(sdef, [kv], k_max=8, hull=hull)  # necessary-condition assertion
     gate.finish(ok)
 
 

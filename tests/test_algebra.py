@@ -528,6 +528,8 @@ def minor_rank(m):
 def test_rank_zero_matrix():
     z = GaussRat(0)
     assert exact_rank([[z, z, z], [z, z, z]]) == 0
+    assert exact_rank([]) == 0
+    assert exact_rank([[], []]) == 0
 
 
 def test_rank_stacked_identity():

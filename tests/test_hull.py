@@ -14,8 +14,6 @@ from involucalc.catalog import (
     three_quadrics,
 )
 from involucalc.hull import (
-    HullError,
-    SpanChain,
     _apply_field_jets,
     apply_word,
     hull_chain,
@@ -32,7 +30,7 @@ from involucalc.structure import (
     characteristic_form,
     kernel_vectors,
 )
-from conftest import rand_poly, s2_structure
+from conftest import gauss_rank, rand_poly, s2_structure
 
 I = GaussRat(0, 1)
 
@@ -213,9 +211,7 @@ def test_kernel_chain_constant_vector():
 
 def test_kernel_chain_crossing():
     sdef = crossing_powers(1, 2)
-    kvs = kernel_vectors(sdef)
-    hull = hull_chain(sdef, kvs)
-    chain = kernel_chain(sdef, kvs, hull=hull)
+    chain = kernel_chain(sdef, kernel_vectors(sdef))
     assert chain.dims[2] == 2
 
 
@@ -249,17 +245,51 @@ def test_kernel_chain_monomial_kronecker_witness():
     assert chain.dims[max(sum(h) for h in hats)] == 3
     hull = hull_chain(sdef, [kv])
     assert hull.nondegenerate
-    kernel_chain(sdef, [kv], hull=hull)  # raises HullError if the necessary condition fails
 
 
-def test_kernel_chain_mismatch_raises_hull_error():
-    # b = (-t, t^2) vanishes at 0, so the kernel chain cannot reach C^2 at
-    # level 0, where this hull claims full span
-    sdef = crossing_powers(1, 2)
-    target = sdef.nu + sdef.d
-    hull = SpanChain(target, 8, [target] * 9, [], nondeg_order=0, stabilized_at=None)
-    with pytest.raises(HullError):
-        kernel_chain(sdef, kernel_vectors(sdef), hull=hull)
+# In the t-free-phi1 file phi_1 = -s2^2 does not depend on t, so both kernel
+# vectors are (f, 0) and the kernel chain stays at dimension 1, while theta's
+# dW2 part -2i f s2, which comes through phi_s, lets the hull chain reach
+# nu + d = 2 at level 5.  Files 48 and 51 of the seed-1 sweep fall short the
+# same way.
+SHORT_KERNEL_CHAINS = {
+    "t-free-phi1": (
+        "[dims]\nnu = 0 d = 2 mu = 2\n[phi]\n-s2^2\n-s1*t1*t2 - 2*t2^3 - 5/4*s1*s2*t1*t2\n",
+        [0, 0, 1, 1, 1, 2, 2, 2, 2],
+        5,
+    ),
+    "sweep-48": (48, [0, 0, 0, 1, 2, 2, 2, 3, 3], 7),
+    "sweep-51": (51, [0, 1, 2, 3, 3, 3, 3, 3, 3], 3),
+}
+
+
+@pytest.mark.parametrize("name", list(SHORT_KERNEL_CHAINS))
+def test_kernel_chain_short_of_full_span(tmp_path, capsys, monkeypatch, name):
+    from pathlib import Path
+
+    from involucalc.cli import main, parse_structure
+
+    text, dims, order = SHORT_KERNEL_CHAINS[name]
+    if isinstance(text, int):  # a file of scripts/sweep.py --seed 1 --count 60
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+        import sweep
+
+        text = sweep.structure_files(1, 60)[text]
+    sdef = parse_structure(text).sdef
+    kvs = kernel_vectors(sdef)
+    hull = hull_chain(sdef, kvs)
+    assert (hull.dims, hull.nondeg_order) == (dims, order)
+    assert kernel_chain(sdef, kvs).dims[-1] == 1
+    if name == "t-free-phi1":  # the hull chain does not overcount
+        assert hull.dims[:6] == brute_force_dims(sdef, kvs, 5)
+    f = tmp_path / "s.struct"
+    f.write_text(text)
+    assert main(["analyze", str(f)]) == 0
+    out = capsys.readouterr()
+    lines = out.out.splitlines()
+    assert "[hull]" not in out.out + out.err
+    assert "kernel chain reaches dimension 1 of 2" in lines
+    assert any(line.startswith("degeneracy locus: Yes") for line in lines)
 
 
 def test_apply_field_jets_loses_one_order():
@@ -307,8 +337,7 @@ def test_hull_chain_undetermined_when_kmax_too_small():
 def test_span_tracker_matches_dense_rank():
     from fractions import Fraction
 
-    from involucalc.algebra import packed_row
-    from involucalc.hull import _SpanTracker
+    from involucalc.algebra import Echelon, packed_row
     from conftest import rand_gauss
 
     rng = random.Random(57)
@@ -320,7 +349,7 @@ def test_span_tracker_matches_dense_rank():
     nonreal_leads = 0
     for _ in range(20):
         vectors = []
-        tracker = _SpanTracker()
+        tracker = Echelon()
         added = 0
         for _ in range(10):
             vec = {
@@ -338,22 +367,23 @@ def test_span_tracker_matches_dense_rank():
             if vec:  # keys are in pivot order
                 nonreal_leads += not next(vec[k] for k in keys if k in vec).is_real()
             dense = [[v.get(k, GaussRat(0)) for k in keys] for v in vectors]
-            assert added == exact_rank(dense)
+            assert added == gauss_rank(dense)
             assert tracker.dim == added
     assert nonreal_leads > 100
 
 
 def _recorded_trackers(monkeypatch):
     import involucalc.hull as hull_mod
+    from involucalc.algebra import Echelon
 
     trackers = []
 
-    class Recording(hull_mod._SpanTracker):
+    class Recording(Echelon):
         def __init__(self):
             super().__init__()
             trackers.append(self)
 
-    monkeypatch.setattr(hull_mod, "_SpanTracker", Recording)
+    monkeypatch.setattr(hull_mod, "Echelon", Recording)
     return trackers
 
 
@@ -368,7 +398,8 @@ def test_span_tracker_rows_stay_canonical(monkeypatch, sdef, k_max):
 
     trackers = _recorded_trackers(monkeypatch)
     kvs = kernel_vectors(sdef)
-    kernel_chain(sdef, kvs, k_max=k_max, hull=hull_chain(sdef, kvs, k_max=k_max))
+    hull_chain(sdef, kvs, k_max=k_max)
+    kernel_chain(sdef, kvs, k_max=k_max)
     rows = [(k, row) for tr in trackers for k, row in tr.rows.items()]
     assert len(trackers) == 4 and rows
     for pivot, (t, d) in rows:
@@ -386,7 +417,7 @@ def test_s2_d5_chains_at_kmax_8_stay_fast():
     kvs = kernel_vectors(sdef)
     t0 = time.perf_counter()
     hull = hull_chain(sdef, kvs, k_max=8)
-    kernel_chain(sdef, kvs, k_max=8, hull=hull)
+    kernel_chain(sdef, kvs, k_max=8)
     assert time.perf_counter() - t0 < 2.0
     assert hull.nondeg_order == 2
 
@@ -441,14 +472,13 @@ CHAIN_CASES = {
 
 @pytest.mark.parametrize("sdef, k_max", list(CHAIN_CASES.values()), ids=list(CHAIN_CASES))
 def test_chain_dims_equal_the_rank_of_the_values_so_far(sdef, k_max):
-    # the chains keep the span dimension at 0 incrementally; exact_rank of
-    # every kept value row up to each level is the oracle
+    # the chains keep the span dimension at 0 incrementally; the GaussRat
+    # rank of every kept value row up to each level is the oracle
     kvs = kernel_vectors(sdef)
-    hull = hull_chain(sdef, kvs, k_max=k_max)
-    for chain in (hull, kernel_chain(sdef, kvs, k_max=k_max, hull=hull)):
+    for chain in (hull_chain(sdef, kvs, k_max=k_max), kernel_chain(sdef, kvs, k_max=k_max)):
         for k, dim in enumerate(chain.dims):
             rows = [list(values) for word, _, values in chain.entries if len(word) <= k]
-            assert dim == (exact_rank(rows) if rows else 0)
+            assert dim == gauss_rank(rows)
 
 
 def test_hull_dims_match_brute_force_disk():
