@@ -18,9 +18,8 @@ Conventions used throughout the package:
 * Rational functions are num / (f_1^p_1 ... f_m^p_m) with the denominator
   kept factored over the polynomials it divides by (det W_s and the like;
   see ``RatFun``).  Equality is decided by cross multiplication.
-  Coordinates in the denominator cancel against the numerator's monomial
-  content and every factor has trailing (lowest-order) coefficient 1; no
-  multivariate GCD is attempted.
+  Every factor is a unit at the origin, with constant term 1, so a rational
+  function lives in the local ring at 0; no multivariate GCD is attempted.
 * A jet (Taylor expansion at the origin truncated at total degree k) is a
   plain ``Poly`` of degree <= k; the caller keeps k and multiplies jets with
   ``mul_truncated``.
@@ -456,13 +455,6 @@ class Poly:
             raise ValueError("zero polynomial has no support")
         return tuple(min((e >> s) & _FMASK for e in self._t) for s in _layout(len(self.vars))[1])
 
-    def trailing_term(self):
-        """(exps, coeff) of the lowest-order term in the graded order."""
-        if not self._t:
-            raise ValueError("zero polynomial has no trailing term")
-        e = min(self._t)
-        return _unpack(e, _layout(len(self.vars))[1]), self._scalar(self._t[e])
-
     def truncate(self, order) -> "Poly":
         lim = (order + 1) << _layout(len(self.vars))[0]
         return Poly._reduced(self.vars, {e: c for e, c in self._t.items() if e < lim}, self._d)
@@ -523,18 +515,16 @@ class Poly:
 
 
 class _Factor:
-    """One denominator factor: a single coordinate, or a polynomial without
-    monomial content whose trailing coefficient is 1.  Its powers, partial
-    derivatives and conjugate are cached on it, so the cache lives exactly
-    as long as some RatFun (or a conjugate factor) still holds the factor."""
+    """One denominator factor: a polynomial with constant term 1.  Its
+    powers, partial derivatives and conjugate are cached on it, so the cache
+    lives exactly as long as some RatFun (or a conjugate factor) still holds
+    the factor."""
 
-    __slots__ = ("poly", "key", "coord", "pows", "diffs", "conj", "__weakref__")
+    __slots__ = ("poly", "key", "pows", "diffs", "conj", "__weakref__")
 
     def __init__(self, poly: Poly, key: int):
         self.poly = poly
         self.key = key  # creation order; powers tuples are sorted by it
-        # position of a single-coordinate factor, else None
-        self.coord = next(iter(poly.terms)).index(1) if len(poly._t) == 1 else None
         self.pows = [Poly.one(poly.vars), poly]  # [f^0, f^1, ...] computed so far
         self.diffs = {}  # name -> df/dname
         self.conj = None
@@ -576,20 +566,16 @@ def _by_key(item):
 
 
 def _split_denominator(den: Poly):
-    """(c, powers) with den = c * prod f_i^p_i over factors f_i; ``powers``
-    is a tuple of (_Factor, p) sorted by factor key."""
-    vars = den.vars
-    mono = den.min_exponents()
-    if any(mono):
-        den = den.shift_divide(mono)
-    _, c = den.trailing_term()
-    powers = {}
-    if not den.is_constant():
-        powers[_factor(den * (ONE / c) if c != ONE else den)] = 1
-    for j, k in enumerate(mono):
-        if k:
-            powers[_factor(Poly.var(vars, vars[j]))] = k
-    return c, tuple(sorted(powers.items(), key=_by_key))
+    """(c, powers) with den = c * f, c = den(0) and ``powers`` the tuple of
+    (_Factor, p) that holds f = den / c, empty when den is constant.  The one
+    check of RatFun's invariant: raises DenominatorVanishesAtBase when
+    den(0) = 0."""
+    c = den.constant_term()
+    if c.is_zero():
+        raise DenominatorVanishesAtBase("denominator vanishes at the base point")
+    if den.is_constant():
+        return c, ()
+    return c, ((_factor(den * (ONE / c) if c != ONE else den), 1),)
 
 
 def _merge_powers(a, b, op):
@@ -622,13 +608,14 @@ class RatFun:
     The denominator is kept factored (see ``_Factor``): a structure's
     coefficients live in the localisation Q(i)[coords][1/det W_s], so det W_s,
     its conjugate and any other divisor (a bundle's det T, say) each become
-    one factor with a power.  Sums lift
-    both sides to the per-factor maximum power, products add powers, and
-    ``diff`` raises the power of each factor that depends on the variable by
-    one.  Coordinate factors cancel against the numerator's monomial content;
-    other factors are never cancelled, since that would need multivariate
-    GCDs.  ``den`` is the expanded product, and equality is decided by cross
-    multiplication over the common denominator."""
+    one factor with a power.  Every factor is a unit at the origin,
+    normalised to 1 there, as det W_s(0) = 1; a denominator that vanishes at
+    0 raises DenominatorVanishesAtBase.  Sums lift both sides to the
+    per-factor maximum power, products add powers, and ``diff`` raises the
+    power of each factor that depends on the variable by one.  Factors are
+    never cancelled, since that would need multivariate GCDs.  ``den`` is the
+    expanded product, and equality is decided by cross multiplication over
+    the common denominator."""
 
     __slots__ = ("num", "powers", "_den")
 
@@ -639,17 +626,14 @@ class RatFun:
                 raise ZeroDenominator("rational function with zero denominator")
             if num.vars != den.vars:
                 raise ValueError("numerator/denominator variable mismatch")
-            if not num.is_zero():
-                c, powers = _split_denominator(den)
-                if c != ONE:
-                    num = num * (ONE / c)
+            c, powers = _split_denominator(den)
+            if c != ONE:
+                num = num * (ONE / c)
         self._settle(num, powers)
 
     def _settle(self, num, powers):
         if not num._t:
             powers = ()
-        elif powers:
-            num, powers = _cancel_coordinates(num, powers)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "powers", powers)
         object.__setattr__(self, "_den", None)
@@ -679,7 +663,7 @@ class RatFun:
 
     @property
     def den(self) -> Poly:
-        """The expanded denominator; its trailing coefficient is 1."""
+        """The expanded denominator; its constant term is 1."""
         if self._den is None:
             d = Poly.one(self.vars)
             for f, p in self.powers:
@@ -790,10 +774,8 @@ class RatFun:
         return self.num.evaluate(point) / d
 
     def value_at_origin(self) -> GaussRat:
-        d = self.den.constant_term()
-        if d.is_zero():
-            raise DenominatorVanishesAtBase("denominator vanishes at the base point")
-        return self.num.constant_term() / d
+        """The numerator's constant term, as den(0) = 1."""
+        return self.num.constant_term()
 
     def __repr__(self):
         """num/den, each polynomial in the file grammar, or num alone."""
@@ -801,32 +783,10 @@ class RatFun:
 
 
 def common_denominator(fs):
-    """(nums, powers) with fs[k] = nums[k] / prod f^p over ``powers``, the
-    per-factor maximum of the fs' denominators, as a sum lifts its terms.
-    Each factor f in ``powers`` carries ``poly`` and, when it is a single
-    coordinate, that coordinate's position as ``coord`` (else None)."""
+    """The numerators of the fs over the per-factor maximum of their
+    denominators, as a sum lifts its terms."""
     want = functools.reduce(lambda acc, f: _merge_powers(acc, f.powers, max), fs, ())
-    return [_lift(f.num, f.powers, want) for f in fs], want
-
-
-def _cancel_coordinates(num: Poly, powers):
-    """Cancel single-coordinate factors against the numerator's monomial content."""
-    if all(f.coord is None for f, _ in powers):
-        return num, powers
-    lo = num.min_exponents()
-    shift = [0] * len(lo)
-    kept = []
-    for f, p in powers:
-        j = f.coord
-        if j is not None and lo[j]:
-            k = min(p, lo[j])
-            shift[j] = k
-            p -= k
-        if p:
-            kept.append((f, p))
-    if any(shift):
-        num = num.shift_divide(shift)
-    return num, tuple(kept)
+    return [_lift(f.num, f.powers, want) for f in fs]
 
 
 def mul_truncated(p: Poly, q: Poly, order=None) -> Poly:
@@ -942,24 +902,18 @@ def scalar_row(values):
 
 
 def ratfun_jet(f: RatFun, order: int) -> Poly:
-    """Taylor polynomial of f at the origin up to total degree ``order``.
-
-    Raises DenominatorVanishesAtBase if the denominator vanishes at 0."""
+    """Taylor polynomial of f at the origin up to total degree ``order``."""
     if not f.powers:
         return f.num.truncate(order)
-    c0 = f.den.constant_term()
-    if c0.is_zero():
-        raise DenominatorVanishesAtBase("denominator vanishes at the base point")
-    scale = ONE / c0
-    # den = c0 (1 - u) with u(0) = 0, so 1/den = scale * sum_k u^k
-    u = (f.den.truncate(order) - c0) * -scale
+    # den = 1 - u with u(0) = 0, so 1/den = sum_k u^k
+    u = 1 - f.den.truncate(order)
     inv = term = Poly.one(f.vars)
     for _ in range(order):
         term = mul_truncated(term, u, order)
         if term.is_zero():
             break
         inv = inv + term
-    return mul_truncated(f.num, inv * scale, order)
+    return mul_truncated(f.num, inv, order)
 
 
 # -- exact linear algebra ---------------------------------------------------

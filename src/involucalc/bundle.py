@@ -22,9 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
+    DenominatorVanishesAtBase,
     GaussRat,
     Poly,
     RatFun,
+    ZeroDenominator,
     exact_rank,
     ratfun_det,
     ratfun_matrix_inverse,
@@ -179,13 +181,23 @@ def flatness_check(b: VBundle) -> FlatnessVerdict:
     return FlatnessVerdict(True)
 
 
+def _frame_inverse(T):
+    """T^{-1} for a frame change T, which must be invertible at the base
+    point: its entries divide by det T, and a RatFun's denominator is a unit
+    there."""
+    try:
+        return ratfun_matrix_inverse(T)
+    except ZeroDenominator:
+        raise NotInvertible("frame change matrix is singular") from None
+    except DenominatorVanishesAtBase:
+        raise NotInvertibleAtBase("frame change matrix is singular at the base point") from None
+
+
 def frame_change(b: VBundle, T) -> VBundle:
     """New bundle in the frame w~^alpha = T^alpha_beta w^beta:
     D~_j = (L_j T + T D_j) T^{-1}."""
     T = _mat(T)
-    if ratfun_det(T).is_zero():
-        raise NotInvertible("frame change matrix is singular")
-    Tinv = ratfun_matrix_inverse(T)
+    Tinv = _frame_inverse(T)
     newD = []
     for L, Dj in zip(b.base, b.D):
         newD.append(_mmul(_madd(_mapply(L, T), _mmul(T, Dj)), Tinv))
@@ -194,8 +206,7 @@ def frame_change(b: VBundle, T) -> VBundle:
 
 def transform_section(b: VBundle, T, eta):
     """Components of a section in the changed frame: eta~ = eta . T^{-1}."""
-    Tinv = ratfun_matrix_inverse(_mat(T))
-    row = _mmul((tuple(eta),), Tinv)
+    row = _mmul((tuple(eta),), _frame_inverse(_mat(T)))
     return tuple(row[0])
 
 

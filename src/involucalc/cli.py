@@ -270,10 +270,10 @@ def parse_poly_tokens(toks, vars) -> Poly:
         raise ParseError(str(err), toks[0].line, toks[0].col)
 
 
-def _split_on_commas(toks, prev=None):
-    """The comma-separated expressions of toks, none of them empty.  An empty
-    one is a ParseError at the comma that ends it, or just after the token
-    before it (a comma, or ``prev``, the token toks follow)."""
+def _split_on_commas(toks):
+    """The comma-separated expressions of the nonempty toks, none of them
+    empty.  An empty one is a ParseError at the comma that ends it, or just
+    after the comma that ends toks."""
     groups = [[]]
     depth = 0
     for t in toks:
@@ -285,11 +285,11 @@ def _split_on_commas(toks, prev=None):
             if not groups[-1]:
                 raise ParseError("empty expression", t.line, t.col)
             groups.append([])
-            prev = t
         else:
             groups[-1].append(t)
     if not groups[-1]:
-        raise ParseError("empty expression", prev.line, prev.col + len(prev.text))
+        t = toks[-1]
+        raise ParseError("empty expression", t.line, t.col + len(t.text))
     return groups
 
 
@@ -377,6 +377,8 @@ def parse_structure(text: str) -> StructureFile:
             name = stripped[1:-1].strip()
             if name not in _SECTIONS:
                 raise ParseError(f"unknown section [{name}]", lineno, 1)
+            if name != "candidate" and any(s[0] == name for s in sections):
+                raise ParseError(f"repeated section [{name}]; only [candidate] may repeat", lineno, 1)
             current = (name, lineno, [])
             sections.append(current)
             continue
@@ -450,8 +452,12 @@ def parse_structure(text: str) -> StructureFile:
 
 
 def _parse_assignment(toks):
-    if len(toks) < 3 or toks[0].kind != "NAME" or toks[1].text not in "=:":
+    """(name, rhs) of a line 'name = rhs' or 'name : rhs'; without the '=' a
+    ParseError at the name, and without a rhs one just after the '='."""
+    if len(toks) < 2 or toks[0].kind != "NAME" or toks[1].text not in "=:":
         raise ParseError("expected 'name = expression'", toks[0].line, toks[0].col)
+    if len(toks) == 2:
+        raise ParseError("empty expression", toks[1].line, toks[1].col + len(toks[1].text))
     return toks[0].text, toks[2:]
 
 
@@ -568,7 +574,7 @@ def _parse_bundle(lines, vars, n_fields, default_rank):
             fiber_indices += toks[1:3]
             block.lam_entries[(a, b)] = parse_poly_tokens(toks[4:], vars)
         elif head.text == "section":
-            groups = _split_on_commas(toks[2:], prev=toks[:2][-1])
+            groups = _split_on_commas(_parse_assignment(toks)[1])
             block.sections.append(tuple(parse_poly_tokens(g, vars) for g in groups))
         else:
             raise ParseError(f"unknown bundle directive {head.text!r}", head.line, head.col)
@@ -628,6 +634,8 @@ def _parse_fbi(lines):
         elif name == "data":
             if rhs[0].kind != "NAME" or rhs[0].text not in ("gaussian", "heaviside", "boundary"):
                 raise ParseError("data must be gaussian, heaviside, or boundary", rhs[0].line, rhs[0].col)
+            if len(rhs) > 1:
+                raise ParseError(f"unexpected token {rhs[1].text!r}", rhs[1].line, rhs[1].col)
             block.data = rhs[0].text
         elif name == "radii":
             block.radii, block.radius_grid = _parse_radii_spec(rhs)

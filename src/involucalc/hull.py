@@ -22,7 +22,6 @@ from .structure import (
     CotangentSection,
     StructureDef,
     VectorFieldSym,
-    build_frame,
     characteristic_form,
     frame_jets,
 )
@@ -38,18 +37,6 @@ def lie_derivative(
         tuple(L.apply(c) for c in omega.cz),
         tuple(L.apply(c) for c in omega.cw),
     )
-
-
-def apply_word(
-    sdef: StructureDef, omega: CotangentSection, word, frame=None
-) -> CotangentSection:
-    """Iterated symbolic derivative along frame indices, leftmost applied last:
-    word (i, j) means L_i (L_j omega)."""
-    if frame is None:
-        frame = build_frame(sdef)
-    for idx in reversed(word):
-        omega = lie_derivative(sdef, frame[idx], omega)
-    return omega
 
 
 # -- jet span bookkeeping -----------------------------------------------------
@@ -131,9 +118,3 @@ def kernel_chain(sdef: StructureDef, kernel, k_max=DEFAULTS.k_max) -> SpanChain:
     that this chain, iterating b alone, does not see."""
     starts = [kv.b for kv in kernel]
     return _run_chain(sdef, starts, starts, sdef.d, k_max)
-
-
-def word_value_at_origin(sdef: StructureDef, omega: CotangentSection, word, frame=None):
-    """Value at 0 of an iterated derivative, computed symbolically."""
-    section = apply_word(sdef, omega, word, frame=frame)
-    return tuple(c.value_at_origin() for c in section.components())

@@ -108,7 +108,8 @@ class HullRows(Sequence):
     The entries are in breadth-first order and a kept word's parent (the
     word without its leftmost, last-applied letter) is always kept, so each
     section is its parent's section differentiated once: the same RatFun
-    operations as ``apply_word``, without redoing the shared prefixes."""
+    operations as differentiating the start section along the whole word,
+    without redoing the shared prefixes."""
 
     def __init__(self, sdef: StructureDef, chain: SpanChain):
         self.sdef = sdef
@@ -156,8 +157,8 @@ def degeneracy_locus_check(sdef: StructureDef, chain: SpanChain) -> LocusVerdict
 
 def full_minor_search(rows, size) -> LocusVerdict:
     """The first subset of ``size`` rows, in lexicographic order, whose exact
-    minor is a witness: nonzero, with a denominator that is a unit at the
-    origin and a numerator that is a monomial times a unit.
+    minor is a witness: nonzero, with a numerator that is a monomial times a
+    unit (its denominator, as every RatFun's, is a unit at the origin).
 
     Subsets are tried exactly until the first nonzero minor that is not a
     witness; after it, only the subsets the mod-p screen passes are, in the
@@ -186,7 +187,7 @@ def full_minor_search(rows, size) -> LocusVerdict:
 def _exact_minor(rows, picked):
     """The exact minor of the picked rows, and its witness if it is one."""
     minor = ratfun_det([list(rows[i][1]) for i in picked])
-    if minor.is_zero() or minor.den.constant_term().is_zero():
+    if minor.is_zero():
         return minor, None
     try:
         factor = monomial_unit_factor(minor.num)

@@ -63,10 +63,9 @@ class _Screen:
     EUROSAM 1979).
 
     Each row is cleared over its per-factor maximum denominator, so the
-    minor of a subset is Delta / (U x^Q) with Delta the determinant of the
-    cleared rows, U a product of factors that are units at the origin and
-    x^Q the rows' coordinate factors.  The exact minor is a witness iff
-    Delta = x^alpha * unit with alpha >= Q.  The screen decides this for
+    minor of a subset is Delta / U with Delta the determinant of the cleared
+    rows and U a product of factors that are units at the origin.  The exact
+    minor is a witness iff Delta = x^alpha * unit.  The screen decides this for
     Delta mod P from its Taylor coefficients in lam on lines through the
     fixed point v, each the first T coefficients of a determinant of power
     series computed by ``_minors_mod_p``:
@@ -76,7 +75,7 @@ class _Screen:
       other coordinates at v), T doubles from 1 until a coefficient is
       nonzero, at the latest at lam^D_j, D_j the sum of the ``size``
       largest row degrees on the axis, as Delta(v) != 0 is its value at
-      lam = 1; its index is ord_j, and a subset with ord_j < Q_j is dropped;
+      lam = 1; its index is ord_j;
     * on the line lam * v, a subset passes iff the coefficient of
       lam^sigma, sigma the sum of the ord_j, is nonzero (T is sigma + 1
       rounded up to a power of two, so that few lengths occur).
@@ -85,9 +84,8 @@ class _Screen:
     of x_j in Delta, so every monomial of Delta is a multiple of x^alpha
     with alpha_j = ord_j, and the coefficient of lam^sigma is
     c_alpha * v^alpha, nonzero iff Delta = x^alpha * unit.  The screen
-    cannot run when a non-coordinate denominator factor vanishes at 0 (the
-    exact minor can lose it), when P divides a coefficient denominator, or
-    when a series needs MAX_POINTS coefficients or more."""
+    cannot run when P divides a coefficient denominator, or when a series
+    needs MAX_POINTS coefficients or more."""
 
     def __init__(self, rows, size):
         self.rows = rows
@@ -115,15 +113,15 @@ class _Screen:
             return None
         at = {k: i for i, k in enumerate(needed)}
         idx = np.array([[at[k] for k in picked] for picked in batch], np.intp)
-        at_v = np.stack([a[0].sum(axis=1) % P for a, _, _ in data])
+        at_v = np.stack([a[0].sum(axis=1) % P for a, _ in data])
         live = np.flatnonzero(self._series(at_v[..., None], idx)[:, 0])
         if not live.size:
             return []
-        degs = [sum(sorted(col)[-self.size :]) for col in zip(*(d for _, _, d in data))]  # of the minors
+        degs = [sum(sorted(col)[-self.size :]) for col in zip(*(d for _, d in data))]  # of the minors
         if max(degs) + 1 >= MAX_POINTS:
             return None
         coef = np.zeros((len(degs), len(data), self.size, max(degs) + 1), np.int64)
-        for i, (a, _, _) in enumerate(data):
+        for i, (a, _) in enumerate(data):
             coef[:, i, :, : a.shape[2]] = a
         sub = idx[live]
         moving = np.flatnonzero(degs[1:])  # on the other axes, Delta is Delta(v)
@@ -141,9 +139,8 @@ class _Screen:
             if terms > top:
                 break
             terms = min(2 * terms, top + 1)
-        coord = np.stack([q for _, q, _ in data])[sub].sum(axis=1)
         sigma = order.sum(axis=1)
-        keep = np.flatnonzero((order >= coord).all(axis=1) & (sigma <= degs[0]))
+        keep = np.flatnonzero((order >= 0).all(axis=1) & (sigma <= degs[0]))
         sigma, ok, terms = sigma[keep], np.zeros(keep.size, bool), 1
         while terms // 2 <= sigma.max(initial=-1):  # the line, for each sigma in [terms // 2, terms)
             grp = np.flatnonzero((terms // 2 <= sigma) & (sigma < terms))
@@ -163,19 +160,12 @@ class _Screen:
 
 
 def _row_residues(comps, point):
-    """(a, Q, degrees) of one row cleared over its denominator, mod P:
+    """(a, degrees) of one row cleared over its denominator, mod P:
     a[0, c, k] is the coefficient of lam^k of entry c on the line lam * v,
-    a[1 + j, c, k] that on the axis of x_j through v, Q the exponents of the
-    denominator's coordinate factors, and degrees[d] the degree in lam of
-    the row on direction d."""
-    nums, powers = common_denominator(comps)
+    a[1 + j, c, k] that on the axis of x_j through v, and degrees[d] the
+    degree in lam of the row on direction d."""
+    nums = common_denominator(comps)
     n = len(point)
-    coord = np.zeros(n, np.int64)
-    for f, p in powers:
-        if f.coord is not None:
-            coord[f.coord] = p
-        elif f.poly.constant_term().is_zero():
-            raise _CannotScreen
     try:
         residues = [num.residues(P, I_P) for num in nums]
     except ZeroDivisionError:
@@ -195,7 +185,7 @@ def _row_residues(comps, point):
                 a[1 + j][c][k] += r
     a = np.array(a, np.int64) % P
     degrees = [max((k for k, u in enumerate(d) if u), default=0) for d in a.any(axis=1).tolist()]
-    return a[:, :, : max(degrees) + 1], coord, degrees
+    return a[:, :, : max(degrees) + 1], degrees
 
 
 @functools.lru_cache(maxsize=None)

@@ -149,3 +149,25 @@ def s1_structure():
         t2 * t2 * t2 * t2 + x1 * y1 * t1 * t2 + s2 * s2,
     )
     return StructureDef(1, 3, 2, phi)
+
+
+# -- symbolic oracles for the jet hull chain ----------------------------------
+
+
+def apply_word(sdef, omega, word, frame=None):
+    """Iterated symbolic derivative along frame indices, leftmost applied last:
+    word (i, j) means L_i (L_j omega)."""
+    from involucalc.hull import lie_derivative
+    from involucalc.structure import build_frame
+
+    if frame is None:
+        frame = build_frame(sdef)
+    for idx in reversed(word):
+        omega = lie_derivative(sdef, frame[idx], omega)
+    return omega
+
+
+def word_value_at_origin(sdef, omega, word, frame=None):
+    """Value at 0 of an iterated derivative, computed symbolically."""
+    section = apply_word(sdef, omega, word, frame=frame)
+    return tuple(c.value_at_origin() for c in section.components())

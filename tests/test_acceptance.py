@@ -41,7 +41,7 @@ from involucalc.catalog import (
     three_quadrics,
 )
 from involucalc.fbi import direction_scan, sample_data, sign_condition
-from involucalc.hull import hull_chain, kernel_chain, word_value_at_origin
+from involucalc.hull import hull_chain, kernel_chain
 from involucalc.loci import degeneracy_locus_check, exceptional_locus_check
 from involucalc.structure import (
     CotangentSection,
@@ -52,7 +52,7 @@ from involucalc.structure import (
     kernel_vectors,
     levi_form,
 )
-from conftest import rand_flat_bundle, rand_invertible_matrix, rand_poly
+from conftest import rand_flat_bundle, rand_invertible_matrix, rand_poly, word_value_at_origin
 
 
 class Gate:

@@ -91,8 +91,8 @@ def test_poly_var_mismatch_raises():
 def test_ratfun_cross_multiplication_equality():
     vars = ("u",)
     u = P(vars, "u")
-    f = RatFun(u * u, u)  # u^2/u normalizes monomial content
-    assert f == RatFun(u)
+    unit = Poly.one(vars) + u
+    assert RatFun(u * unit, unit) == RatFun(u)
     g = RatFun(u + 1, u * 2 + 2)
     assert g == RatFun(Poly.const(vars, Fraction(1, 2)))
 
@@ -132,9 +132,11 @@ def test_ratfun_conjugate_and_coordinate_factors():
     a = RatFun(Poly.one(vars), Poly.one(vars) + u * i)
     assert a.conjugate() == RatFun(Poly.one(vars), Poly.one(vars) - u * i)
     assert (a + a.conjugate()).den == Poly.one(vars) + u * u
-    # a coordinate in the denominator cancels against the numerator
-    assert (RatFun(Poly.one(vars), u * u) * u * u).is_polynomial()
-    assert (RatFun(Poly.one(vars), u) * u).as_poly() == Poly.one(vars)
+    # a coordinate vanishes at the origin, so it is never a denominator factor
+    with pytest.raises(DenominatorVanishesAtBase):
+        RatFun(Poly.one(vars), u)
+    with pytest.raises(DenominatorVanishesAtBase):
+        RatFun.of(Poly.one(vars)) / u
 
 
 def test_ratfun_factor_cache_is_dropped_with_its_last_holder():
@@ -160,8 +162,11 @@ def test_ratfun_factored_arithmetic_is_a_differential_field(f, g):
     assert (f * g).value_at_origin() == f.value_at_origin() * g.value_at_origin()
     assert (f * g).diff("u") == f.diff("u") * g + f * g.diff("u")
     assert (f + g).diff("v") - g.diff("v") == f.diff("v")
-    if not g.is_zero():
+    if not g.value_at_origin().is_zero():
         assert (f / g) * g == f
+    elif not g.is_zero():
+        with pytest.raises(DenominatorVanishesAtBase):
+            f / g
 
 
 @given(unit_ratfuns(), unit_ratfuns())
@@ -198,10 +203,11 @@ def test_ratfun_jet_complex_denominator():
 
 
 def test_ratfun_jet_denominator_vanishing():
+    # refused when it is built, so no jet is asked of it
     vars = ("u",)
-    f = RatFun(Poly.one(vars), P(vars, "u"))
+    u = P(vars, "u")
     with pytest.raises(DenominatorVanishesAtBase):
-        ratfun_jet(f, 2)
+        RatFun(Poly.one(vars), u + u * u)
 
 
 @given(polys(max_degree=2), polys(max_degree=2))
@@ -333,8 +339,6 @@ def test_packed_arithmetic_matches_tuple_oracles(seed):
         lo = tuple(min(e[i] for e in p.terms) for i in range(len(vars)))
         assert p.min_exponents() == lo
         same_terms(p.shift_divide(lo), {tuple(a - b for a, b in zip(e, lo)): c for e, c in p.terms.items()})
-        e = min(p.terms, key=lambda e: (sum(e), e))
-        assert p.trailing_term() == (e, p.terms[e])
         with pytest.raises(ValueError):  # some term misses each variable of hi
             p.shift_divide(tuple(x + 1 for x in lo))
 

@@ -143,6 +143,19 @@ def test_frame_change_rejects_singular():
         frame_change(b, ((s, s), (s, s)))
 
 
+def test_frame_change_rejects_a_matrix_singular_at_the_base_point():
+    # det T = s1 is not 0, but its inverse 1/s1 has no expansion at 0
+    base = mizohata_base()
+    vars = base[0].vars
+    b = VBundle.trivial(base, 2)
+    one, zero = RatFun.of(Poly.one(vars)), RatFun.of(Poly.zero(vars))
+    T = ((RatFun.of(Poly.var(vars, "s1")), zero), (zero, one))
+    with pytest.raises(NotInvertibleAtBase):
+        frame_change(b, T)
+    with pytest.raises(NotInvertibleAtBase):
+        transform_section(b, T, (one, one))
+
+
 # -- dual, tensor, hom ------------------------------------------------------------
 
 

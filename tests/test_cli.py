@@ -199,6 +199,45 @@ def test_parse_error_empty_expression_position(body, line, col):
     assert "empty expression" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "body, line, col, message",
+    [
+        ("[bundle]\nsection + t1\n", 6, 1, "expected 'name = expression'"),
+        ("[fbi]\ndata = heaviside gaussian 7\n", 6, 18, "unexpected token 'gaussian'"),
+    ],
+    ids=["bundle-section-without-equals", "fbi-data-extra-tokens"],
+)
+def test_parse_error_malformed_directive_position(body, line, col, message):
+    bad = "[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^2\n" + body
+    with pytest.raises(ParseError) as exc:
+        parse_structure(bad)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "section, body",
+    [
+        ("dims", "nu = 0 d = 1 mu = 1\n"),
+        ("phi", "t1^3\n"),
+        ("kernel", "1\n"),
+        ("bundle", "rank = 1\n"),
+        ("approx", "order = 4\n"),
+        ("fbi", "dirs = 4\n"),
+    ],
+)
+def test_parse_error_repeated_section(section, body):
+    # only [candidate] may repeat; a second block would replace the first
+    head = "[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^2\n"
+    first = "" if section in ("dims", "phi") else f"[{section}]\n{body}"
+    with pytest.raises(ParseError) as exc:
+        parse_structure(head + first + f"[{section}]\n{body}")
+    assert (exc.value.line, exc.value.col) == (5 + 2 * bool(first), 1)
+    assert f"repeated section [{section}]" in str(exc.value)
+    sf = parse_structure(head + "[candidate]\ns1 = s1\n[candidate]\nt1 = t1\n")
+    assert len(sf.candidates) == 2
+
+
 def test_parse_error_dimension_limit_position():
     with pytest.raises(ParseError) as exc:
         parse_structure("[dims]\nnu = 100 d = 1 mu = 1\n[phi]\nt1^2\n")

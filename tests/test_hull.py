@@ -15,11 +15,9 @@ from involucalc.catalog import (
 )
 from involucalc.hull import (
     _apply_field_jets,
-    apply_word,
     hull_chain,
     kernel_chain,
     lie_derivative,
-    word_value_at_origin,
 )
 from involucalc.structure import (
     CotangentSection,
@@ -30,7 +28,7 @@ from involucalc.structure import (
     characteristic_form,
     kernel_vectors,
 )
-from conftest import gauss_rank, rand_poly, s2_structure
+from conftest import apply_word, gauss_rank, rand_poly, s2_structure, word_value_at_origin
 
 I = GaussRat(0, 1)
 

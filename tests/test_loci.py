@@ -17,7 +17,7 @@ from involucalc.catalog import (
     three_quadrics,
 )
 from involucalc.cli import main
-from involucalc.hull import apply_word, hull_chain
+from involucalc.hull import hull_chain
 from involucalc.loci import (
     NotMonomialTimesUnit,
     ZeroPolynomial,
@@ -35,7 +35,7 @@ from involucalc.structure import (
     jacobians,
     kernel_vectors,
 )
-from conftest import rand_poly, s1_structure, s2_structure
+from conftest import apply_word, rand_poly, s1_structure, s2_structure
 
 
 def verify_witness(v) -> bool:
@@ -251,13 +251,12 @@ def test_hull_rows_match_apply_word(name):
 
 def exact_witness_subsets(rows, size, subsets=None):
     """Every subset (of ``subsets``, by default of all), in order, whose exact
-    minor is nonzero with a denominator that is a unit at 0 and a
-    monomial-times-unit numerator: the exhaustive search the screen stands in
-    for."""
+    minor is nonzero with a monomial-times-unit numerator: the exhaustive
+    search the screen stands in for."""
     found = []
     for picked in subsets or combinations(range(len(rows)), size):
         minor = det([list(rows[i][1]) for i in picked])
-        if minor.is_zero() or minor.den.constant_term().is_zero():
+        if minor.is_zero():
             continue
         try:
             monomial_unit_factor(minor.num)
@@ -372,17 +371,14 @@ def _crafted_rows(case):
     t1, t2 = Poly.var(vars, "t1"), Poly.var(vars, "t2")
     one, zero, q = Poly.one(vars), Poly.zero(vars), t1 * t1 + t2 * t2
     head = [(q, zero), (zero, q)]
-    if case == "factor-vanishing-at-0":
-        # the exact minor of rows 2, 3 is -2: the factor t1 + t2 cancels out
-        tail = [(RatFun(one, t1 + t2), one), (one * 2, zero)]
-    elif case == "prime-divides-denominator":
+    if case == "prime-divides-denominator":
         tail = [(one * GaussRat(Fraction(1, screen.P)), zero), (zero, one)]
     else:  # too many points: the degree bound is 2 * 4100
         tail = [(one + t1 ** 4100, zero), (zero, one + t2 ** 4100)]
     return [(k, tuple(RatFun.of(c) for c in row)) for k, row in enumerate(head + tail)]
 
 
-@pytest.mark.parametrize("case", ["factor-vanishing-at-0", "prime-divides-denominator", "too-many-points"])
+@pytest.mark.parametrize("case", ["prime-divides-denominator", "too-many-points"])
 def test_screen_falls_back_to_the_exact_search(case):
     rows = _crafted_rows(case)
     every = list(combinations(range(4), 2))
@@ -394,25 +390,18 @@ def test_screen_falls_back_to_the_exact_search(case):
     assert verify_witness(v)
 
 
-def _coordinate_denominator_rows():
-    """Nine 2-entry rows over (t1, t2), rows 2 and 7 with 1/t1 and 1/t1^3."""
+def test_screen_doubles_the_axis_series_length(monkeypatch):
+    # nine 2-entry rows over (t1, t2); the witnesses' Delta include t1^2,
+    # t1^5 (1 + t2) and t1^4, and (0, 1)'s Delta = q^2 is no witness
     vars = ("t1", "t2")
     t1, t2 = Poly.var(vars, "t1"), Poly.var(vars, "t2")
     one, zero, q = Poly.one(vars), Poly.zero(vars), t1 * t1 + t2 * t2
-    rows = [(q, zero), (zero, q), (RatFun(one, t1), one), (one, one + t2), (t1**5, t2), (zero, one + t2)]
-    rows += [(zero, t1**2), (RatFun(one, t1**3), zero), (zero, t1**4)]
-    return [(k, tuple(RatFun.of(c) for c in row)) for k, row in enumerate(rows)]
-
-
-def test_screen_compares_axis_orders_with_coordinate_denominators(monkeypatch):
-    rows = _coordinate_denominator_rows()
-    t1 = Poly.var(("t1", "t2"), "t1")
-    minor = lambda *picked: det([list(rows[i][1]) for i in picked])  # noqa: E731
-    assert minor(2, 3).den == t1  # (1 + t2 - t1) / t1: the order 0 on the t1 axis is below Q = 1
-    assert (minor(2, 6).num, minor(7, 8).num) == (t1, t1)  # t1^2 / t1 and t1^4 / t1^3
+    rows = [(q, zero), (zero, q), (one, one), (one, one + t2), (t1**5, t2), (zero, one + t2)]
+    rows += [(zero, t1**2), (one, zero), (zero, t1**4)]
+    rows = [(k, tuple(RatFun.of(c) for c in row)) for k, row in enumerate(rows)]
     every = list(combinations(range(len(rows)), 2))
     expect = exact_witness_subsets(rows, 2, every)
-    assert (2, 3) not in expect and {(2, 6), (4, 5), (7, 8)} <= set(expect)
+    assert (0, 1) not in expect and {(2, 6), (4, 5), (7, 8)} <= set(expect)
     assert screen._Screen(rows, 2).passes(every) == expect
     # Delta = t1^4 of (7, 8) is 0 to lam^3 on the t1 axis: T = 1, 2 and 4 read zeros
     lengths = []
