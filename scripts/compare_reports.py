@@ -91,6 +91,8 @@ FAILING = [
     ("option-kappa-zero", _MINIMAL, ["wavefront", "--kappa", "0"]),
     ("option-kappa-empty", _MINIMAL, ["wavefront", "--kappa", ""]),
     ("option-radii-empty", _MINIMAL, ["wavefront", "--radii", ""]),
+    ("repeated-approx-key", _MINIMAL + "[approx]\norder = 4\norder = 9\n", ["approx"]),
+    ("repeated-dims-key", "[dims]\nnu = 0 d = 1 mu = 1 d = 1\n[phi]\nt1^2\n", ["analyze"]),
 ]
 
 _APPROX = "[approx]\nnx = 2\norder = 8\nb = -t, -t\nu0 = 3/7*x1^5 + 2*x2\n"

@@ -671,15 +671,6 @@ class RatFun:
             object.__setattr__(self, "_den", d)
         return self._den
 
-    def power_of(self, unit: Poly):
-        """(num, p) with self == num / unit^p, when the denominator is a
-        power of the factor ``unit``."""
-        if not self.powers:
-            return self.num, 0
-        if len(self.powers) > 1 or self.powers[0][0].poly != unit:
-            raise AlgebraError("denominator is not a power of the given factor")
-        return self.num, self.powers[0][1]
-
     def is_zero(self) -> bool:
         return not self.num._t
 

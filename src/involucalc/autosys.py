@@ -4,9 +4,9 @@ A real vector field X is an infinitesimal automorphism exactly when
 L (dF(X)) = 0 for every first integral F and frame field L.  Writing
 X = sum_c u_c d/dc over the real coordinates, each pair (F, L) yields one
 linear first-order PDE in the unknowns u_c.  Coefficients live in
-Q(i)[coords, 1/det W_s]; each summed coefficient is read off as
-(numerator, power of det W_s), so the emitted equations are cleared exactly
-by multiplying with the right power.
+Q(i)[coords, 1/det W_s]; the coefficients of one equation are brought over
+their common denominator, a power of det W_s, so the emitted equations are
+cleared exactly by multiplying with that power.
 
 Candidate fields are checked by substituting their polynomial components into
 the cleared equations; the verdict is Automorphism iff every residual is the
@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Poly
-from .structure import StructureDef, build_frame, jacobians
+from .algebra import Poly, common_denominator
+from .structure import StructureDef, build_frame
 
 
 class AutosysError(Exception):
@@ -75,7 +75,6 @@ class PDESystem:
 def generate_system(sdef: StructureDef) -> PDESystem:
     """One cleared linear PDE per (first integral, frame field) pair."""
     frame = build_frame(sdef)
-    det = jacobians(sdef).det_w_s
     vars = sdef.vars
     equations = []
     for label, F in zip(sdef.integral_labels(), sdef.first_integrals()):
@@ -95,15 +94,11 @@ def generate_system(sdef: StructureDef) -> PDESystem:
                     raw[(c, cprime)] = coeff * fc + raw.get((c, cprime), 0)
             if not raw:
                 continue
-            pairs = {key: f.power_of(det) for key, f in raw.items()}
-            big = max(p for (_, p) in pairs.values())
-            terms = []
-            for (unknown, deriv), (num, p) in sorted(
-                pairs.items(), key=lambda kv: (kv[0][0], kv[0][1] or "")
-            ):
-                if not num.is_zero():
-                    terms.append(PDETerm(unknown, deriv, num * det ** (big - p)))
-            equations.append(PDEEquation(label, i, big, tuple(terms)))
+            keys = sorted(raw, key=lambda key: (key[0], key[1] or ""))
+            nums = common_denominator([raw[key] for key in keys])
+            big = max((p for f in raw.values() for _, p in f.powers), default=0)
+            terms = tuple(PDETerm(u, deriv, num) for (u, deriv), num in zip(keys, nums) if not num.is_zero())
+            equations.append(PDEEquation(label, i, big, terms))
     return PDESystem(sdef, vars, tuple(equations))
 
 

@@ -16,6 +16,9 @@ inside expressions):
                  "sigma = 3/20", "kappa = 1", "halfwidth = 1/2", "grid = 256",
                  "dirs = 8", "radii = 6/5:120:7"
 
+    A key is set at most once in its section, a [bundle] D j a b or lambda a b
+    once per index; only [candidate] sections and [bundle] section lines repeat.
+
     Polynomials use variables x1.., y1.., s1.., t1.., the imaginary unit i,
     rational literals p/q, operators + - * / ^ (with ^ a nonnegative integer
     and / by a nonzero constant), and parentheses.
@@ -29,8 +32,9 @@ inside expressions):
     lo:hi:count, which needs lo < hi, a finite hi / lo and a count from 4 to
     LIMITS["radii"].
 
-ApproxBlock and FbiBlock hold the numeric settings, their defaults and the
-check of each key.  The approx and wavefront options (--order, --box, --grid,
+ApproxBlock and FbiBlock hold the settings and their defaults, and list each
+key in file order with its check in CHECKS, which both the reader and the
+writer of the blocks follow.  The approx and wavefront options (--order, --box, --grid,
 --kappa, --dirs, --radii) edit the parsed block; each value is held to the
 check of its file line, and a failure is a [cli] error naming the option.
 """
@@ -312,13 +316,15 @@ class ApproxBlock:
     grid: int = 33  # sampling resolution of the cutoff constants
     b: tuple = ()
     u0: tuple = ()
-    # the check of each numeric key (see _reason), for its file line and for
-    # the option that overrides it alike
+    # each key in file order with its check; a numeric key's (see _reason)
+    # serves its file line and the option that overrides it alike
     CHECKS: ClassVar[dict] = {
         "nx": (1, LIMITS["nx"]),
         "order": (0, LIMITS["order"]),
         "box": "positive",
         "grid": (1, LIMITS["grid"]),
+        "b": "polys",
+        "u0": "polys",
     }
 
 
@@ -334,13 +340,16 @@ class FbiBlock:
     radii: str = "6/5:120:7"  # lo:hi:count, log spaced
     # the radii of the spec, computed when it is checked (the default's here)
     radius_grid: list = dc_field(default_factory=lambda: _parse_radii(FbiBlock.radii))
+    # as ApproxBlock.CHECKS; a tuple of names is a choice of one of them
     CHECKS: ClassVar[dict] = {
+        "data": ("gaussian", "heaviside", "boundary"),
         "delta": "real",
         "sigma": "real",
         "kappa": "positive",
         "halfwidth": "positive",
         "grid": (1, LIMITS["scan_grid"]),
         "dirs": (1, LIMITS["dirs"]),
+        "radii": "radii",
     }
 
 
@@ -395,15 +404,11 @@ def parse_structure(text: str) -> StructureFile:
     nu, d, mu = dims
     vars = structure_vars(nu, d, mu)
 
-    phi = None
-    kernel = None
+    phi = kernel = bundle = approx = fbi = None
     candidates = []
-    bundle = None
-    approx = None
-    fbi = None
     for name, lineno, lines in sections:
         if name == "phi":
-            polys = [parse_poly_tokens(toks, vars) for toks in lines if toks]
+            polys = [parse_poly_tokens(toks, vars) for toks in lines]
             if len(polys) != d:
                 raise DimensionMismatch(
                     f"[phi] lists {len(polys)} polynomials but d = {d}"
@@ -415,8 +420,6 @@ def parse_structure(text: str) -> StructureFile:
         elif name == "kernel":
             kernel = []
             for toks in lines:
-                if not toks:
-                    continue
                 groups = _split_on_commas(toks)
                 if len(groups) != d:
                     raise DimensionMismatch(
@@ -425,20 +428,17 @@ def parse_structure(text: str) -> StructureFile:
                 kernel.append(tuple(parse_poly_tokens(g, vars) for g in groups))
         elif name == "candidate":
             cand = {}
-            for toks in lines:
-                if not toks:
-                    continue
-                coord, rhs = _parse_assignment(toks)
+            for coord, tok, rhs in _entries(lines):
                 if coord not in vars:
-                    raise ParseError(f"unknown coordinate {coord!r}", toks[0].line, toks[0].col)
+                    raise ParseError(f"unknown coordinate {coord!r}", tok.line, tok.col)
                 cand[coord] = parse_poly_tokens(rhs, vars)
             candidates.append(cand)
         elif name == "bundle":
             bundle = _parse_bundle(lines, vars, nu + mu, nu + d)
         elif name == "approx":
-            approx = _parse_approx(lines)
+            approx = _parse_block(ApproxBlock(), lines)
         elif name == "fbi":
-            fbi = _parse_fbi(lines)
+            fbi = _parse_block(FbiBlock(), lines)
     if phi is None:
         if d == 0:
             phi = ()
@@ -461,21 +461,32 @@ def _parse_assignment(toks):
     return toks[0].text, toks[2:]
 
 
-def _parse_dims(lines, header_line):
-    vals = {}
+def _once(seen, key, tok):
+    """Add ``key`` to ``seen``, or raise a ParseError at ``tok`` if it is there."""
+    if key in seen:
+        raise ParseError(f"repeated key {key!r}", tok.line, tok.col)
+    seen.add(key)
+
+
+def _entries(lines):
+    """(name, name token, rhs) of each 'name = rhs' line of a section, each
+    name at most once."""
+    seen = set()
     for toks in lines:
-        i = 0
-        while i < len(toks):
-            ok = (
-                i + 2 < len(toks)
-                and toks[i].kind == "NAME"
-                and toks[i + 1].text == "="
-                and toks[i + 2].kind == "NUMBER"
-            )
-            if not ok:
-                raise ParseError("expected 'nu = <int>' style entries", toks[i].line, toks[i].col)
-            vals[toks[i].text] = _parse_value(toks[i + 2 : i + 3], (0, LIMITS["dimension"]))
-            i += 3
+        name, rhs = _parse_assignment(toks)
+        _once(seen, name, toks[0])
+        yield name, toks[0], rhs
+
+
+def _parse_dims(lines, header_line):
+    def triples():  # each 'name = <int>' of the lines, several to a line
+        for toks in lines:
+            for t in (toks[i : i + 3] for i in range(0, len(toks), 3)):
+                if [x.kind for x in t] != ["NAME", "OP", "NUMBER"] or t[1].text != "=":
+                    raise ParseError("expected 'nu = <int>' style entries", t[0].line, t[0].col)
+                yield t
+
+    vals = {name: _parse_value(rhs, (0, LIMITS["dimension"])) for name, _, rhs in _entries(triples())}
     for key in ("nu", "d", "mu"):
         if key not in vals:
             raise ParseError(f"[dims] is missing {key}", header_line, 1)
@@ -549,28 +560,31 @@ def _parse_value(toks, check):
 
 def _parse_bundle(lines, vars, n_fields, default_rank):
     """The [bundle] block; a frame index j must be from 1 to n_fields and a
-    fiber index a or b from 1 to the rank (default_rank when no rank line)."""
+    fiber index a or b from 1 to the rank (default_rank when no rank line).
+    The rank and each D j a b and lambda a b are set at most once."""
     block = BundleBlock()
+    seen = set()
     fiber_indices = []  # literals checked once the rank is known
     for toks in lines:
-        if not toks:
-            continue
         head = toks[0]
         if head.kind != "NAME":
             raise ParseError("expected a bundle directive", head.line, head.col)
         if head.text == "rank":
+            _once(seen, "rank", head)
             block.rank = _parse_value(_parse_assignment(toks)[1], (1, LIMITS["rank"]))
         elif head.text == "D":
             if len(toks) < 6 or toks[4].text != "=":
                 raise ParseError("expected 'D j a b = poly'", head.line, head.col)
             j = _parse_value(toks[1:2], (1, n_fields))
             a, b = _parse_value(toks[2:3], (1, None)), _parse_value(toks[3:4], (1, None))
+            _once(seen, f"D {j} {a} {b}", head)
             fiber_indices += toks[2:4]
             block.d_entries[(j, a, b)] = parse_poly_tokens(toks[5:], vars)
         elif head.text == "lambda":
             if len(toks) < 5 or toks[3].text != "=":
                 raise ParseError("expected 'lambda a b = poly'", head.line, head.col)
             a, b = _parse_value(toks[1:2], (1, None)), _parse_value(toks[2:3], (1, None))
+            _once(seen, f"lambda {a} {b}", head)
             fiber_indices += toks[1:3]
             block.lam_entries[(a, b)] = parse_poly_tokens(toks[4:], vars)
         elif head.text == "section":
@@ -584,32 +598,38 @@ def _parse_bundle(lines, vars, n_fields, default_rank):
     return block
 
 
-def _parse_approx(lines):
-    block = ApproxBlock()
-    pending = []
+def _parse_block(block, lines):
+    """Set the keys of an [approx] or [fbi] ``block`` from its lines, each
+    held to its entry in block.CHECKS.  The [approx] sample count is checked
+    before b and u0 are parsed over the nx it fixes."""
+    section = "approx" if isinstance(block, ApproxBlock) else "fbi"
+    polys = []
     size_tok = None  # the nx or grid literal that last set the sample count
-    for toks in lines:
-        if not toks:
-            continue
-        name, rhs = _parse_assignment(toks)
-        if name in block.CHECKS:
-            setattr(block, name, _parse_value(rhs, block.CHECKS[name]))
+    for name, tok, rhs in _entries(lines):
+        check = block.CHECKS.get(name)
+        if check is None:
+            raise ParseError(f"unknown {section} key {name!r}", tok.line, tok.col)
+        if check == "polys":
+            polys.append((name, rhs))
+        elif check == "radii":
+            block.radii, block.radius_grid = _parse_radii_spec(rhs)
+        elif isinstance(check, tuple) and isinstance(check[0], str):
+            if rhs[0].kind != "NAME" or rhs[0].text not in check:
+                raise ParseError(f"{name} must be {', '.join(check[:-1])}, or {check[-1]}", rhs[0].line, rhs[0].col)
+            if len(rhs) > 1:
+                raise ParseError(f"unexpected token {rhs[1].text!r}", rhs[1].line, rhs[1].col)
+            setattr(block, name, rhs[0].text)
+        else:
+            setattr(block, name, _parse_value(rhs, check))
             if name in ("nx", "grid"):
                 size_tok = rhs[0]
-        elif name in ("b", "u0"):
-            pending.append((name, rhs))
-        else:
-            raise ParseError(f"unknown approx key {name!r}", toks[0].line, toks[0].col)
-    reason = _samples_reason(block)
-    if reason:
-        raise ParseError(reason, size_tok.line, size_tok.col)
-    vars = field_vars(block.nx)
-    for name, rhs in pending:
-        polys = tuple(parse_poly_tokens(g, vars) for g in _split_on_commas(rhs))
-        if name == "b":
-            block.b = polys
-        else:
-            block.u0 = polys
+    if section == "approx":
+        reason = _samples_reason(block)
+        if reason:
+            raise ParseError(reason, size_tok.line, size_tok.col)
+        vars = field_vars(block.nx)
+        for name, rhs in polys:
+            setattr(block, name, tuple(parse_poly_tokens(g, vars) for g in _split_on_commas(rhs)))
     return block
 
 
@@ -621,27 +641,6 @@ def _samples_reason(block):
         f"grid^(nx + 1) = {block.grid}^{block.nx + 1} exceeds the {LIMITS['samples']} "
         "sample points the [approx] sampler allows"
     )
-
-
-def _parse_fbi(lines):
-    block = FbiBlock()
-    for toks in lines:
-        if not toks:
-            continue
-        name, rhs = _parse_assignment(toks)
-        if name in block.CHECKS:
-            setattr(block, name, _parse_value(rhs, block.CHECKS[name]))
-        elif name == "data":
-            if rhs[0].kind != "NAME" or rhs[0].text not in ("gaussian", "heaviside", "boundary"):
-                raise ParseError("data must be gaussian, heaviside, or boundary", rhs[0].line, rhs[0].col)
-            if len(rhs) > 1:
-                raise ParseError(f"unexpected token {rhs[1].text!r}", rhs[1].line, rhs[1].col)
-            block.data = rhs[0].text
-        elif name == "radii":
-            block.radii, block.radius_grid = _parse_radii_spec(rhs)
-        else:
-            raise ParseError(f"unknown fbi key {name!r}", toks[0].line, toks[0].col)
-    return block
 
 
 def _parse_radii_spec(toks):
@@ -715,28 +714,16 @@ def serialize_structure(sf: StructureFile) -> str:
             lines.append(f"lambda {a} {b} = {p}")
         for sec in sf.bundle.sections:
             lines.append("section = " + ", ".join(map(str, sec)))
-    if sf.approx is not None:
-        a = sf.approx
-        lines.append("[approx]")
-        lines.append(f"nx = {a.nx}")
-        lines.append(f"order = {a.order}")
-        lines.append(f"box = {a.box}")
-        lines.append(f"grid = {a.grid}")
-        if a.b:
-            lines.append("b = " + ", ".join(map(str, a.b)))
-        if a.u0:
-            lines.append("u0 = " + ", ".join(map(str, a.u0)))
-    if sf.fbi is not None:
-        f = sf.fbi
-        lines.append("[fbi]")
-        lines.append(f"data = {f.data}")
-        lines.append(f"delta = {f.delta}")
-        lines.append(f"sigma = {f.sigma}")
-        lines.append(f"kappa = {f.kappa}")
-        lines.append(f"halfwidth = {f.halfwidth}")
-        lines.append(f"grid = {f.grid}")
-        lines.append(f"dirs = {f.dirs}")
-        lines.append(f"radii = {f.radii}")
+    for section, block in (("approx", sf.approx), ("fbi", sf.fbi)):
+        if block is None:
+            continue
+        lines.append(f"[{section}]")
+        for key, check in block.CHECKS.items():
+            value = getattr(block, key)
+            if check != "polys":
+                lines.append(f"{key} = {value}")
+            elif value:
+                lines.append(f"{key} = " + ", ".join(map(str, value)))
     return "\n".join(lines) + "\n"
 
 
@@ -811,6 +798,8 @@ def _parse_covector(spec: str, vars):
         name = name.strip()
         if name not in vars:
             raise ModuleError("cli", f"unknown coordinate {name!r} in covector")
+        if name in xi:
+            raise ModuleError("cli", f"repeated coordinate {name!r} in covector")
         xi[name] = _option_fraction(val, "covector value")
     return xi
 

@@ -182,11 +182,6 @@ def fbi_transforms(data: SampledData, kappa, basepoint, covectors) -> np.ndarray
     return out
 
 
-def fbi_transform(data: SampledData, kappa, basepoint, covector) -> np.ndarray:
-    """Transform value per component at one basepoint and covector."""
-    return fbi_transforms(data, kappa, basepoint, [covector])[0]
-
-
 SMOOTH = "Smooth"
 SINGULAR = "Singular"
 INCONCLUSIVE = "Inconclusive"

@@ -238,6 +238,32 @@ def test_parse_error_repeated_section(section, body):
     assert len(sf.candidates) == 2
 
 
+@pytest.mark.parametrize(
+    "text, line, col, key",
+    [
+        ("[dims]\nnu = 0 d = 1 mu = 1 d = 1\n[phi]\nt1^2\n", 2, 21, "d"),
+        ("[dims]\nnu = 0 d = 1\nmu = 1 nu = 0\n[phi]\nt1^2\n", 3, 8, "nu"),
+        ("[candidate]\ns1 = 2*s1\ns1 = 3*s1\n", 7, 1, "s1"),
+        ("[approx]\norder = 4\ngrid = 5\n  order = 9\n", 8, 3, "order"),
+        ("[fbi]\ndirs = 4\ndirs = 8\n", 7, 1, "dirs"),
+        ("[bundle]\nrank = 1\nrank = 2\n", 7, 1, "rank"),
+        ("[bundle]\nrank = 2\nD 1 1 1 = t1\nD 1 2 1 = t1\nD 1 1 1 = 2*t1\n", 9, 1, "D 1 1 1"),
+        ("[bundle]\nrank = 2\nlambda 1 2 = 1\nsection = t1, 1\n lambda 1 2 = 2\n", 9, 2, "lambda 1 2"),
+    ],
+    ids=["dims-one-line", "dims-two-lines", "candidate", "approx", "fbi", "bundle-rank", "bundle-D", "bundle-lambda"],
+)
+def test_parse_error_repeated_key(text, line, col, key):
+    # a key set twice in one section is refused at its second name, where
+    # the last value used to win
+    head = "" if text.startswith("[dims]") else "[dims]\nnu = 0 d = 1 mu = 1\n[phi]\nt1^2\n"
+    with pytest.raises(ParseError) as exc:
+        parse_structure(head + text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value).endswith(f": repeated key {key!r}")
+    sf = parse_structure(MINIMAL_FILE + "[bundle]\nrank = 1\nsection = t1\nsection = t1\n")
+    assert len(sf.bundle.sections) == 2  # section lines still repeat
+
+
 def test_parse_error_dimension_limit_position():
     with pytest.raises(ParseError) as exc:
         parse_structure("[dims]\nnu = 100 d = 1 mu = 1\n[phi]\nt1^2\n")
@@ -873,6 +899,18 @@ def test_report_module_error_keeps_its_tag():
     assert "hull.nondeg_order" in report.machine_text()
 
 
+def test_cli_covector_repeated_component(tmp_path, capsys):
+    # a component given twice is refused, where the last value used to win
+    f = tmp_path / "levi.struct"
+    f.write_text("[dims]\nnu = 1 d = 1 mu = 0\n[phi]\nx1^2 + y1^2\n")
+    code, out, err = run_cli(["analyze", str(f), "--covector", "s1=1,s1=-1"], capsys)
+    assert code == 1
+    assert err == "[cli] repeated coordinate 's1' in covector\n"
+    assert "levi inertia" not in out and "nondegeneracy order" in out
+    code, out, err = run_cli(["analyze", str(f), "--covector", "s1=-1"], capsys)
+    assert (code, err) == (0, "") and "levi inertia at 0 in <s1=-1>" in out
+
+
 def test_cli_wavefront_bad_covector_still_scans(tmp_path, capsys):
     f = tmp_path / "scan.struct"
     f.write_text(MINIMAL_FILE + "[fbi]\ngrid = 64\ndirs = 2\nradii = 1:100:5\n")
@@ -974,13 +1012,16 @@ FBI_BASE = MINIMAL_FILE + "[fbi]\ndata = boundary\ndelta = 1/20\ngrid = 16\n"
 
 def run_file_and_option(tmp_path, capsys, argv, base, lines, options):
     """(exit code, stdout, stderr, {name: text} of the CSV files) of the
-    command ``argv`` on ``base`` with the file ``lines`` appended, then on
+    command ``argv`` on ``base`` with the file ``lines`` in place of the
+    lines of ``base`` that set the same keys (a key may not repeat), then on
     ``base`` with the command-line ``options`` added; both runs write their
     CSV files to the same directory, so the paths they print agree."""
     f = tmp_path / "block.struct"
     outdir = tmp_path / "csv"
+    keys = {line.split("=")[0].strip() for line in lines.splitlines()}
+    kept = "".join(line for line in base.splitlines(True) if line.split("=")[0].strip() not in keys)
     results = []
-    for text, extra in ((base + lines, []), (base, options)):
+    for text, extra in ((kept + lines, []), (base, options)):
         f.write_text(text)
         code, out, err = run_cli([argv[0], str(f), *argv[1:], *extra, "--csv", str(outdir)], capsys)
         files = {}

@@ -23,7 +23,6 @@ from involucalc.fbi import (
     RectificationUnavailable,
     SampledData,
     direction_scan,
-    fbi_transform,
     fbi_transforms,
     fit_loglog_slope,
     kappa_smallness_check,
@@ -40,6 +39,11 @@ WSUP = 0.95
 WPLAT = 0.95 * 0.75
 KAPPA = 1.0
 RADII = list(np.logspace(np.log10(1.2), np.log10(120.0), 7))
+
+
+def fbi_transform(data, kappa, basepoint, covector):
+    """Transform value per component at one basepoint and covector."""
+    return fbi_transforms(data, kappa, basepoint, [covector])[0]
 
 
 def cauchy_data(delta, n=256):
