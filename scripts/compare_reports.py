@@ -93,6 +93,15 @@ FAILING = [
     ("option-radii-empty", _MINIMAL, ["wavefront", "--radii", ""]),
     ("repeated-approx-key", _MINIMAL + "[approx]\norder = 4\norder = 9\n", ["approx"]),
     ("repeated-dims-key", "[dims]\nnu = 0 d = 1 mu = 1 d = 1\n[phi]\nt1^2\n", ["analyze"]),
+    ("dims-unknown-key", "[dims]\nnu = 0 d = 1 mu = 1 q = 2\n[phi]\nt1^2\n", ["analyze"]),
+    ("wavefront-second-covector", _MINIMAL, ["wavefront", "--covector", "s1=1", "--covector", "s1=-1"]),
+    # d/dx1 of c_1 has the coefficient 2*10^308, past the float range (the
+    # grammar caps ^ at 64, so the constant is written out)
+    (
+        "approx-derivative-overflow",
+        _MINIMAL + "[approx]\nnx = 1\norder = 6\nb = -t\nu0 = 1" + "0" * 307 + "*x1^5\n",
+        ["approx"],
+    ),
 ]
 
 _APPROX = "[approx]\nnx = 2\norder = 8\nb = -t, -t\nu0 = 3/7*x1^5 + 2*x2\n"
@@ -100,6 +109,7 @@ _FBI = "[fbi]\ndata = boundary\ndelta = 1/20\ngrid = 128\ndirs = 4\n"
 # (name, structure file, command and options) of inputs that succeed on paths
 # the benchmark does not run: the machine report's 17-digit residual sup, the
 # CSV tables, the command-line overrides of the [approx] and [fbi] values,
+# the largest [approx] run the grammar admits at nx 3 (README's limits),
 # autosys on a file with [approx] and [fbi] blocks, a degeneracy and an
 # exceptional witness that come from the mod-p screen (the structure's first
 # nonzero minor is no witness), and three structures whose kernel chain stays
@@ -112,6 +122,11 @@ UNBENCHED = [
         ["analyze", "--machine", "--csv", "csv_analyze"],
     ),
     ("autosys-approx-fbi", _MINIMAL + _APPROX + _FBI, ["autosys"]),
+    (
+        "approx-grammar-limit",
+        _MINIMAL + "[approx]\nnx = 3\norder = 16\ngrid = 38\nb = -t, -t, -t\nu0 = x1^5 + x2 + x3^3\n",
+        ["approx"],
+    ),
     ("approx-csv", _MINIMAL + _APPROX, ["approx", "--csv", "csv_approx"]),
     (
         "approx-overrides-csv",

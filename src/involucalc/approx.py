@@ -259,37 +259,84 @@ def max_degrees(polys, n_vars: int) -> tuple:
     return tuple(max((e[v] for e in exps), default=0) for v in range(n_vars))
 
 
-def grid_values_fn(axes, degrees):
-    """Values of a polynomial p on the tensor grid axes[0] x ... x axes[n-1],
-    for p of degree at most degrees[v] in variable v.
+TABLE_SAMPLES = 2**16  # the most samples one temporary of a grid contraction holds
+
+
+def _largest_factor(exps, k):
+    """max prod_v e_v!/(e_v - a_v)! over |a| <= k: the k largest factors."""
+    return math.prod(sorted((f for e in exps for f in range(2, e + 1)), reverse=True)[:k])
+
+
+def grid_contraction_fn(axes, degrees, k_max):
+    """contract(p, k), for p of degree at most degrees[v] in variable v and
+    k <= k_max, yields batches (live, alphas, values) of the derivatives
+    d^alpha p, |alpha| <= k, on the grid axes[0] x ... x axes[n-1]: live
+    lists the variables p depends on, highest degree first, alphas[b] is a
+    multi-index over live and values[b] its samples, grid axes in live order.
 
     Sum factorization: p's dense complex coefficient tensor is contracted
-    with one real Vandermonde matrix per axis, one axis at a time, so no
-    grid-sized array is made per term of p.  The matrices are built once,
-    here; each call evaluates one polynomial, cut to its own degrees.  A
-    variable p does not depend on is not contracted and its axis of the
-    result has size 1; the others are contracted from the highest degree
-    down, so the full grid is reached by the cheapest contraction.  The
-    result's axes are in variable order.  A coefficient that does not
-    convert to a complex raises OverflowError; an overflowing sample comes
-    back as inf or NaN."""
-    vander = [
-        np.asarray(ax, dtype=float)[:, None] ** np.arange(d + 1)
-        for ax, d in zip(axes, degrees)
-    ]
+    with W_v[alpha_v] one axis at a time, for the stacks W_v[a, j, g] =
+    j!/(j-a)! x_g^(j-a) (0 for j < a) built here, in batches of as many
+    multi-indices (at least one) as keep each temporary within TABLE_SAMPLES
+    samples.  A derivative coefficient that does not convert to a complex
+    raises OverflowError; an overflowing sample comes back as inf or NaN."""
+    stacks = []
+    for ax, d in zip(axes, degrees):
+        vander = np.asarray(ax, dtype=float)[:, None] ** np.arange(d + 1)
+        w = np.zeros((min(d, k_max) + 1, d + 1, len(vander)), dtype=complex)
+        for a in range(len(w)):
+            w[a, a:] = (vander[:, : d + 1 - a] * [math.perm(j, a) for j in range(a, d + 1)]).T
+        stacks.append(w)
+
+    def contract(p, k):
+        deg = max_degrees((p,), len(stacks))
+        live = sorted((v for v in range(len(stacks)) if deg[v]), key=lambda v: -deg[v])
+        coeffs = np.zeros(tuple(deg[v] + 1 for v in live), dtype=complex)
+        for e, c in p.terms.items():
+            coeffs[tuple(e[v] for v in live)] = complex(c)
+        if not np.abs(coeffs).max() * _largest_factor(deg, k) < 2.0**1000:  # near the float range
+            for e, c in p.terms.items():
+                complex(c * _largest_factor(e, k))
+        ranges = (range(min(deg[v], k) + 1) for v in live)
+        alphas = np.array([a for a in itertools.product(*ranges) if sum(a) <= k], dtype=int)
+        size = footprint = coeffs.size  # samples per alpha, before and after each contraction
+        for v in live:
+            size = size // (deg[v] + 1) * stacks[v].shape[2]
+            footprint = max(footprint, size, (deg[v] + 1) * stacks[v].shape[2])
+        batch = max(1, TABLE_SAMPLES // footprint)
+        for at in range(0, len(alphas), batch):
+            chunk = alphas[at : at + batch]
+            vals = coeffs.reshape(1, -1)
+            for i, v in enumerate(live):  # contract the leading degree axis; its grid axis goes last
+                vals = vals.reshape(len(vals), deg[v] + 1, -1).transpose(0, 2, 1)
+                vals = (vals @ stacks[v][chunk[:, i], : deg[v] + 1]).reshape(len(chunk), -1)
+            yield live, chunk, vals
+
+    return contract
+
+
+def grid_values_fn(axes, degrees):
+    """values(p): p's values on the grid axes[0] x ... x axes[n-1] (p of degree
+    at most degrees[v] in variable v), grid_contraction_fn's multi-index 0, with
+    axes in variable order and of size 1 along a variable p does not contain."""
+    contract = grid_contraction_fn(axes, degrees, 0)
 
     def values(p: Poly) -> np.ndarray:
-        deg = max_degrees((p,), len(vander))
-        live = sorted((v for v in range(len(vander)) if deg[v]), key=lambda v: -deg[v])
-        vals = np.zeros(tuple(deg[v] + 1 for v in live), dtype=complex)
-        for e, c in p.terms.items():
-            vals[tuple(e[v] for v in live)] = complex(c)
-        for v in live:  # contract the leading degree axis; its grid axis goes last
-            vals = np.tensordot(vals, vander[v][:, : deg[v] + 1], axes=(0, 1))
-        shape = tuple(len(m) if deg[v] else 1 for v, m in enumerate(vander))
-        return np.transpose(vals, np.argsort(live)).reshape(shape)
+        ((live, _, vals),) = contract(p, 0)
+        vals = np.transpose(vals.reshape([len(axes[v]) for v in live]), np.argsort(live))
+        return vals.reshape([len(ax) if v in live else 1 for v, ax in enumerate(axes)])
 
     return values
+
+
+def derivative_sups(contract, polys, k):
+    """Entry t, for t = 0..k: the largest sampled |d^alpha p| over p in polys
+    and alpha of total order t, from the batches of contract(p, k)."""
+    table = np.zeros(k + 1)
+    for p in polys:
+        for _, alphas, vals in contract(p, k):
+            np.maximum.at(table, alphas.sum(axis=1), np.abs(vals).max(axis=1))
+    return table.tolist()
 
 
 @dataclass(frozen=True)
@@ -309,23 +356,18 @@ class CutoffPlan:
 # Overflowing samples are not warned about: every sampled sup is checked
 # below and a non-finite one raises PlanInfeasible.
 @np.errstate(over="ignore", invalid="ignore")
-def select_cutoff_plan(
-    series: ApproxSeries, box_halfwidth=1.0, grid: int = 33
-) -> CutoffPlan:
-    """Estimate the derivative-norm constants on the box by dense grid
-    sampling (safety factor 2) and pick the smallest powers of two satisfying
-    the selection inequality, made nondecreasing."""
-    field = series.field
-    vars = field.vars
+def select_cutoff_plan(series: ApproxSeries, box_halfwidth=1.0, grid: int = 33) -> CutoffPlan:
+    """Estimate the derivative-norm constants on the box by dense grid sampling
+    (safety factor 2), all derivatives of c_k from one table, and pick the
+    smallest powers of two satisfying the selection inequality, nondecreasing."""
+    vars = series.field.vars
     n = series.order
     box = tuple((-float(box_halfwidth), float(box_halfwidth)) for _ in vars)
     axes = [np.linspace(lo, hi, grid) for lo, hi in box]
     # derivatives have no larger degree than the coefficients they come from
-    values = grid_values_fn(axes, max_degrees((p for c in series.coeffs for p in c), len(vars)))
+    contract = grid_contraction_fn(axes, max_degrees((p for c in series.coeffs for p in c), len(vars)), n)
     chi_sups = chi_derivative_sups(n)
-    constants = []
-    radii = []
-    prev = Fraction(1)
+    constants, radii, prev = [], [], Fraction(1)
     for k in range(n + 1):
         # weight of the m-th transverse derivative; the same for every alpha
         weights = []
@@ -334,68 +376,30 @@ def select_cutoff_plan(
             for q in range(m + 1):
                 acc += math.comb(m, q) * chi_sups[q] / math.factorial(k - m + q)
             weights.append(acc)
+        # an alpha of order t takes each m <= k - t; rounding is monotonic, so the largest weight
+        weights = list(itertools.accumulate(weights, max))
+        try:
+            table = derivative_sups(contract, series.coeffs[k], k)
+        except OverflowError as e:
+            raise PlanInfeasible(f"sampled derivative norm overflows: {e}")
         best = 0.0
-        for alpha_l, comps in _multiindex_derivatives(series.coeffs[k], vars, k):
-            m_max = k - sum(alpha_l)
-            sup_poly = 0.0
-            try:
-                for q in comps:
-                    if q.is_zero():  # its samples are all 0, below any sup
-                        continue
-                    x = float(np.max(np.abs(values(q))))
-                    if not math.isfinite(x):  # max() below would drop a NaN
-                        raise PlanInfeasible("sampled derivative is not finite on the box")
-                    sup_poly = max(sup_poly, x)
-            except OverflowError as e:
-                raise PlanInfeasible(f"sampled derivative norm overflows: {e}")
+        for t, sup_poly in enumerate(table):
+            if not math.isfinite(sup_poly):  # max() below would drop a NaN
+                raise PlanInfeasible("sampled derivative is not finite on the box")
             sup_poly *= math.factorial(k)  # k! c_k = (-i D)^k u0
             if not math.isfinite(sup_poly):
                 raise PlanInfeasible("sampled derivative norm is not finite")
-            for m in range(m_max + 1):
-                best = max(best, weights[m] * sup_poly)
+            best = max(best, weights[k - t] * sup_poly)
         c_k = 2.0 * best
         constants.append(c_k)
-        if c_k == 0.0:
-            r = prev
-        else:
+        if c_k:
             need = (2.0**k) * c_k
-            exp = max(math.ceil(math.log2(need)) if need > 0 else 0, 0)
-            r = Fraction(2) ** exp
+            r = Fraction(2) ** max(math.ceil(math.log2(need)), 0)
             if r < need:  # guard against log2 rounding
-                r = r * 2
-        r = max(r, prev)
-        radii.append(r)
-        prev = r
+                r *= 2
+            prev = max(r, prev)
+        radii.append(prev)
     return CutoffPlan(tuple(radii), box, grid, tuple(constants))
-
-
-def _derivative_multiindices(n_vars, k):
-    """All derivative multi-indices over n_vars variables with total order
-    <= k (the transverse order m is accounted separately), by total order,
-    then lexicographically: the n_vars - 1 bars of each stars-and-bars
-    arrangement, taken in lexicographic order."""
-    for total in range(k + 1):
-        for bars in itertools.combinations(range(total + n_vars - 1), n_vars - 1):
-            edges = (-1,) + bars + (total + n_vars - 1,)
-            yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
-
-
-def _multiindex_derivatives(polys, vars, k):
-    """(alpha, derivatives of polys by alpha) for every multi-index of
-    _derivative_multiindices(len(vars), k), in that order.  Each entry is one
-    diff of the entry for alpha with its last nonzero index lowered, so the
-    variables are differentiated in order, vars[0] first."""
-    table = {}
-    for alpha in _derivative_multiindices(len(vars), k):
-        nz = [vi for vi, times in enumerate(alpha) if times]
-        if not nz:
-            comps = tuple(polys)
-        else:
-            vi = nz[-1]
-            parent = alpha[:vi] + (alpha[vi] - 1,) + alpha[vi + 1 :]
-            comps = tuple(q.diff(vars[vi]) for q in table[parent])
-        table[alpha] = comps
-        yield alpha, comps
 
 
 class AssembledSolution:
@@ -407,28 +411,34 @@ class AssembledSolution:
         self.plan = plan
         self.field = series.field
         self.rank = len(series.u0)
-        self._tail = series.transverse_tail()
-        self._degrees = max_degrees(
-            (p for c in series.coeffs + (self._tail,) for p in c), len(self.field.vars)
-        )
+        self._vectors = series.coeffs + (series.transverse_tail(),)
+        self._degrees = max_degrees((p for c in self._vectors for p in c), len(self.field.vars))
         self._radii = [float(r) for r in plan.radii]
+        self._grids = {}  # grid points -> (evaluator, {k: values of vector k})
 
-    def _weighted_sum(self, axes, vectors, weights):
-        """sum_k weights[k] vectors[k] on the grid axes[0] x ... x axes[N],
-        one array per component; a term of weight 0 is skipped."""
-        values = grid_values_fn(axes, self._degrees)
+    def _weighted_sum(self, axes, weights):
+        """sum_k weights[k] v_k on the grid axes[0] x ... x axes[N], one array
+        per component, for v_0..v_n = c_0..c_n and v_{n+1} = i D c_n.  A term
+        of weight 0 is skipped; each v_k is evaluated on a grid once, the
+        first time its weight there is nonzero, and kept for later calls."""
+        key = tuple(map(tuple, axes))
+        if key not in self._grids:
+            self._grids[key] = (grid_values_fn(axes, self._degrees), {})
+        values, known = self._grids[key]
         out = [np.zeros(tuple(len(ax) for ax in axes), dtype=complex) for _ in range(self.rank)]
-        for vec, w in zip(vectors, weights):
+        for k, w in enumerate(weights):
             if w:
-                for c, p in enumerate(vec):
-                    out[c] = out[c] + values(p) * w
+                if k not in known:
+                    known[k] = [values(p) for p in self._vectors[k]]
+                for c, v in enumerate(known[k]):
+                    out[c] = out[c] + v * w
         return out
 
     def u(self, axes, s: float):
         """sum_k c_k chi(R_k s) s^k on the grid axes (x_1..x_N, t) at the
         transverse value s; returns one array per component."""
         weights = [chi_derivatives(r * s, 0)[0] * s**k for k, r in enumerate(self._radii)]
-        return self._weighted_sum(axes, self.series.coeffs, weights)
+        return self._weighted_sum(axes, weights)
 
     def d1u(self, axes, s: float):
         """(d/ds + i D) applied to the assembled sum, on the grid axes at the
@@ -450,7 +460,7 @@ class AssembledSolution:
                 w += (chis[k][0] - chis[k - 1][0]) * (k * s ** (k - 1))
             weights.append(w)
         weights.append(chis[-1][0] * s**self.series.order)
-        return self._weighted_sum(axes, self.series.coeffs + (self._tail,), weights)
+        return self._weighted_sum(axes, weights)
 
     def sup_d1u(self, s, grid=17):
         """Sampled sup over the box of the D_1 residual at transverse value s."""
@@ -460,16 +470,13 @@ class AssembledSolution:
     def tail_certificate(self, m_max=2, grid=9, s_samples=21):
         """Check the selection inequality's consequence term by term: the
         sampled sup of each derivative of order <= min(k-1, m_max) of the k-th
-        cutoff term is at most 2^{-k}.  The sup of a derivative
-        d^alpha c_k d^m_s (chi(R_k s) s^k) factors into a grid sup, taken once
-        per (k, alpha), times an s-sup, taken once per (k, m) over s_samples
-        points of the term's support |s| <= 1/R_k."""
-        vars = self.field.vars
-        coeffs = self.series.coeffs
+        cutoff term is at most 2^{-k}.  The sup of d^alpha c_k d^m_s (chi(R_k s) s^k)
+        factors into a grid sup, every alpha's from one derivative table per k,
+        times an s-sup, taken once per (k, m) over s_samples points of the
+        term's support |s| <= 1/R_k."""
         axes = [np.linspace(lo, hi, grid) for lo, hi in self.plan.box]
-        values = grid_values_fn(axes, self._degrees)
+        contract = grid_contraction_fn(axes, self._degrees, m_max)
         rows = []
-        ok = True
         for k in range(1, self.series.order + 1):
             rk = self._radii[k]
             budget = min(k - 1, m_max)
@@ -480,21 +487,14 @@ class AssembledSolution:
                 for m in range(budget + 1):
                     acc = 0.0
                     for q in range(m + 1):
-                        power = k - m + q
-                        acc += (
-                            math.comb(m, q) * (rk**q) * dchi[q] * math.perm(k, m - q) * s**power
-                        )
+                        acc += math.comb(m, q) * (rk**q) * dchi[q] * math.perm(k, m - q) * s ** (k - m + q)
                     s_sups[m] = max(s_sups[m], abs(acc))
-            worst = 0.0
-            for alpha, comps in _multiindex_derivatives(coeffs[k], vars, budget):
-                sup_poly = max((float(np.max(np.abs(values(q)))) for q in comps), default=0.0)
-                for m in range(budget - sum(alpha) + 1):
-                    worst = max(worst, sup_poly * s_sups[m])
-            bound = 2.0 ** (-k)
-            rows.append((k, worst, bound))
-            if worst > bound:
-                ok = False
-        return ok, rows
+            # an alpha of order t takes each m <= budget - t; the largest s-sup, as in the plan
+            s_sups = list(itertools.accumulate(s_sups, max))
+            table = derivative_sups(contract, self.series.coeffs[k], budget)
+            worst = max((sup_poly * s_sups[budget - t] for t, sup_poly in enumerate(table)), default=0.0)
+            rows.append((k, worst, 2.0 ** (-k)))
+        return not any(worst > bound for _, worst, bound in rows), rows
 
     def write_csv(self, path, axes, s: float):
         """Samples on the grid axes at the transverse value s as rows:

@@ -486,13 +486,14 @@ def _parse_dims(lines, header_line):
                     raise ParseError("expected 'nu = <int>' style entries", t[0].line, t[0].col)
                 yield t
 
-    vals = {name: _parse_value(rhs, (0, LIMITS["dimension"])) for name, _, rhs in _entries(triples())}
+    entries = [(tok, _parse_value(rhs, (0, LIMITS["dimension"]))) for _, tok, rhs in _entries(triples())]
+    vals = {tok.text: value for tok, value in entries}
     for key in ("nu", "d", "mu"):
-        if key not in vals:
+        if key not in vals:  # no key token to point at, so at the header
             raise ParseError(f"[dims] is missing {key}", header_line, 1)
-    extra = set(vals) - {"nu", "d", "mu"}
+    extra = [tok for tok, _ in entries if tok.text not in ("nu", "d", "mu")]
     if extra:
-        raise ParseError(f"[dims] has unknown keys {sorted(extra)}", header_line, 1)
+        raise ParseError(f"[dims] has unknown keys {sorted(t.text for t in extra)}", extra[0].line, extra[0].col)
     return vals["nu"], vals["d"], vals["mu"]
 
 
@@ -1163,7 +1164,7 @@ def _wavefront_scan(report):
 
 
 def _normal_form(report):
-    """The wavefront command's normal-form reduction at its first --covector."""
+    """The wavefront command's normal-form reduction at its --covector."""
     from .fbi import NoNegativeDirection, RectificationUnavailable
     from .fbi import kappa_smallness_check, levi_to_normal_form, sign_condition
 
@@ -1266,6 +1267,8 @@ def cmd_approx(args) -> int:
 
 def cmd_wavefront(args) -> int:
     sf = _load(args.file)
+    if args.covector and len(args.covector) > 1:
+        raise ModuleError("cli", "wavefront takes one --covector")
     block = sf.fbi = sf.fbi or FbiBlock()
     if args.kappa is not None:
         _override(block, "kappa", _option_fraction(args.kappa, "kappa"))

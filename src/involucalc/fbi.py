@@ -212,10 +212,13 @@ class FbiScan:
                 )
 
 
-def fit_loglog_slope(radii, magnitudes, floor=1e-300) -> float:
+def fit_loglog_slope(radii, magnitudes, floor=1e-300):
+    """The least-squares slope of log magnitudes against log radii: one
+    np.polyfit for every row of a (rows, radii) matrix, giving a list, or a
+    float for one row of magnitudes."""
     lx = np.log(np.asarray(radii, dtype=float))
     ly = np.log(np.maximum(np.asarray(magnitudes, dtype=float), floor))
-    return float(np.polyfit(lx, ly, 1)[0])
+    return np.polyfit(lx, ly.T, 1)[0].tolist()
 
 
 def direction_scan(
@@ -247,19 +250,12 @@ def direction_scan(
     zero = np.flatnonzero(~mags.any(axis=1))
     if len(zero):
         raise FbiError(f"every transform magnitude in direction {zero[0]} is zero")
-    magnitudes = mags.tolist()
-    slopes = []
-    labels = []
-    for row in magnitudes:
-        slope = fit_loglog_slope(radii, row)
-        slopes.append(slope)
-        if slope <= -DEFAULTS.smooth_slope:
-            labels.append(SMOOTH)
-        elif slope >= DEFAULTS.singular_slope:
-            labels.append(SINGULAR)
-        else:
-            labels.append(INCONCLUSIVE)
-    return FbiScan(directions, radii, magnitudes, slopes, labels)
+    slopes = fit_loglog_slope(radii, mags)
+    labels = [
+        SMOOTH if slope <= -DEFAULTS.smooth_slope else SINGULAR if slope >= DEFAULTS.singular_slope else INCONCLUSIVE
+        for slope in slopes
+    ]
+    return FbiScan(directions, radii, mags.tolist(), slopes, labels)
 
 
 # -- the exact side: sign condition and normal-form reduction ----------------------

@@ -6,18 +6,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from involucalc import approx
 from involucalc.algebra import GaussRat, Poly
 from involucalc.approx import (
     ApproxError,
     CutoffPlan,
     NormalFormField,
     assemble_evaluator,
-    _derivative_multiindices,
-    _multiindex_derivatives,
     chi_derivative_sups,
     chi_derivatives,
     chi_float,
+    derivative_sups,
     field_vars,
+    grid_contraction_fn,
     grid_values_fn,
     max_degrees,
     select_cutoff_plan,
@@ -53,6 +54,34 @@ def poly_complex_fn(p: Poly):
         return total
 
     return f
+
+
+def _derivative_multiindices(n_vars, k):
+    """Oracle: all derivative multi-indices over n_vars variables with total
+    order <= k, by total order, then lexicographically: the n_vars - 1 bars
+    of each stars-and-bars arrangement, taken in lexicographic order."""
+    for total in range(k + 1):
+        for bars in itertools.combinations(range(total + n_vars - 1), n_vars - 1):
+            edges = (-1,) + bars + (total + n_vars - 1,)
+            yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+def _multiindex_derivatives(polys, vars, k):
+    """Oracle: (alpha, derivatives of polys by alpha) for every multi-index
+    of _derivative_multiindices(len(vars), k), in that order.  Each entry is
+    one diff of the entry for alpha with its last nonzero index lowered, so
+    the variables are differentiated in order, vars[0] first."""
+    table = {}
+    for alpha in _derivative_multiindices(len(vars), k):
+        nz = [vi for vi, times in enumerate(alpha) if times]
+        if not nz:
+            comps = tuple(polys)
+        else:
+            vi = nz[-1]
+            parent = alpha[:vi] + (alpha[vi] - 1,) + alpha[vi + 1 :]
+            comps = tuple(q.diff(vars[vi]) for q in table[parent])
+        table[alpha] = comps
+        yield alpha, comps
 
 
 # -- exact series ----------------------------------------------------------------
@@ -249,6 +278,61 @@ def test_grid_sup_matches_poly_complex_fn(nx, grid):
         assert abs(float(np.max(np.abs(values(p)))) - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("cap", [None, 1, 100], ids=["cap-default", "cap-1", "cap-100"])
+@pytest.mark.parametrize("nx", [1, 2, 3])
+@pytest.mark.parametrize("grid", [1, 5])
+def test_derivative_table_matches_diff_and_grid_values(nx, grid, cap, monkeypatch):
+    # oracle: every multi-index derivative by Poly.diff, past the degree too
+    # (where it is 0), sampled by grid_values_fn; x1 has degree 0 in every
+    # polynomial and t in some.  A lowered cap splits one polynomial's
+    # multi-indices over several batches.  The table rounds j!/(j-a)! with
+    # the power of x rather than with the coefficient, so the last bits may
+    # differ
+    if cap is not None:
+        monkeypatch.setattr(approx, "TABLE_SAMPLES", cap)
+    rng = random.Random(100 * nx + grid)
+    vars = field_vars(nx)
+    axes = [np.linspace(-1.6, 1.6, grid) for _ in vars]
+    polys = [rand_poly(rng, vars, max_degree=6, n_terms=8) for _ in range(6)]
+    polys = [
+        Poly(vars, {(0,) + e[1:-1] + (e[-1] * (i % 2),): c for e, c in p.terms.items()})
+        for i, p in enumerate(polys)
+    ]
+    polys += [Poly.zero(vars), Poly.one(vars), Poly.var(vars, "t", 2) * 3]
+    degrees = max_degrees(polys, len(vars))
+    assert degrees[0] == 0
+    contract = grid_contraction_fn(axes, degrees, 5)
+    values = grid_values_fn(axes, degrees)
+    batches = 0
+    for k in (0, 2, 5):
+        for p in polys:
+            got = derivative_sups(contract, [p], k)
+            want = [0.0] * (k + 1)
+            for alpha, (q,) in _multiindex_derivatives([p], vars, k):
+                want[sum(alpha)] = max(want[sum(alpha)], float(np.max(np.abs(values(q)))))
+            assert len(got) == k + 1
+            assert all(abs(g - w) <= 1e-14 * w for g, w in zip(got, want)), (p, k, got, want)
+            batches = max(batches, len(list(contract(p, k))))
+        assert derivative_sups(contract, polys, k) == [
+            max(col) for col in zip(*(derivative_sups(contract, [p], k) for p in polys))
+        ]
+    assert batches > 1 if cap == 1 else batches >= 1
+
+
+def test_derivative_table_batches_hold_at_most_the_cap():
+    # the largest input the grammar admits for [approx] nx 3 at order 16:
+    # every batch of every coefficient of the plan stays within the cap
+    vars = field_vars(3)
+    t = Poly.var(vars, "t")
+    u0 = Poly.var(vars, "x1", 5) + Poly.var(vars, "x2") + Poly.var(vars, "x3", 3)
+    series = series_coefficients(NormalFormField(3, (-t, -t, -t)), (u0,), 16)
+    axes = [np.linspace(-1.0, 1.0, 38) for _ in vars]
+    contract = grid_contraction_fn(axes, max_degrees((p for c in series.coeffs for p in c), 4), 16)
+    sizes = [vals.size for k, c in enumerate(series.coeffs) for p in c for _, _, vals in contract(p, k)]
+    assert max(sizes) <= approx.TABLE_SAMPLES
+    assert len(sizes) > len(series.coeffs)
+
+
 # -- plan selection ----------------------------------------------------------------------
 
 
@@ -395,6 +479,36 @@ def test_sampled_slope_of_d1u_is_series_order():
     assert abs(slope - n) < 1e-6
 
 
+def test_evaluator_evaluates_each_vector_once_per_grid(monkeypatch):
+    # the seven residual sups of the approx report evaluate only the tail,
+    # once; u and d1u on the same grid reuse what is evaluated there, with
+    # the values of a fresh evaluator
+    f = mizohata_field()
+    series = series_coefficients(f, (V("x1", 5),), 6)
+    plan = select_cutoff_plan(series, grid=9)
+    ev, fresh = assemble_evaluator(series, plan), assemble_evaluator(series, plan)
+    evaluated = []
+    build = approx.grid_values_fn
+
+    def counting(axes, degrees):
+        values = build(axes, degrees)
+        return lambda p: evaluated.append(p) or values(p)
+
+    monkeypatch.setattr(approx, "grid_values_fn", counting)
+    svals = [plan.plateau * 2.0**-j for j in range(1, 8)]
+    sups = [ev.sup_d1u(s, grid=9) for s in svals]
+    assert evaluated == list(series.transverse_tail())
+    axes = [np.linspace(lo, hi, 9) for lo, hi in plan.box]
+    s_off = 0.75 / float(plan.radii[3])  # off the plateau
+    got = [getattr(ev, call)(axes, s_off)[0] for call in ("u", "d1u", "u", "d1u")]
+    assert len(evaluated) == len(set(evaluated)) <= series.order + 2
+    assert len(evaluated) > 3
+    monkeypatch.undo()
+    assert sups == [fresh.sup_d1u(s, grid=9) for s in svals]
+    want = [getattr(fresh, call)(axes, s_off)[0] for call in ("u", "d1u", "u", "d1u")]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_tail_certificate_passes():
     f = mizohata_field()
     series = series_coefficients(f, (V("x1"),), 4)
@@ -488,6 +602,18 @@ def test_csv_export(tmp_path):
     assert [tuple(map(float, l.split(",")[:3])) for l in lines[1:4]] == [
         (-1.0, -1.0, 0.25), (-1.0, 0.0, 0.25), (-1.0, 1.0, 0.25)
     ]
+
+
+def test_plan_overflow_names_the_derivative_coefficient_conversion():
+    # d/dx1 of c_1 = 5*10^307 x1^4 t has the coefficient 2*10^308, past the
+    # float range: its samples would be inf, but the exact conversion check
+    # of the largest derivative coefficient fails first
+    vars = field_vars(1)
+    u0 = Poly.const(vars, 10**307) * Poly.var(vars, "x1", 5)
+    series = series_coefficients(NormalFormField(1, (-Poly.var(vars, "t"),)), (u0,), 6)
+    with pytest.raises(approx.PlanInfeasible) as exc:
+        select_cutoff_plan(series)
+    assert str(exc.value) == "sampled derivative norm overflows: integer division result too large for a float"
 
 
 def test_plan_infeasible_on_overflowing_constants():

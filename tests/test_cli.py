@@ -264,6 +264,23 @@ def test_parse_error_repeated_key(text, line, col, key):
     assert len(sf.bundle.sections) == 2  # section lines still repeat
 
 
+@pytest.mark.parametrize(
+    "text, line, col, message",
+    [
+        ("[dims]\nnu = 0 d = 1 mu = 1 q = 2\n[phi]\nt1^2\n", 2, 21, "[dims] has unknown keys ['q']"),
+        ("[dims]\nnu = 0 d = 1\n  r = 3 mu = 1 q = 2\n[phi]\nt1^2\n", 3, 3, "[dims] has unknown keys ['q', 'r']"),
+        # a missing key has no token to point at, so the error sits at the header
+        ("# dims\n[dims]\nnu = 0 d = 1 q = 2\n[phi]\nt1^2\n", 2, 1, "[dims] is missing mu"),
+    ],
+    ids=["unknown-one", "unknown-first-of-two", "missing"],
+)
+def test_parse_error_dims_key_position(text, line, col, message):
+    with pytest.raises(ParseError) as exc:
+        parse_structure(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value).endswith(f": {message}")
+
+
 def test_parse_error_dimension_limit_position():
     with pytest.raises(ParseError) as exc:
         parse_structure("[dims]\nnu = 100 d = 1 mu = 1\n[phi]\nt1^2\n")
@@ -908,6 +925,18 @@ def test_cli_covector_repeated_component(tmp_path, capsys):
     assert err == "[cli] repeated coordinate 's1' in covector\n"
     assert "levi inertia" not in out and "nondegeneracy order" in out
     code, out, err = run_cli(["analyze", str(f), "--covector", "s1=-1"], capsys)
+    assert (code, err) == (0, "") and "levi inertia at 0 in <s1=-1>" in out
+
+
+def test_cli_wavefront_takes_one_covector(tmp_path, capsys):
+    # a second --covector is refused, where only the first used to be read
+    f = tmp_path / "neg.struct"
+    f.write_text("[dims]\nnu = 0 d = 1 mu = 1\n[phi]\n0 - t1^2/2\n[fbi]\ngrid = 64\ndirs = 2\nradii = 1:100:5\n")
+    code, out, err = run_cli(["wavefront", str(f), "--covector", "s1=1", "--covector", "s1=-1"], capsys)
+    assert (code, out, err) == (1, "", "[cli] wavefront takes one --covector\n")
+    code, out, err = run_cli(["wavefront", str(f), "--covector", "s1=-1"], capsys)
+    assert (code, err) == (0, "") and "normal form" in out
+    code, out, err = run_cli(["analyze", str(f), "--covector", "s1=1", "--covector", "s1=-1"], capsys)
     assert (code, err) == (0, "") and "levi inertia at 0 in <s1=-1>" in out
 
 

@@ -227,6 +227,20 @@ def test_batched_transforms_reject_any_zero_covector():
         fbi_transforms(data, KAPPA, (0, 0), [(1.0, 2.0), (0.0, 0.0), (3.0, 0.0)])
 
 
+def test_slope_fit_matches_per_row_polyfit():
+    # one np.polyfit over every direction's row gives each row's own fit,
+    # bit for bit, floored magnitudes included
+    rng = np.random.default_rng(27)
+    for _ in range(300):
+        radii = np.sort(rng.uniform(0.5, 500.0, 7)).tolist()
+        mags = np.exp(rng.normal(0.0, 8.0, (8, 7)))
+        mags[rng.integers(8), rng.integers(7)] = 0.0
+        want = [float(np.polyfit(np.log(radii), np.log(np.maximum(m, 1e-300)), 1)[0]) for m in mags]
+        assert fit_loglog_slope(radii, mags) == want
+        assert fit_loglog_slope(radii, mags.tolist()) == want
+        assert fit_loglog_slope(radii, mags[3]) == want[3]
+
+
 def test_scan_rejects_no_directions():
     data = bump_data(n=64)
     for n_dirs in (0, -2):
