@@ -102,9 +102,67 @@ FAILING = [
         _MINIMAL + "[approx]\nnx = 1\norder = 6\nb = -t\nu0 = 1" + "0" * 307 + "*x1^5\n",
         ["approx"],
     ),
+    # phi = s1*s2*t1^16448 parses, but det W_s has degree 32898 > 32767: the
+    # jacobians overflow, the characteristic dimension needs none of them
+    (
+        "jacobians-degree-overflow",
+        "[dims]\nnu = 0 d = 2 mu = 1\n[phi]\n" + ("s1*s2*" + "*".join(["t1^64"] * 257) + "\n") * 2,
+        ["analyze", "--covector", "s1=1"],
+    ),
 ]
 
 _APPROX = "[approx]\nnx = 2\norder = 8\nb = -t, -t\nu0 = 3/7*x1^5 + 2*x2\n"
+# phi_k take every monomial of total degree 2 and 3 over the structure's
+# coordinates, in itertools.combinations_with_replacement order, with the
+# coefficients random.Random(1).randint(-5, 5) drawn in turn (a 0 drops the term)
+_DENSE_022 = (
+    '[dims]\nnu = 0 d = 2 mu = 2\n[phi]\n'
+    '(-3)*s1*s1 + (4)*s1*s2 + (-4)*s1*t1 + (-1)*s1*t2 + (-4)*s2*s2 + (2)*s2*t1 + '
+    '(2)*s2*t2 + (2)*t1*t1 + (5)*t1*t2 + (1)*t2*t2 + (-2)*s1*s1*s1 + (-4)*s1*s1*s2 + '
+    '(2)*s1*s1*t1 + (-5)*s1*s1*t2 + (1)*s1*s2*s2 + (1)*s1*s2*t1 + (4)*s1*s2*t2 + '
+    '(-5)*s1*t1*t1 + (2)*s1*t1*t2 + (-1)*s1*t2*t2 + (-2)*s2*s2*s2 + (4)*s2*s2*t1 + '
+    '(-4)*s2*s2*t2 + (-5)*s2*t1*t2 + (-5)*s2*t2*t2 + (-5)*t1*t1*t1 + (5)*t1*t1*t2 + '
+    '(3)*t1*t2*t2 + (-5)*t2*t2*t2\n'
+    '(1)*s1*s1 + (5)*s1*s2 + (-2)*s1*t1 + (1)*s1*t2 + (-5)*s2*s2 + (3)*s2*t1 + '
+    '(-2)*s2*t2 + (2)*t1*t1 + (2)*t1*t2 + (3)*t2*t2 + (-2)*s1*s1*s1 + (-2)*s1*s1*t1 + '
+    '(5)*s1*s1*t2 + (-2)*s1*s2*s2 + (2)*s1*s2*t1 + (-1)*s1*s2*t2 + (-5)*s1*t1*t1 + '
+    '(1)*s1*t1*t2 + (3)*s1*t2*t2 + (5)*s2*s2*s2 + (-4)*s2*s2*t1 + (-3)*s2*s2*t2 + '
+    '(5)*s2*t1*t1 + (-1)*s2*t1*t2 + (-4)*s2*t2*t2 + (3)*t1*t1*t2 + (1)*t1*t2*t2 + '
+    '(3)*t2*t2*t2\n'
+)
+_DENSE_112 = (
+    '[dims]\nnu = 1 d = 1 mu = 2\n[phi]\n'
+    '(-3)*x1*x1 + (4)*x1*y1 + (-4)*x1*s1 + (-1)*x1*t1 + (-4)*x1*t2 + (2)*y1*y1 + '
+    '(2)*y1*s1 + (2)*y1*t1 + (5)*y1*t2 + (1)*s1*s1 + (-2)*s1*t1 + (-4)*s1*t2 + '
+    '(2)*t1*t1 + (-5)*t1*t2 + (1)*t2*t2 + (1)*x1*x1*x1 + (4)*x1*x1*y1 + (-5)*x1*x1*s1 + '
+    '(2)*x1*x1*t1 + (-1)*x1*x1*t2 + (-2)*x1*y1*y1 + (4)*x1*y1*s1 + (-4)*x1*y1*t1 + '
+    '(-5)*x1*s1*s1 + (-5)*x1*s1*t1 + (-5)*x1*s1*t2 + (5)*x1*t1*t1 + (3)*x1*t1*t2 + '
+    '(-5)*x1*t2*t2 + (1)*y1*y1*y1 + (5)*y1*y1*s1 + (-2)*y1*y1*t1 + (1)*y1*y1*t2 + '
+    '(-5)*y1*s1*s1 + (3)*y1*s1*t1 + (-2)*y1*s1*t2 + (2)*y1*t1*t1 + (2)*y1*t1*t2 + '
+    '(3)*y1*t2*t2 + (-2)*s1*s1*s1 + (-2)*s1*s1*t2 + (5)*s1*t1*t1 + (-2)*s1*t1*t2 + '
+    '(2)*s1*t2*t2 + (-1)*t1*t1*t1 + (-5)*t1*t1*t2 + (1)*t1*t2*t2 + (3)*t2*t2*t2\n'
+)
+_DENSE_121 = (
+    '[dims]\nnu = 1 d = 2 mu = 1\n[phi]\n'
+    '(-3)*x1*x1 + (4)*x1*y1 + (-4)*x1*s1 + (-1)*x1*s2 + (-4)*x1*t1 + (2)*y1*y1 + '
+    '(2)*y1*s1 + (2)*y1*s2 + (5)*y1*t1 + (1)*s1*s1 + (-2)*s1*s2 + (-4)*s1*t1 + '
+    '(2)*s2*s2 + (-5)*s2*t1 + (1)*t1*t1 + (1)*x1*x1*x1 + (4)*x1*x1*y1 + (-5)*x1*x1*s1 + '
+    '(2)*x1*x1*s2 + (-1)*x1*x1*t1 + (-2)*x1*y1*y1 + (4)*x1*y1*s1 + (-4)*x1*y1*s2 + '
+    '(-5)*x1*s1*s1 + (-5)*x1*s1*s2 + (-5)*x1*s1*t1 + (5)*x1*s2*s2 + (3)*x1*s2*t1 + '
+    '(-5)*x1*t1*t1 + (1)*y1*y1*y1 + (5)*y1*y1*s1 + (-2)*y1*y1*s2 + (1)*y1*y1*t1 + '
+    '(-5)*y1*s1*s1 + (3)*y1*s1*s2 + (-2)*y1*s1*t1 + (2)*y1*s2*s2 + (2)*y1*s2*t1 + '
+    '(3)*y1*t1*t1 + (-2)*s1*s1*s1 + (-2)*s1*s1*t1 + (5)*s1*s2*s2 + (-2)*s1*s2*t1 + '
+    '(2)*s1*t1*t1 + (-1)*s2*s2*s2 + (-5)*s2*s2*t1 + (1)*s2*t1*t1 + (3)*t1*t1*t1\n'
+    '(5)*x1*x1 + (-4)*x1*y1 + (-3)*x1*s1 + (5)*x1*s2 + (-1)*x1*t1 + (-4)*y1*y1 + '
+    '(3)*y1*s2 + (1)*y1*t1 + (3)*s1*s1 + (5)*s1*s2 + (-2)*s1*t1 + (-1)*s2*s2 + '
+    '(-1)*s2*t1 + (4)*t1*t1 + (2)*x1*x1*x1 + (3)*x1*x1*y1 + (1)*x1*x1*s1 + '
+    '(4)*x1*x1*s2 + (-5)*x1*x1*t1 + (2)*x1*y1*y1 + (-2)*x1*y1*s1 + (1)*x1*y1*s2 + '
+    '(1)*x1*y1*t1 + (5)*x1*s1*s1 + (-3)*x1*s1*s2 + (3)*x1*s2*s2 + (5)*x1*s2*t1 + '
+    '(-4)*y1*y1*y1 + (2)*y1*y1*s1 + (5)*y1*y1*s2 + (3)*y1*y1*t1 + (-4)*y1*s1*s1 + '
+    '(-3)*y1*s1*s2 + (3)*y1*s1*t1 + (1)*y1*s2*s2 + (2)*y1*t1*t1 + (-5)*s1*s1*s1 + '
+    '(2)*s1*s1*s2 + (-5)*s1*s1*t1 + (-1)*s1*s2*s2 + (4)*s1*s2*t1 + (4)*s1*t1*t1 + '
+    '(4)*s2*s2*s2 + (1)*s2*s2*t1 + (5)*s2*t1*t1 + (-3)*t1*t1*t1\n'
+)
 _FBI = "[fbi]\ndata = boundary\ndelta = 1/20\ngrid = 128\ndirs = 4\n"
 # (name, structure file, command and options) of inputs that succeed on paths
 # the benchmark does not run: the machine report's 17-digit residual sup, the
@@ -114,7 +172,8 @@ _FBI = "[fbi]\ndata = boundary\ndelta = 1/20\ngrid = 128\ndirs = 4\n"
 # exceptional witness that come from the mod-p screen (the structure's first
 # nonzero minor is no witness), and three structures whose kernel chain stays
 # short of C^d where the hull chain reaches full span (files 48 and 51 of
-# sweep.py --seed 1 --count 60, and a two-line one whose phi_1 is free of t)
+# sweep.py --seed 1 --count 60, and a two-line one whose phi_1 is free of t),
+# and the Levi form of three dense structures
 UNBENCHED = [
     (
         "analyze-approx-fbi-machine",
@@ -160,6 +219,9 @@ UNBENCHED = [
         "[dims]\nnu = 1 d = 2 mu = 2\n[phi]\n(-5)*t2*y1 + (5/2)*s2*x1*y1\n(-4/3)*t2*x1\n",
         ["analyze"],
     ),
+    ("dense-0-2-2-levi", _DENSE_022, ["analyze", "--covector", "s1=1"]),
+    ("dense-1-1-2-levi", _DENSE_112, ["analyze", "--covector", "s1=1"]),
+    ("dense-1-2-1-normal-form", _DENSE_121, ["wavefront", "--covector", "s1=1"]),
 ]
 
 

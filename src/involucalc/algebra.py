@@ -410,21 +410,6 @@ class Poly:
     def imag_part(self) -> "Poly":
         return (self - self.conjugate()) * GaussRat(0, Fraction(-1, 2))
 
-    def evaluate(self, point) -> GaussRat:
-        """Evaluate at a full rational point, given as a sequence of
-        Fraction/int/GaussRat values in variable order."""
-        point = [GaussRat.of(p) for p in point]
-        if len(point) != len(self.vars):
-            raise ValueError("point length does not match variables")
-        total = ZERO
-        for e, c in self.terms.items():
-            v = c
-            for p, k in zip(point, e):
-                for _ in range(k):
-                    v = v * p
-            total = total + v
-        return total
-
     def residues(self, p, i_p) -> dict:
         """{exponent tuple: coefficient mod the prime p}, with i sent to i_p,
         a square root of -1 mod p; ZeroDivisionError when p divides the
@@ -757,12 +742,6 @@ class RatFun:
     def conjugate(self) -> "RatFun":
         powers = tuple(sorted(((f.conjugate(), p) for f, p in self.powers), key=_by_key))
         return RatFun._make(self.num.conjugate(), powers)
-
-    def evaluate(self, point) -> GaussRat:
-        d = self.den.evaluate(point)
-        if d.is_zero():
-            raise ZeroDivisionError("denominator vanishes at the evaluation point")
-        return self.num.evaluate(point) / d
 
     def value_at_origin(self) -> GaussRat:
         """The numerator's constant term, as den(0) = 1."""

@@ -27,7 +27,6 @@ from .algebra import (
     Poly,
     RatFun,
     ZeroDenominator,
-    exact_rank,
     ratfun_det,
     ratfun_matrix_inverse,
 )
@@ -300,60 +299,3 @@ def is_integrating_frame(b: VBundle, lam) -> IntegratingVerdict:
                 if not res[a][c].is_zero():
                     return IntegratingVerdict(False, (j, a + 1, c + 1, res[a][c]))
     return IntegratingVerdict(True)
-
-
-# -- the lifted involutive structure on the total space --------------------------
-
-
-def _lift_ratfun(f: RatFun, new_vars):
-    return RatFun(f.num.rename_vars(new_vars), f.den.rename_vars(new_vars))
-
-
-def lifted_generators(b: VBundle):
-    """Generators of the induced involutive structure on the total space, in
-    coordinates (base coords, w_1..w_r, wbar_1..wbar_r): one lift per base
-    field plus the antiholomorphic fiber fields.
-
-    The lift of L_j carries fiber coefficient -sum_beta D^beta_alpha(L_j) w_beta
-    on d/dw_alpha."""
-    r = b.rank
-    ext = b.vars + tuple(f"w{a}" for a in range(1, r + 1)) + tuple(
-        f"wbar{a}" for a in range(1, r + 1)
-    )
-    gens = []
-    for L, Dj in zip(b.base, b.D):
-        coeffs = {n: _lift_ratfun(c, ext) for n, c in L.coeffs.items()}
-        for alpha in range(r):
-            acc = RatFun.of(Poly.zero(ext))
-            for beta in range(r):
-                entry = _lift_ratfun(Dj[beta][alpha], ext)
-                acc = acc + entry * RatFun.of(Poly.var(ext, f"w{beta + 1}"))
-            if not acc.is_zero():
-                coeffs[f"w{alpha + 1}"] = acc * GaussRat(-1)
-        gens.append(VectorFieldSym(ext, coeffs))
-    for alpha in range(r):
-        gens.append(
-            VectorFieldSym(ext, {f"wbar{alpha + 1}": RatFun.of(Poly.one(ext))})
-        )
-    return gens, ext
-
-
-def lifted_bracket_closure(b: VBundle) -> bool:
-    """The lifts of the commuting base fields must commute, [G_i, G_j] = 0;
-    exact check via the flatness identity."""
-    gens, _ = lifted_generators(b)
-    n = len(b.base)
-    # the lifts pairwise, and each lift against the fiber fields d/dwbar, with
-    # which it commutes as its coefficients are wbar-free
-    return all(gens[i].bracket(gens[j]).is_zero() for i in range(n) for j in range(i + 1, len(gens)))
-
-
-def lifted_rank_at(b: VBundle, base_point, fiber_point) -> int:
-    """Rank of the lifted generator family at a point (base, fiber)."""
-    gens, ext = lifted_generators(b)
-    point = list(base_point) + [GaussRat.of(x) for x in fiber_point]
-    point = point + [GaussRat.of(x).conjugate() for x in fiber_point]
-    rows = []
-    for g in gens:
-        rows.append([g.coeff(v).evaluate(point) for v in ext])
-    return exact_rank(rows)

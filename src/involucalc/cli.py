@@ -876,7 +876,7 @@ def _header(report):
 
 def _chardim(report):
     sdef = report.sf.sdef
-    cd = characteristic_dim(sdef, sdef.zero_point())
+    cd = characteristic_dim(sdef)
     report.emit(f"characteristic dimension at 0: {cd}", "characteristic_dim", cd)
 
 
@@ -885,7 +885,7 @@ def _levi(report):
     for spec in report.options["covectors"]:
         xi = _parse_covector(spec, sdef.vars)
         xi_txt = ",".join(f"{k}={v}" for k, v in sorted(xi.items()))
-        rep = levi_form(sdef, sdef.zero_point(), xi)
+        rep = levi_form(sdef, xi)
         n_plus, n_minus, n_zero = rep.inertia
         report.emit(
             f"levi inertia at 0 in <{xi_txt}>: (n+, n-, n0) = {rep.inertia}",
@@ -1173,7 +1173,7 @@ def _normal_form(report):
     sdef, kappa = report.sf.sdef, report.sf.fbi.kappa
     xi = _parse_covector(report.options["covectors"][0], sdef.vars)
     try:
-        red = levi_to_normal_form(sdef, sdef.zero_point(), xi)
+        red = levi_to_normal_form(sdef, xi)
         sr = sign_condition(red.field, red.xi0)
         report.emit(
             f"normal form witness: frame field {red.witness_index}, "

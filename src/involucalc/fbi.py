@@ -49,7 +49,7 @@ from .approx import (
     series_coefficients,
 )
 from .config import DEFAULTS
-from .structure import StructureDef, build_frame, levi_form
+from .structure import StructureDef, build_frame, characteristic_dim, levi_form
 
 
 class FbiError(Exception):
@@ -333,23 +333,19 @@ class NormalFormReduction:
     coordinate_names: tuple  # original names of (x_1..x_N), then the rectified t
 
 
-def levi_to_normal_form(sdef: StructureDef, point, xi: dict) -> NormalFormReduction:
-    """Find a frame field with negative Levi diagonal at the covector and
-    rewrite it as d/dt + i b . d/dx in the remaining coordinates.
+def levi_to_normal_form(sdef: StructureDef, xi: dict) -> NormalFormReduction:
+    """Find a frame field with negative Levi diagonal at the origin in the
+    covector and rewrite it as d/dt + i b . d/dx in the remaining coordinates.
 
     Only polynomial-rectifiable witnesses are handled: the distinguished real
     coordinate coefficient must be constant 1 after scaling and every other
     coefficient purely imaginary with polynomial imaginary part.  The sign
     condition holds for the returned covector by the commutator identity."""
-    from .structure import characteristic_dim
-
-    if characteristic_dim(sdef, point) == 0:
+    if characteristic_dim(sdef) == 0:
         raise NoNegativeDirection("characteristic set is trivial at this point")
-    report = levi_form(sdef, point, xi)
+    report = levi_form(sdef, xi)
     if report.inertia[1] < 1:
         raise NoNegativeDirection("the Levi form has no negative eigenvalue here")
-    if any(p != 0 for p in report.point):
-        raise RectificationUnavailable("translate the structure to the base point first")
     frame = build_frame(sdef)
     vars = sdef.vars
     candidates = [

@@ -8,8 +8,9 @@ integrals are
     W_k = s_k + i phi_k          (k = 1..d)
 
 and everything else (the spanning frame, characteristic forms, Levi forms)
-is derived from them.  The base point is always the origin; callers translate
-their data.  The Wirtinger conventions are
+is derived from them.  Every pointwise quantity (the characteristic
+dimension, the Levi form) is taken at the base point, the origin; callers
+translate their data.  The Wirtinger conventions are
 
     d/dz    = (d/dx - i d/dy) / 2,      d/dzbar = (d/dx + i d/dy) / 2.
 """
@@ -32,7 +33,6 @@ from .algebra import (
     RatFun,
     adjugate,
     det,
-    exact_rank,
     hermitian_inertia,
     ratfun_jet,
 )
@@ -43,7 +43,7 @@ class StructureError(Exception):
 
 
 class NotCharacteristic(StructureError):
-    """The covector does not annihilate the frame at the given point."""
+    """The covector does not annihilate the frame at the base point."""
 
 
 class ZeroCovector(StructureError):
@@ -105,9 +105,6 @@ class StructureDef:
     @property
     def dim(self) -> int:
         return 2 * self.nu + self.d + self.mu
-
-    def zero_point(self):
-        return tuple(Fraction(0) for _ in self.vars)
 
     def first_integrals(self):
         """The nu + d basic solutions (Z's first, then W's) as polynomials."""
@@ -234,11 +231,6 @@ class VectorFieldSym:
             if not c.is_zero():
                 res[name] = c
         return VectorFieldSym(self.vars, res)
-
-    def conjugate(self) -> "VectorFieldSym":
-        return VectorFieldSym(
-            self.vars, {n: c.conjugate() for n, c in self.coeffs.items()}
-        )
 
     def __add__(self, other):
         res = dict(self.coeffs)
@@ -506,28 +498,20 @@ def _dot(b, m, j, vars) -> Poly:
 
 @dataclass(frozen=True)
 class LeviReport:
-    point: tuple
     covector: dict
     matrix: HermitianMatrix
     inertia: tuple
 
 
-def _covector_on_field(xi: dict, field: VectorFieldSym, point) -> GaussRat:
-    total = ZERO
-    for name, val in xi.items():
-        c = field.coeffs.get(name)
-        if c is not None:
-            total = total + GaussRat.of(val) * c.evaluate(point)
-    return total
-
-
-def levi_form(sdef: StructureDef, point, xi: dict) -> LeviReport:
-    """Levi form of the structure at ``point`` in the characteristic
+def levi_form(sdef: StructureDef, xi: dict) -> LeviReport:
+    """Levi form of the structure at the origin in the characteristic
     covector ``xi`` (entered in the coordinate coframe, real coefficients).
 
-    Entry (j, k) is xi([L_j, conj(L_k)]|_p) / 2i; the inertia is computed
-    exactly."""
-    point = tuple(Fraction(p) if not isinstance(p, Fraction) else p for p in point)
+    Entry (j, k) is xi([L_j, conj(L_k)](0)) / 2i.  As xi is constant,
+    xi([X, Y]) = X(xi(Y)) - Y(xi(X)), so with P_ab = conj(L_a)(xi(L_b))(0)
+    the entry is (conj(P_jk) - P_kj) / 2i: only the frame coefficients'
+    values and first partials at 0 enter, read from the order-1 frame jets.
+    The inertia is computed exactly."""
     clean_xi = {}
     for name, val in xi.items():
         if name not in sdef.vars:
@@ -540,35 +524,37 @@ def levi_form(sdef: StructureDef, point, xi: dict) -> LeviReport:
     xi = clean_xi
     if all(v == 0 for v in xi.values()):
         raise ZeroCovector("covector must be nonzero")
-    frame = build_frame(sdef)
-    for j, L in enumerate(frame, start=1):
-        if not _covector_on_field(xi, L, point).is_zero():
+    jets = frame_jets(sdef, 1)
+    zero = Poly.zero(sdef.vars)
+    # the order-1 jet of xi(L_b), whose value at 0 must vanish
+    pairings = [sum((c * xi[m] for m, c in L.items() if m in xi), zero) for L in jets]
+    for j, f in enumerate(pairings, start=1):
+        if not f.constant_term().is_zero():
             raise NotCharacteristic(
                 f"covector does not annihilate frame field {j} at the point"
             )
-    n = len(frame)
+    # conj(L_a) at 0, as the nonzero values of its coefficients
+    conj_at_0 = [
+        [(m, v.conjugate()) for m, c in L.items() if not (v := c.constant_term()).is_zero()]
+        for L in jets
+    ]
+    P = [
+        [sum((v * f.diff(m).constant_term() for m, v in La), ZERO) for f in pairings]
+        for La in conj_at_0
+    ]
+    n = len(jets)
     half_over_i = GaussRat(0, Fraction(-1, 2))  # 1/(2i)
     entries = [[ZERO] * n for _ in range(n)]
-    conj_frame = [L.conjugate() for L in frame]
     for j in range(n):
         for k in range(j, n):
-            br = frame[j].bracket(conj_frame[k])
-            val = _covector_on_field(xi, br, point) * half_over_i
+            val = (P[j][k].conjugate() - P[k][j]) * half_over_i
             entries[j][k] = val
             entries[k][j] = val.conjugate()
     matrix = HermitianMatrix(entries)
-    return LeviReport(point, dict(xi), matrix, hermitian_inertia(matrix))
+    return LeviReport(dict(xi), matrix, hermitian_inertia(matrix))
 
 
-def characteristic_dim(sdef: StructureDef, point) -> int:
-    """max(d - rank phi_t(point), 0)."""
-    jac = jacobians(sdef)
-    if sdef.d == 0:
-        return 0
-    if sdef.mu == 0:
-        return sdef.d
-    rows = [
-        [jac.phi_t[k][r].evaluate(point) for r in range(sdef.mu)]
-        for k in range(sdef.d)
-    ]
-    return max(sdef.d - exact_rank(rows), 0)
+def characteristic_dim(sdef: StructureDef) -> int:
+    """d - rank phi_t(0), which is d: every phi_k vanishes to second order
+    at the origin, so phi_t(0) = 0."""
+    return sdef.d

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import hypothesis.strategies as st
 
-from involucalc.algebra import GaussRat, Poly, RatFun
+from involucalc.algebra import GaussRat, HermitianMatrix, Poly, RatFun, hermitian_inertia
 
 # -- hypothesis strategies ---------------------------------------------------
 
@@ -67,6 +68,22 @@ def rand_poly(rng: random.Random, vars, max_degree=2, n_terms=3, real=False) -> 
     return Poly(vars, terms)
 
 
+def poly_evaluate(p: Poly, point) -> GaussRat:
+    """p at a full point, given as Fraction/int/GaussRat values in variable
+    order (oracle: term by term, by repeated multiplication)."""
+    point = [GaussRat.of(x) for x in point]
+    if len(point) != len(p.vars):
+        raise ValueError("point length does not match variables")
+    total = GaussRat(0)
+    for e, c in p.terms.items():
+        v = c
+        for x, k in zip(point, e):
+            for _ in range(k):
+                v = v * x
+        total = total + v
+    return total
+
+
 def gauss_rank(rows) -> int:
     """Rank over the complex rationals by Gaussian elimination on GaussRat
     entries (oracle for the packed-row echelon)."""
@@ -127,6 +144,27 @@ def rand_flat_bundle(rng: random.Random, base, r):
 # -- structures whose det W_s is not constant ----------------------------------
 
 
+def dense_structure_text(nu, d, mu, seed):
+    """A structure file whose phi_k, in turn, take every monomial of total
+    degree 2 and 3 over ``structure_vars(nu, d, mu)`` in
+    ``combinations_with_replacement`` order, each with the coefficient
+    ``random.Random(seed).randint(-5, 5)``; a 0 drops the term."""
+    from involucalc.structure import structure_vars
+
+    rng = random.Random(seed)
+    vars = structure_vars(nu, d, mu)
+    phis = []
+    for _ in range(d):
+        terms = []
+        for degree in (2, 3):
+            for mono in combinations_with_replacement(vars, degree):
+                c = rng.randint(-5, 5)
+                if c:
+                    terms.append(f"({c})*" + "*".join(mono))
+        phis.append(" + ".join(terms))
+    return f"[dims]\nnu = {nu} d = {d} mu = {mu}\n[phi]\n" + "".join(p + "\n" for p in phis)
+
+
 def s2_structure(d):
     """phi_k = s1 t1^2 + t1^(k+1), k = 1..d: det W_s = 1 + i t1^2."""
     from involucalc.structure import StructureDef, structure_vars
@@ -171,3 +209,28 @@ def word_value_at_origin(sdef, omega, word, frame=None):
     """Value at 0 of an iterated derivative, computed symbolically."""
     section = apply_word(sdef, omega, word, frame=frame)
     return tuple(c.value_at_origin() for c in section.components())
+
+
+# -- symbolic oracle for the Levi form -------------------------------------------
+
+
+def levi_oracle(sdef, xi):
+    """(matrix, inertia) of the Levi form at 0: entry (j, k) is
+    xi([L_j, conj(L_k)]) / 2i with the bracket built as a symbolic field and
+    read at 0."""
+    from involucalc.structure import VectorFieldSym, build_frame
+
+    frame = build_frame(sdef)
+    conj = [VectorFieldSym(L.vars, {m: c.conjugate() for m, c in L.coeffs.items()}) for L in frame]
+    n = len(frame)
+    entries = [[GaussRat(0)] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(j, n):
+            br = frame[j].bracket(conj[k])
+            val = sum(
+                (GaussRat.of(v) * br.coeff(m).value_at_origin() for m, v in xi.items()), GaussRat(0)
+            ) * GaussRat(0, Fraction(-1, 2))
+            entries[j][k] = val
+            entries[k][j] = val.conjugate()
+    matrix = HermitianMatrix(entries)
+    return matrix, hermitian_inertia(matrix)

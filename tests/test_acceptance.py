@@ -137,7 +137,7 @@ def test_acceptance_3_levi_signatures():
     for n in (1, 2, 3):
         for nu in range(n + 1):
             sdef = standard_mizohata(nu, n)
-            rep = levi_form(sdef, sdef.zero_point(), {"s1": 1})
+            rep = levi_form(sdef, {"s1": 1})
             ok = ok and rep.inertia == (nu, n - nu, 0)
     gate.finish(ok)
 

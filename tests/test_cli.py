@@ -27,7 +27,7 @@ from involucalc.cli import (
     serialize_structure,
 )
 
-from conftest import polys
+from conftest import dense_structure_text, polys
 
 CROSSING_FILE = """
 # two first integrals over one t variable
@@ -864,6 +864,26 @@ def test_cli_wavefront_normal_form_unavailable(tmp_path, capsys):
     assert "direction 0" in out
 
 
+@pytest.mark.parametrize(
+    "shape, command, expected",
+    [
+        ((0, 2, 2), "analyze", "levi inertia at 0 in <s1=1>: (n+, n-, n0) = (1, 1, 0)"),
+        ((1, 2, 1), "wavefront", "normal form: unavailable (coefficient on d/ds1 is not purely imaginary)"),
+    ],
+    ids=["analyze-0-2-2", "wavefront-1-2-1"],
+)
+def test_cli_dense_levi_within_seconds(tmp_path, capsys, shape, command, expected):
+    # dense quadratic-plus-cubic phi: the Levi form needs only the frame's
+    # first-order jets at 0, not its symbolic brackets
+    f = tmp_path / "dense.struct"
+    f.write_text(dense_structure_text(*shape, 1))
+    start = time.perf_counter()
+    code, out, err = run_cli([command, str(f), "--covector", "s1=1"], capsys)
+    assert time.perf_counter() - start < 2.0
+    assert (code, err) == (0, "")
+    assert expected in out.splitlines()
+
+
 NOT_REAL_CANDIDATE_FILE = MINIMAL_FILE + "[candidate]\ns1 = i*s1\n"
 
 
@@ -991,7 +1011,8 @@ def test_report_drops_its_structure_with_the_last_reference():
 
 
 def test_analyze_builds_each_derived_object_once(tmp_path, capsys, monkeypatch):
-    # levi, the two chains, loci, autosys and bundle all read the frame
+    # levi (its order-1 jets), the two chains, loci, autosys and bundle all
+    # read the frame
     from collections import Counter
 
     from involucalc import structure
@@ -1027,7 +1048,8 @@ def test_analyze_builds_each_derived_object_once(tmp_path, capsys, monkeypatch):
     forms = [key for (name, key) in calls if name == "_compute_form"]
     assert "kernel vectors: 2\n" in out and len(forms) == 2
     assert calls == Counter(
-        {("_compute_jacobians", None): 1, ("_compute_frame", None): 1, ("_compute_frame_jets", 5): 1}
+        {("_compute_jacobians", None): 1, ("_compute_frame", None): 1}
+        | {("_compute_frame_jets", 1): 1, ("_compute_frame_jets", 5): 1}
         | {("_compute_form", key): 1 for key in forms}
     )
 

@@ -353,7 +353,7 @@ def test_sign_condition_homogeneous():
 
 def test_levi_to_normal_form_mizohata_negative():
     sdef = standard_mizohata(0, 1)
-    red = levi_to_normal_form(sdef, sdef.zero_point(), {"s1": 1})
+    red = levi_to_normal_form(sdef, {"s1": 1})
     assert red.witness_index == 1
     f = red.field
     assert f.n_x == 1
@@ -365,7 +365,7 @@ def test_levi_to_normal_form_mizohata_negative():
 
 def test_levi_to_normal_form_type11():
     sdef = standard_mizohata(1, 2)
-    red = levi_to_normal_form(sdef, sdef.zero_point(), {"s1": 1})
+    red = levi_to_normal_form(sdef, {"s1": 1})
     # the negative direction is the second frame field
     assert red.witness_index == 2
     assert sign_condition(red.field, red.xi0).holds
@@ -374,21 +374,21 @@ def test_levi_to_normal_form_type11():
 def test_levi_to_normal_form_elliptic():
     sdef = complex_structure(1)
     with pytest.raises(NoNegativeDirection):
-        levi_to_normal_form(sdef, sdef.zero_point(), {"x1": 1})
+        levi_to_normal_form(sdef, {"x1": 1})
 
 
 def test_levi_to_normal_form_levi_flat():
     sdef = flat_structure(1, 1)
     with pytest.raises(NoNegativeDirection):
-        levi_to_normal_form(sdef, sdef.zero_point(), {"s1": 1})
+        levi_to_normal_form(sdef, {"s1": 1})
 
 
 def test_levi_to_normal_form_positive_only():
     sdef = standard_mizohata(1, 1)
     with pytest.raises(NoNegativeDirection):
-        levi_to_normal_form(sdef, sdef.zero_point(), {"s1": 1})
+        levi_to_normal_form(sdef, {"s1": 1})
     # flipping the covector flips the signature
-    red = levi_to_normal_form(sdef, sdef.zero_point(), {"s1": -1})
+    red = levi_to_normal_form(sdef, {"s1": -1})
     assert sign_condition(red.field, red.xi0).holds
 
 
@@ -442,4 +442,4 @@ def test_rectification_unavailable_for_mixed_denominators():
     s = Poly.var(vars, "s1")
     sdef = StructureDef(0, 1, 1, (-t * t * Fraction(1, 2) + t * t * s * s * Fraction(1, 2),))
     with pytest.raises(RectificationUnavailable):
-        levi_to_normal_form(sdef, sdef.zero_point(), {"s1": 1})
+        levi_to_normal_form(sdef, {"s1": 1})

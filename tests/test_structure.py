@@ -13,6 +13,7 @@ from involucalc.catalog import (
     standard_mizohata,
     three_quadrics,
 )
+from involucalc.cli import parse_structure
 from involucalc.structure import (
     CotangentSection,
     KernelVector,
@@ -31,12 +32,9 @@ from involucalc.structure import (
     levi_form,
     structure_vars,
 )
+from conftest import dense_structure_text, levi_oracle
 
 I = GaussRat(0, 1)
-
-
-def pt(sdef, **coords):
-    return tuple(Fraction(coords.get(v, 0)) for v in sdef.vars)
 
 
 def _s_dependent_fixture():
@@ -302,40 +300,69 @@ def test_characteristic_form_reality_boundary_with_s_coupling():
 def test_levi_mizohata_signature(n):
     for nu in range(n + 1):
         sdef = standard_mizohata(nu, n)
-        report = levi_form(sdef, sdef.zero_point(), {"s1": 1})
+        report = levi_form(sdef, {"s1": 1})
         assert report.inertia == (nu, n - nu, 0)
 
 
 def test_levi_flat_structure_is_zero():
     sdef = flat_structure(1, 1)
-    report = levi_form(sdef, sdef.zero_point(), {"s1": 1})
+    report = levi_form(sdef, {"s1": 1})
     assert report.inertia == (0, 0, 1)
 
 
 def test_levi_negative_eigenvalue_probe():
     sdef = standard_mizohata(0, 1)
-    report = levi_form(sdef, sdef.zero_point(), {"s1": 1})
+    report = levi_form(sdef, {"s1": 1})
     assert report.inertia[1] >= 1
 
 
 def test_levi_positive_scaling_invariance():
     sdef = standard_mizohata(1, 2)
-    r1 = levi_form(sdef, sdef.zero_point(), {"s1": 1})
-    r2 = levi_form(sdef, sdef.zero_point(), {"s1": Fraction(7, 3)})
+    r1 = levi_form(sdef, {"s1": 1})
+    r2 = levi_form(sdef, {"s1": Fraction(7, 3)})
     assert r1.inertia == r2.inertia
 
 
+def _characteristic_covectors(sdef):
+    """ds_1 and a combination of every ds_k with distinct weights."""
+    mixed = {f"s{k}": Fraction((-1) ** k * (k + 1), k + 2) for k in range(1, sdef.d + 1)}
+    return [{"s1": 1}, mixed]
+
+
+def _assert_levi_matches_oracle(sdef):
+    for xi in _characteristic_covectors(sdef):
+        matrix, inertia = levi_oracle(sdef, xi)
+        report = levi_form(sdef, xi)
+        assert report.matrix.entries == matrix.entries
+        assert report.inertia == inertia
+
+
+@pytest.mark.parametrize(
+    "sdef",
+    [s for s in ALL_FIXTURES if s.d] + [monomial_structure([(2, 0), (1, 1), (0, 2)]), flat_structure(2, 1)],
+    ids=lambda s: f"nu{s.nu}d{s.d}mu{s.mu}",
+)
+def test_levi_matches_bracket_oracle(sdef):
+    _assert_levi_matches_oracle(sdef)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 1, 2), (0, 2, 1)])
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_levi_matches_bracket_oracle_dense(shape, seed):
+    _assert_levi_matches_oracle(parse_structure(dense_structure_text(*shape, seed)).sdef)
+
+
 def test_levi_rejects_noncharacteristic():
+    # the frame field is d/dt1 - i t1 d/ds1, which dt1 does not annihilate at 0
     sdef = standard_mizohata(1, 1)
-    p = pt(sdef, t1=1)
-    with pytest.raises(NotCharacteristic):
-        levi_form(sdef, p, {"s1": 1})
+    with pytest.raises(NotCharacteristic, match="frame field 1 at the point"):
+        levi_form(sdef, {"t1": 1})
 
 
 def test_levi_rejects_zero_covector():
     sdef = standard_mizohata(1, 1)
     with pytest.raises(ZeroCovector):
-        levi_form(sdef, sdef.zero_point(), {"s1": 0})
+        levi_form(sdef, {"s1": 0})
 
 
 # -- characteristic dimension --------------------------------------------------
@@ -343,19 +370,17 @@ def test_levi_rejects_zero_covector():
 
 def test_characteristic_dim_mizohata():
     sdef = standard_mizohata(1, 2)
-    assert characteristic_dim(sdef, sdef.zero_point()) == 1
-    assert characteristic_dim(sdef, pt(sdef, t1=Fraction(1, 3))) == 0
+    assert characteristic_dim(sdef) == 1
 
 
 def test_characteristic_dim_flat():
     sdef = flat_structure(2, 1)
-    assert characteristic_dim(sdef, sdef.zero_point()) == 2
-    assert characteristic_dim(sdef, pt(sdef, t1=5)) == 2
+    assert characteristic_dim(sdef) == 2
 
 
 def test_characteristic_dim_three_quadrics():
     sdef = three_quadrics()
-    assert characteristic_dim(sdef, sdef.zero_point()) == 3
+    assert characteristic_dim(sdef) == 3
 
 
 # -- derivative matrices -------------------------------------------------------
